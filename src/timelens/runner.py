@@ -1,6 +1,9 @@
 """Scenario execution: simulate, design, and sweep runs with file artifacts.
 
-Every run produces a ``report.json`` plus CSV artifacts, all rendered to
+A simulation is computed first and rendered second.  ``simulate`` writes a
+``report.json`` plus one CSV per stage and analyzer port; ``sweep`` renders
+only ``sweep.csv`` and its report, and its points that differ only in
+``analysis.analyzer_phase`` share one propagation.  Artifacts are rendered to
 strings before anything touches disk.  Floats are written with ``repr`` so
 artifacts are bit-identical across repeated runs of the same scenario and
 parse back to the exact same doubles.
@@ -9,7 +12,9 @@ parse back to the exact same doubles.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +34,11 @@ from .envelope import (
     phase_rms,
     time_bin_pulse,
 )
-from .errors import InsufficientSupportError, ScenarioSemanticError
+from .errors import (
+    DegenerateInputError,
+    InsufficientSupportError,
+    ScenarioSemanticError,
+)
 from .grid import TimeGrid
 from .imaging import (
     StageTrace,
@@ -42,7 +51,7 @@ from .imaging import (
     single_lens_system,
     telescope_system,
 )
-from .interferometry import recombine, visibility_experiment
+from .interferometry import InterferenceResult, recombine, visibility_experiment
 from .scenario import Scenario, SystemSpec, key_spec, parse_scenario
 
 
@@ -169,7 +178,7 @@ def read_waveform_csv(text: str, carrier_nm: float | None = None) -> SampledEnve
 def _stage_entry(label: str, env: SampledEnvelope) -> dict:
     try:
         width: float | None = fwhm(env)
-    except Exception:
+    except DegenerateInputError:
         width = None
     return {
         "label": label,
@@ -221,13 +230,18 @@ def _image_metrics(
     return metrics
 
 
-def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str]]:
-    """Execute a simulation scenario.
+class _Run(NamedTuple):
+    """What a simulation computes before any artifact is rendered."""
 
-    Returns:
-        (report, files): the ``report.json`` payload and a name -> content
-        map of every artifact, including the rendered report itself.
-    """
+    report: dict  # report.json payload, less single_port and artifacts
+    env_in: SampledEnvelope
+    trace: StageTrace
+    interference: InterferenceResult | None  # None: visibility disabled
+    analyzer_delay: float
+
+
+def _compute(scenario: Scenario) -> _Run:
+    """Propagate a scenario and build its report; ``analyzer_phase`` is not read."""
     if not scenario.simulatable:
         raise ScenarioSemanticError(
             [(0, "simulate needs [input] and [system] sections")]
@@ -296,11 +310,7 @@ def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str]]:
             "passed": ff.passed,
         }
 
-    files: dict[str, str] = {}
-    files["stage_00_input.csv"] = waveform_csv(env_in)
-    for index, (label, env) in enumerate(trace.steps, start=1):
-        files[f"stage_{index:02d}_{label}.csv"] = waveform_csv(env)
-
+    result = None
     if vis_enabled:
         psi = spec.relative_phase
         image_phase = psi if system.magnification > 0 else -psi
@@ -321,19 +331,39 @@ def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str]]:
             "destructive_energy": float(result.destructive_energy),
             "visibility": float(result.visibility),
         }
-        files["analyzer_constructive.csv"] = waveform_csv(result.constructive)
-        files["analyzer_destructive.csv"] = waveform_csv(result.destructive)
-        if scenario.analysis.analyzer_phase is not None:
-            port = recombine(
-                trace.final, analyzer_delay, scenario.analysis.analyzer_phase
-            )
-            t = port.times
-            lo, hi = result.window
-            mask = (t >= lo) & (t <= hi)
-            report["single_port"] = {
-                "analyzer_phase_rad": float(scenario.analysis.analyzer_phase),
-                "central_energy": float(port.intensity[mask].sum() * grid.dt),
-            }
+    return _Run(report, env_in, trace, result, analyzer_delay)
+
+
+def _central_energy(run: _Run, phase: float) -> float:
+    """Energy of the single analyzer port at ``phase`` inside the central window."""
+    port = recombine(run.trace.final, run.analyzer_delay, phase)
+    t = port.times
+    lo, hi = run.interference.window
+    mask = (t >= lo) & (t <= hi)
+    return float(port.intensity[mask].sum() * run.env_in.grid.dt)
+
+
+def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str]]:
+    """Execute a simulation scenario.
+
+    Returns:
+        (report, files): the ``report.json`` payload and a name -> content
+        map of every artifact, including the rendered report itself.
+    """
+    run = _compute(scenario)
+    report, phase = run.report, scenario.analysis.analyzer_phase
+    if run.interference is not None and phase is not None:
+        report["single_port"] = {
+            "analyzer_phase_rad": float(phase),
+            "central_energy": _central_energy(run, phase),
+        }
+
+    files = {"stage_00_input.csv": waveform_csv(run.env_in)}
+    for index, (label, env) in enumerate(run.trace.steps, start=1):
+        files[f"stage_{index:02d}_{label}.csv"] = waveform_csv(env)
+    if run.interference is not None:
+        files["analyzer_constructive.csv"] = waveform_csv(run.interference.constructive)
+        files["analyzer_destructive.csv"] = waveform_csv(run.interference.destructive)
 
     report["artifacts"] = ["report.json", *files]
     files["report.json"] = json.dumps(report, indent=2) + "\n"
@@ -407,6 +437,8 @@ def run_sweep(
     Each point re-parses the scenario with ``param`` (a ``section.key``
     path) overridden, so per-point validation and derived defaults (grid,
     analyzer delay) stay in force.  Rows are ordered by parameter value.
+    No waveform is rendered; consecutive points that differ only in
+    ``analysis.analyzer_phase`` share one propagation.
     """
     spec = key_spec(param)
     if spec is None or spec.kind not in ("float", "int"):
@@ -429,12 +461,18 @@ def run_sweep(
             columns.append("central_energy")
 
     rows: list[tuple[float, list[float]]] = []
+    key = run = None
     for value in values:
         scenario = parse_scenario(text, overrides={param: value})
-        report, _ = run_simulate(scenario)
-        row = [value, report["image"]["fwhm_ps"], report["image"]["energy"]]
+        # Keeping only the latest run bounds memory to one trace; on a sorted
+        # grid, equal keys are consecutive anyway.
+        unphased = replace(scenario.analysis, analyzer_phase=None)
+        point_key = replace(scenario, analysis=unphased)
+        if point_key != key:
+            key, run = point_key, _compute(scenario)
+        row = [value, run.report["image"]["fwhm_ps"], run.report["image"]["energy"]]
         if vis_base:
-            interference = report.get("interference")
+            interference = run.report.get("interference")
             if interference is None:
                 raise ScenarioSemanticError(
                     [(0, f"sweep point {param}={value!r} disabled the "
@@ -446,7 +484,7 @@ def run_sweep(
                 interference["destructive_energy"],
             ]
             if base.analysis.analyzer_phase is not None:
-                row.append(report["single_port"]["central_energy"])
+                row.append(_central_energy(run, scenario.analysis.analyzer_phase))
         rows.append((value, row))
     rows.sort(key=lambda pair: pair[0])
 

@@ -10,7 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from timelens import energy, fwhm, read_waveform_csv, write_artifacts
+import timelens.runner
+from timelens import (
+    SampledEnvelope,
+    TimeGrid,
+    energy,
+    fwhm,
+    parse_scenario,
+    read_waveform_csv,
+    run_simulate,
+    run_sweep,
+    write_artifacts,
+)
 from timelens.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -280,6 +291,79 @@ class TestSweep:
         contrast = (fringe.max() - fringe.min()) / (fringe.max() + fringe.min())
         assert contrast == pytest.approx(visibility, abs=1e-6)
 
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(timelens.runner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(timelens.runner, name, counted)
+        return calls
+
+    def test_analyzer_phase_points_share_one_propagation(
+        self, fast_scenario, tmp_path, monkeypatch
+    ):
+        propagations = self._count_calls(monkeypatch, "run_system")
+        renders = self._count_calls(monkeypatch, "waveform_csv")
+        code = main(
+            [
+                "sweep", str(SCENARIO_DIR / "fringe_scan.scn"),
+                "--param", "analysis.analyzer_phase",
+                "--range", f"0:{2 * math.pi}:5",
+                "--out", str(tmp_path / "phase"),
+            ]
+        )
+        assert code == EXIT_OK
+        assert (len(propagations), len(renders)) == (1, 0)
+
+        code = main(
+            [
+                "sweep", str(fast_scenario),
+                "--param", "system.focal_gdd",
+                "--range", "5:10:3",
+                "--out", str(tmp_path / "gdd"),
+            ]
+        )
+        assert code == EXIT_OK
+        assert (len(propagations), len(renders)) == (1 + 3, 0)
+
+    def test_sweep_rows_equal_simulate_reports(self):
+        text = (SCENARIO_DIR / "fringe_scan.scn").read_text(encoding="utf-8")
+        param = "analysis.analyzer_phase"
+        phases = [0.0, 1.0, 2.5]
+        _, files = run_sweep(text, param, phases)
+        lines = files["sweep.csv"].splitlines()
+        header = lines[0].split(",")
+        for phase, line in zip(phases, lines[1:]):
+            row = dict(zip(header, (float(cell) for cell in line.split(","))))
+            report, _ = run_simulate(parse_scenario(text, overrides={param: phase}))
+            interference = report["interference"]
+            assert row["analysis_analyzer_phase_rad"] == phase
+            assert row["output_fwhm_ps"] == report["image"]["fwhm_ps"]
+            assert row["output_energy"] == report["image"]["energy"]
+            assert row["visibility"] == interference["visibility"]
+            assert row["constructive_energy"] == interference["constructive_energy"]
+            assert row["destructive_energy"] == interference["destructive_energy"]
+            assert row["central_energy"] == report["single_port"]["central_energy"]
+
+
+class TestStageEntry:
+    def test_degenerate_width_reported_as_null(self):
+        grid = TimeGrid(n_samples=64, dt=0.1, t0=-3.2)
+        entry = timelens.runner._stage_entry("dark", SampledEnvelope(grid, np.zeros(64)))
+        assert entry["fwhm_ps"] is None
+
+    def test_unexpected_fwhm_failure_propagates(self, monkeypatch):
+        def broken(env):
+            raise RuntimeError("bug in fwhm")
+
+        monkeypatch.setattr(timelens.runner, "fwhm", broken)
+        grid = TimeGrid(n_samples=64, dt=0.1, t0=-3.2)
+        with pytest.raises(RuntimeError, match="bug in fwhm"):
+            timelens.runner._stage_entry("lit", SampledEnvelope(grid, np.ones(64)))
 
 class TestWriteArtifacts:
     def test_partial_writes_rolled_back(self, tmp_path):
