@@ -162,20 +162,29 @@ class SystemTopology:
         magnification: signed image magnification M = -D2/D1 (single/field)
             or +M (telescope).
         stages: the ordered elements (DispersiveElement / TimeLens).
-        stage_carriers_nm: expected signal carrier after each stage (None
-            entries for carrier-agnostic runs).
     """
 
     kind: TopologyKind
     magnification: float
     stages: tuple[Element, ...]
-    stage_carriers_nm: tuple[float | None, ...]
 
     def dispersive_elements(self) -> tuple[DispersiveElement, ...]:
         return tuple(e for e in self.stages if isinstance(e, DispersiveElement))
 
     def lenses(self) -> tuple[TimeLens, ...]:
         return tuple(e for e in self.stages if isinstance(e, TimeLens))
+
+    @property
+    def stage_carriers_nm(self) -> tuple[float, ...]:
+        """Expected signal carrier after each stage: the first lens's input
+        carrier, changed to each lens's output carrier from that lens on."""
+        carrier = self.lenses()[0].input_carrier_nm
+        carriers = []
+        for element in self.stages:
+            if isinstance(element, TimeLens):
+                carrier = element.output_carrier_nm
+            carriers.append(carrier)
+        return tuple(carriers)
 
 
 def _imprint_focal(lens: TimeLens) -> float:
@@ -275,19 +284,18 @@ def single_lens_system(
     magnification: float,
     focal_gdd: float,
     pump_seed_fwhm: float | None = None,
-    input_carrier_nm: float | None = 710.0,
+    input_carrier_nm: float = 710.0,
     pump_carrier_nm: float = 1550.0,
     tod_ratio: float = 0.0,
     transmission: float = 1.0,
 ) -> SystemTopology:
     """D1 -> down-conversion lens (pump chirp = focal_gdd) -> D2."""
     d1, d2 = solve_single_lens(magnification, focal_gdd)
-    carrier_in = input_carrier_nm if input_carrier_nm is not None else 710.0
     lens = TimeLens(
         direction=ConversionDirection.DOWN,
         focal_gdd=focal_gdd,
         pump_seed_fwhm=pump_seed_fwhm,
-        input_carrier_nm=carrier_in,
+        input_carrier_nm=input_carrier_nm,
         pump_carrier_nm=pump_carrier_nm,
         label="main_lens",
     )
@@ -298,16 +306,10 @@ def single_lens_system(
         ],
         tod_ratio,
     )
-    carriers: tuple[float | None, ...]
-    if input_carrier_nm is None:
-        carriers = (None, None, None)
-    else:
-        carriers = (carrier_in, lens.output_carrier_nm, lens.output_carrier_nm)
     return SystemTopology(
         kind=TopologyKind.SINGLE_LENS,
         magnification=magnification,
         stages=(elements[0], lens, elements[1]),
-        stage_carriers_nm=carriers,
     )
 
 
@@ -315,7 +317,7 @@ def field_lens_system(
     magnification: float,
     focal_gdd: float,
     pump_seed_fwhm: float | None = None,
-    input_carrier_nm: float | None = 710.0,
+    input_carrier_nm: float = 710.0,
     pump_carrier_nm: float = 1550.0,
     tod_ratio: float = 0.0,
     transmission: float = 1.0,
@@ -335,28 +337,18 @@ def field_lens_system(
         transmission=transmission,
     )
     _, _, dr = solve_field_lens(magnification, focal_gdd)
-    main_lens = base.stages[1]
-    assert isinstance(main_lens, TimeLens)
-    corrector_in = (
-        main_lens.output_carrier_nm if input_carrier_nm is not None else 710.0
-    )
     corrector = TimeLens(
         direction=ConversionDirection.UP,
         focal_gdd=dr,
         pump_seed_fwhm=pump_seed_fwhm,
-        input_carrier_nm=corrector_in,
+        input_carrier_nm=base.lenses()[0].output_carrier_nm,
         pump_carrier_nm=pump_carrier_nm,
         label="field_lens",
     )
-    if input_carrier_nm is None:
-        carriers = base.stage_carriers_nm + (None,)
-    else:
-        carriers = base.stage_carriers_nm + (corrector.output_carrier_nm,)
     return SystemTopology(
         kind=TopologyKind.FIELD_LENS,
         magnification=magnification,
         stages=base.stages + (corrector,),
-        stage_carriers_nm=carriers,
     )
 
 
@@ -364,19 +356,18 @@ def telescope_system(
     magnification: float,
     input_gdd: float,
     pump_seed_fwhm: float | None = None,
-    input_carrier_nm: float | None = 710.0,
+    input_carrier_nm: float = 710.0,
     pump_carrier_nm: float = 1550.0,
     tod_ratio: float = 0.0,
     transmission: float = 1.0,
 ) -> SystemTopology:
     """D1 -> down lens (chirp D1) -> D2 -> up lens (chirp M*D1) -> D3."""
     df1, d2, df2, d3 = solve_telescope(magnification, input_gdd)
-    carrier_in = input_carrier_nm if input_carrier_nm is not None else 710.0
     lens1 = TimeLens(
         direction=ConversionDirection.DOWN,
         focal_gdd=-df1,  # pump chirp D1: imprints +t^2/(2*D1)
         pump_seed_fwhm=pump_seed_fwhm,
-        input_carrier_nm=carrier_in,
+        input_carrier_nm=input_carrier_nm,
         pump_carrier_nm=pump_carrier_nm,
         label="lens_1",
     )
@@ -384,9 +375,7 @@ def telescope_system(
         direction=ConversionDirection.UP,
         focal_gdd=df2,  # pump chirp M*D1: imprints +t^2/(2*D3)
         pump_seed_fwhm=pump_seed_fwhm,
-        input_carrier_nm=(
-            lens1.output_carrier_nm if input_carrier_nm is not None else 710.0
-        ),
+        input_carrier_nm=lens1.output_carrier_nm,
         pump_carrier_nm=pump_carrier_nm,
         label="lens_2",
     )
@@ -398,17 +387,10 @@ def telescope_system(
         ],
         tod_ratio,
     )
-    if input_carrier_nm is None:
-        carriers: tuple[float | None, ...] = (None,) * 5
-    else:
-        mid = lens1.output_carrier_nm
-        out = lens2.output_carrier_nm
-        carriers = (carrier_in, mid, mid, out, out)
     return SystemTopology(
         kind=TopologyKind.TELESCOPE,
         magnification=magnification,
         stages=(elements[0], lens1, elements[1], lens2, elements[2]),
-        stage_carriers_nm=carriers,
     )
 
 

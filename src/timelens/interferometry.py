@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .envelope import SampledEnvelope, shifted
 from .errors import DegenerateInputError, PeakDetectionError
@@ -77,7 +76,13 @@ def _outer_peaks(intensity: np.ndarray, times: np.ndarray) -> tuple[float, float
     peak = float(intensity.max())
     if peak == 0.0:
         raise DegenerateInputError("peak detection on a zero-energy envelope")
-    indices, _ = find_peaks(intensity, height=PEAK_HEIGHT_FLOOR * peak)
+    # local maxima: a rise, then a fall after any flat run; a flat top counts
+    # once, at its middle index rounded left, and end samples never count
+    steps = np.flatnonzero(np.diff(intensity))
+    rising = intensity[steps + 1] > intensity[steps]
+    tops = np.flatnonzero(rising[:-1] & ~rising[1:])
+    indices = (steps[tops] + 1 + steps[tops + 1]) // 2
+    indices = indices[intensity[indices] >= PEAK_HEIGHT_FLOOR * peak]
     if len(indices) < 3:
         raise PeakDetectionError(
             f"expected a three-peak interference profile, found {len(indices)} "

@@ -5,6 +5,9 @@ from __future__ import annotations
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +119,29 @@ class TestSimulate:
         match, mismatch, errors = filecmp.cmpfiles(out_a, out_b, names, shallow=False)
         assert mismatch == [] and errors == []
         assert sorted(match) == names
+
+    def test_runtime_loads_no_scipy(self, tmp_path):
+        # scipy is a test-only dependency; a fresh process that imports
+        # timelens and runs a simulation must never load it.
+        scenario = str(SCENARIO_DIR / "ideal_magnifier.scn")
+        argv = ["simulate", scenario, "--out", str(tmp_path)]
+        code = (
+            "import sys, timelens, timelens.cli\n"
+            f"assert timelens.cli.main({argv!r}) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "assert not loaded, loaded\n"
+        )
+        package_root = str(Path(timelens.__file__).resolve().parents[1])
+        path = [package_root, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestOutputPrecedence:

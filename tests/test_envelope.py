@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from timelens import (
     DegenerateInputError,
@@ -241,6 +242,19 @@ class TestShiftAndMagnify:
         env = gaussian_pulse(small_grid, fwhm=5.0)
         same = magnified_copy(env, 1.0)
         assert np.max(np.abs(same.samples - env.samples)) < 1e-12
+
+    @pytest.mark.parametrize("magnification", [-20.0, 13.7, 1.0, -0.5])
+    def test_magnified_copy_matches_cubic_spline(self, magnification):
+        grid = TimeGrid.centered(window=400.0, n_samples=2**14)
+        env = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0, relative_phase=0.7)
+        t = env.times
+        source_t = t / magnification
+        spline_re = CubicSpline(t, env.samples.real, extrapolate=False)
+        spline_im = CubicSpline(t, env.samples.imag, extrapolate=False)
+        reference = np.nan_to_num(spline_re(source_t) + 1j * spline_im(source_t))
+        reference /= np.sqrt(abs(magnification))
+        got = magnified_copy(env, magnification).samples
+        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_magnified_copy_width_and_energy(self):
         grid = TimeGrid.centered(window=400.0, n_samples=2**13)

@@ -154,6 +154,15 @@ class TestTopologyAssembly:
             assert carriers[0] == pytest.approx(710.0)
             assert carriers[-1] == pytest.approx(710.0, rel=1e-12)
 
+    def test_carriers_follow_replaced_stages(self):
+        system = field_lens_system(-20.0, 5.0)
+        retuned = dataclasses.replace(system.stages[3], pump_carrier_nm=1600.0)
+        replaced = dataclasses.replace(system, stages=system.stages[:3] + (retuned,))
+        carriers = replaced.stage_carriers_nm
+        assert carriers[:3] == system.stage_carriers_nm[:3]
+        assert carriers[3] == pytest.approx(retuned.output_carrier_nm, rel=1e-12)
+        assert carriers[3] != pytest.approx(710.0, rel=1e-3)
+
     def test_tampered_chain_rejected(self):
         system = field_lens_system(-20.0, 5.0)
         bad_stages = list(system.stages)

@@ -16,6 +16,7 @@ from timelens import (
     time_bin_pulse,
     visibility_experiment,
 )
+from timelens.interferometry import PEAK_HEIGHT_FLOOR, _outer_peaks
 
 
 @pytest.fixture
@@ -161,3 +162,24 @@ class TestVisibilityExperiment:
     def test_unknown_metric_rejected(self, two_bin):
         with pytest.raises(ValueError):
             visibility_experiment(two_bin, bin_separation=15.0, metric="median")
+
+
+class TestOuterPeaks:
+    def test_matches_find_peaks_on_plateaus(self):
+        from scipy.signal import find_peaks
+
+        rng = np.random.default_rng(20240611)
+        # levels 1 and 2 fall under the 1 % height floor when 250 is present
+        levels = [0.0, 1.0, 2.0, 3.0, 100.0, 250.0]
+        for _ in range(2000):
+            values = rng.choice(levels, size=rng.integers(1, 30))
+            intensity = np.repeat(values, rng.integers(1, 5, size=values.size))
+            if intensity.max() == 0.0:
+                continue
+            times = 0.25 * np.arange(intensity.size) - 3.0
+            ref, _ = find_peaks(intensity, height=PEAK_HEIGHT_FLOOR * intensity.max())
+            if len(ref) < 3:
+                with pytest.raises(PeakDetectionError):
+                    _outer_peaks(intensity, times)
+            else:
+                assert _outer_peaks(intensity, times) == (times[ref[0]], times[ref[-1]])
