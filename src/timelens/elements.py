@@ -30,6 +30,7 @@ from .envelope import (
     BOUNDARY_TOLERANCE,
     LN2,
     SampledEnvelope,
+    SpectralEnvelope,
     boundary_leakage,
     gaussian_pulse,
     to_frequency,
@@ -153,6 +154,14 @@ class PumpWaveform:
     chirp_gdd: float
 
 
+def _dispersion_kernel(element: DispersiveElement, w: np.ndarray) -> np.ndarray:
+    """exp(i*(gdd/2)*w^2 + i*(tod/6)*w^3) on the angular frequencies ``w``."""
+    phase = 0.5 * element.gdd * w**2
+    if element.tod != 0.0:
+        phase = phase + (element.tod / 6.0) * w**3
+    return np.exp(1j * phase)
+
+
 def apply_dispersion(
     env: SampledEnvelope, element: DispersiveElement
 ) -> SampledEnvelope:
@@ -169,19 +178,20 @@ def apply_dispersion(
     """
     if element.gdd == 0.0 and element.tod == 0.0 and element.transmission == 1.0:
         return env
-    spec = to_frequency(env)
-    w = spec.omegas
-    phase = 0.5 * element.gdd * w**2
-    if element.tod != 0.0:
-        phase = phase + (element.tod / 6.0) * w**3
-    out = to_time(
-        spec.with_samples(spec.samples * element.transmission * np.exp(1j * phase))
-    )
+    kernel = _dispersion_kernel(element, env.grid.omegas)
+    spectrum = to_frequency(env).samples
+    if element.transmission != 1.0:
+        spectrum = spectrum * element.transmission
+    # spectrum-first operand order: complex products round differently when
+    # the operands are swapped
+    np.multiply(spectrum, kernel, out=kernel)
+    del spectrum  # free it before the inverse transform allocates its own arrays
+    out = to_time(SpectralEnvelope(env.grid, kernel, env.carrier_wavelength_nm))
     if boundary_leakage(out) > BOUNDARY_TOLERANCE:
         raise WindowOverflowError(
-            f"dispersion gdd={element.gdd} ps^2, tod={element.tod} ps^3 "
-            "stretches the waveform across the window boundary; enlarge the "
-            "grid window"
+            f"{element.label}: dispersion gdd={element.gdd} ps^2, "
+            f"tod={element.tod} ps^3 stretches the waveform across the window "
+            "boundary; enlarge the grid window"
         )
     return out
 

@@ -116,38 +116,31 @@ class SpectralEnvelope:
 AnyEnvelope = Union[SampledEnvelope, SpectralEnvelope]
 
 
-def _alternating_signs(n: int) -> np.ndarray:
-    """(-1)**k for k = 0..n-1; re-centers the FFT so that index n//2 is
-    zero frequency on the centered axis."""
-    signs = np.ones(n)
-    signs[1::2] = -1.0
-    return signs
-
-
 def to_frequency(env: SampledEnvelope) -> SpectralEnvelope:
     """Unitary transform to the carrier-relative angular-frequency domain.
 
     A(w_n) = (dt/sqrt(2*pi)) * sum_k a(t_k) exp(-i w_n t_k), evaluated via a
-    single FFT with the phase factors required by the centered axes (t_0 may
-    be nonzero and w runs over (k - n/2) * dw).
+    single FFT: flipping the sign of every odd sample re-centers the spectrum
+    so that index n//2 is zero frequency, and the grid's cached ramp
+    exp(-i w t_0) accounts for a nonzero first sample time.  ``env`` is left
+    untouched.
     """
     grid = env.grid
-    n = grid.n_samples
-    signs = _alternating_signs(n)
-    spectrum = np.fft.fft(env.samples * signs)
+    work = env.samples.copy()
+    work[1::2] *= -1.0
+    spectrum = np.fft.fft(work)
     spectrum *= grid.dt / np.sqrt(2.0 * np.pi)
-    spectrum *= np.exp(-1j * grid.omegas * grid.t0)
+    spectrum *= grid._ramp
     return SpectralEnvelope(grid, spectrum, env.carrier_wavelength_nm)
 
 
 def to_time(spec: SpectralEnvelope) -> SampledEnvelope:
-    """Inverse of :func:`to_frequency` (exact round trip)."""
+    """Inverse of :func:`to_frequency` (exact round trip): the conjugate of
+    the grid's cached ramp, one inverse FFT, then the same odd-sample flip."""
     grid = spec.grid
-    n = grid.n_samples
-    signs = _alternating_signs(n)
-    work = spec.samples * np.exp(1j * grid.omegas * grid.t0)
-    samples = np.fft.ifft(work) * signs
-    samples *= n * grid.domega / np.sqrt(2.0 * np.pi)
+    samples = np.fft.ifft(spec.samples * np.conjugate(grid._ramp))
+    samples[1::2] *= -1.0
+    samples *= grid.n_samples * grid.domega / np.sqrt(2.0 * np.pi)
     return SampledEnvelope(grid, samples, spec.carrier_wavelength_nm)
 
 

@@ -8,6 +8,7 @@ carrier offset with spacing ``2*pi/(n_samples*dt)`` (rad/ps).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,14 @@ class TimeGrid:
         """
         n = self.n_samples
         return (np.arange(n) - n // 2) * self.domega
+
+    @cached_property
+    def _ramp(self) -> np.ndarray:
+        """Read-only forward transform ramp exp(-i*omegas*t0), computed once per
+        grid object; :mod:`timelens.envelope` applies it and its conjugate."""
+        ramp = np.exp(-1j * self.omegas * self.t0)
+        ramp.setflags(write=False)
+        return ramp
 
     def contains(self, t_lo: float, t_hi: float) -> bool:
         """Whether the closed interval [t_lo, t_hi] lies inside the window."""

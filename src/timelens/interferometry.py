@@ -20,6 +20,15 @@ from .errors import DegenerateInputError, PeakDetectionError
 PEAK_HEIGHT_FLOOR = 0.01
 
 
+def analyzer_port(
+    env: SampledEnvelope, delayed: SampledEnvelope, phase: float
+) -> SampledEnvelope:
+    """Output port (1/2) * [a(t) + e^{i*phase} * a(t - delay)] of ``env`` and
+    its already delayed copy ``delayed`` = a(t - delay); no transform."""
+    samples = 0.5 * (env.samples + np.exp(1j * phase) * delayed.samples)
+    return env.with_samples(samples)
+
+
 def recombine(env: SampledEnvelope, delay: float, phase: float) -> SampledEnvelope:
     """One output port of a balanced unbalanced-arm interferometer.
 
@@ -29,9 +38,7 @@ def recombine(env: SampledEnvelope, delay: float, phase: float) -> SampledEnvelo
     Raises:
         WindowOverflowError: the delayed copy does not fit the window.
     """
-    delayed = shifted(env, delay)
-    samples = 0.5 * (env.samples + np.exp(1j * phase) * delayed.samples)
-    return env.with_samples(samples)
+    return analyzer_port(env, shifted(env, delay), phase)
 
 
 def asymmetry(env: SampledEnvelope) -> float:
@@ -64,6 +71,7 @@ class InterferenceResult:
 
     constructive: SampledEnvelope
     destructive: SampledEnvelope
+    delayed: SampledEnvelope  # the image shifted by the analyzer delay
     window: tuple[float, float]  # central integration window, ps
     visibility: float
     constructive_energy: float
@@ -135,8 +143,9 @@ def visibility_experiment(
     """
     if bin_separation <= 0.0:
         raise ValueError(f"bin_separation must be positive, got {bin_separation!r}")
-    constructive = recombine(image, bin_separation, relative_phase)
-    destructive = recombine(image, bin_separation, relative_phase + np.pi)
+    delayed = shifted(image, bin_separation)
+    constructive = analyzer_port(image, delayed, relative_phase)
+    destructive = analyzer_port(image, delayed, relative_phase + np.pi)
     combined = constructive.intensity + destructive.intensity
     lo_peak, hi_peak = _outer_peaks(combined, image.times)
     center = 0.5 * (lo_peak + hi_peak)
@@ -148,6 +157,7 @@ def visibility_experiment(
     return InterferenceResult(
         constructive=constructive,
         destructive=destructive,
+        delayed=delayed,
         window=window,
         visibility=float(visibility),
         constructive_energy=e_con,

@@ -51,7 +51,7 @@ from .imaging import (
     single_lens_system,
     telescope_system,
 )
-from .interferometry import InterferenceResult, recombine, visibility_experiment
+from .interferometry import InterferenceResult, analyzer_port, visibility_experiment
 from .scenario import Scenario, SystemSpec, key_spec, parse_scenario
 
 
@@ -237,7 +237,6 @@ class _Run(NamedTuple):
     env_in: SampledEnvelope
     trace: StageTrace
     interference: InterferenceResult | None  # None: visibility disabled
-    analyzer_delay: float
 
 
 def _compute(scenario: Scenario) -> _Run:
@@ -331,12 +330,12 @@ def _compute(scenario: Scenario) -> _Run:
             "destructive_energy": float(result.destructive_energy),
             "visibility": float(result.visibility),
         }
-    return _Run(report, env_in, trace, result, analyzer_delay)
+    return _Run(report, env_in, trace, result)
 
 
 def _central_energy(run: _Run, phase: float) -> float:
     """Energy of the single analyzer port at ``phase`` inside the central window."""
-    port = recombine(run.trace.final, run.analyzer_delay, phase)
+    port = analyzer_port(run.trace.final, run.interference.delayed, phase)
     t = port.times
     lo, hi = run.interference.window
     mask = (t >= lo) & (t <= hi)

@@ -356,6 +356,39 @@ class TestSweep:
         assert code == EXIT_OK
         assert (len(propagations), len(renders)) == (1 + 3, 0)
 
+    def test_phase_sweep_adds_one_shift_to_one_propagation(self, monkeypatch):
+        ffts = []
+
+        def counted(transform):
+            def wrapper(*args, **kwargs):
+                ffts.append(transform)
+                return transform(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        in_propagation = []
+        run_system = timelens.runner.run_system
+
+        def counted_run_system(*args, **kwargs):
+            before = len(ffts)
+            trace = run_system(*args, **kwargs)
+            in_propagation.append(len(ffts) - before)
+            return trace
+
+        monkeypatch.setattr(timelens.runner, "run_system", counted_run_system)
+        text = (SCENARIO_DIR / "fringe_scan.scn").read_text(encoding="utf-8")
+        for points in (1, 6):
+            ffts.clear()
+            in_propagation.clear()
+            values = timelens.runner.sweep_values(0.0, math.pi, points)
+            run_sweep(text, "analysis.analyzer_phase", values)
+            # one propagation, then one analyzer-delay shift (2 FFTs) that
+            # every phase point shares
+            assert len(in_propagation) == 1
+            assert len(ffts) == in_propagation[0] + 2
+
     def test_sweep_rows_equal_simulate_reports(self):
         text = (SCENARIO_DIR / "fringe_scan.scn").read_text(encoding="utf-8")
         param = "analysis.analyzer_phase"

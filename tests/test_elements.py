@@ -87,6 +87,12 @@ class TestDispersiveElement:
         with pytest.raises(WindowOverflowError):
             apply_dispersion(env, DispersiveElement(gdd=200.0))
 
+    def test_wraparound_error_names_the_stage(self):
+        grid = TimeGrid.centered(window=60.0, n_samples=256)
+        env = gaussian_pulse(grid, fwhm=5.0)
+        with pytest.raises(WindowOverflowError, match="input_gdd"):
+            apply_dispersion(env, DispersiveElement(gdd=200.0, label="input_gdd"))
+
     def test_third_order_term_skews_an_even_pulse(self, small_grid):
         from timelens import asymmetry
 

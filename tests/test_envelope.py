@@ -11,10 +11,12 @@ from scipy.interpolate import CubicSpline
 
 from timelens import (
     DegenerateInputError,
+    DispersiveElement,
     InsufficientSupportError,
     SampledEnvelope,
     TimeGrid,
     WindowOverflowError,
+    apply_dispersion,
     boundary_leakage,
     energy,
     fwhm,
@@ -53,6 +55,120 @@ class TestTimeGrid:
         assert w[1] - w[0] == pytest.approx(2.0 * np.pi / 100.0, rel=1e-12)
         # axis is centered on zero offset from the carrier
         assert abs(w[len(w) // 2]) < 1e-12
+
+
+def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of complex arrays; signed zeros count."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestTimeGridRamp:
+    def test_ramp_is_cached_and_read_only(self):
+        grid = TimeGrid.centered(window=100.0, n_samples=256)
+        ramp = grid._ramp
+        assert grid._ramp is ramp
+        assert not ramp.flags.writeable
+        with pytest.raises(ValueError):
+            ramp[0] = 0.0
+
+    def test_cached_ramp_keeps_equality_and_hash(self):
+        computed = TimeGrid.centered(window=100.0, n_samples=256)
+        fresh = TimeGrid.centered(window=100.0, n_samples=256)
+        computed._ramp
+        assert computed == fresh
+        assert hash(computed) == hash(fresh)
+        assert {computed: "grid"}[fresh] == "grid"
+
+    def test_transforms_leave_input_unchanged(self, small_grid):
+        rng = np.random.default_rng(3)
+        n = small_grid.n_samples
+        env = SampledEnvelope(small_grid, rng.normal(size=n) + 1j * rng.normal(size=n))
+        before = env.samples.copy()
+        spec = to_frequency(env)
+        assert _bits_equal(env.samples, before)
+        spec_before = spec.samples.copy()
+        to_time(spec)
+        assert _bits_equal(spec.samples, spec_before)
+
+
+def _reference_to_frequency(samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    signs = np.ones(grid.n_samples)
+    signs[1::2] = -1.0
+    spectrum = np.fft.fft(samples * signs)
+    spectrum *= grid.dt / np.sqrt(2.0 * np.pi)
+    spectrum *= np.exp(-1j * grid.omegas * grid.t0)
+    return spectrum
+
+
+def _reference_to_time(spectrum: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    n = grid.n_samples
+    signs = np.ones(n)
+    signs[1::2] = -1.0
+    work = spectrum * np.exp(1j * grid.omegas * grid.t0)
+    samples = np.fft.ifft(work) * signs
+    samples *= n * grid.domega / np.sqrt(2.0 * np.pi)
+    return samples
+
+
+def _reference_dispersion(
+    samples: np.ndarray, grid: TimeGrid, element: DispersiveElement
+) -> np.ndarray:
+    spec = _reference_to_frequency(samples, grid)
+    w = grid.omegas
+    phase = 0.5 * element.gdd * w**2
+    if element.tod != 0.0:
+        phase = phase + (element.tod / 6.0) * w**3
+    return _reference_to_time(spec * element.transmission * np.exp(1j * phase), grid)
+
+
+def _reference_shift(samples: np.ndarray, grid: TimeGrid, delay: float) -> np.ndarray:
+    spec = _reference_to_frequency(samples, grid)
+    return _reference_to_time(spec * np.exp(-1j * grid.omegas * delay), grid)
+
+
+# 2**12 and 2**15 samples lie on either side of numpy's 256 KiB threshold for
+# reusing temporaries in place, which can swap the operands of a complex
+# product and so change its rounding.
+@pytest.mark.parametrize("n_samples", [2**12, 2**15])
+class TestTransformBitIdentity:
+    """The transform path matches the plain closed-form expressions bit for bit."""
+
+    @staticmethod
+    def _random(grid: TimeGrid) -> SampledEnvelope:
+        rng = np.random.default_rng(grid.n_samples)
+        n = grid.n_samples
+        return SampledEnvelope(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
+
+    @pytest.mark.parametrize("t0", [None, -123.4])
+    def test_round_trip(self, n_samples, t0):
+        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        if t0 is not None:  # a grid that does not start at -N/2*dt
+            grid = TimeGrid(n_samples=n_samples, dt=grid.dt, t0=t0)
+        env = self._random(grid)
+        spec = to_frequency(env)
+        assert _bits_equal(spec.samples, _reference_to_frequency(env.samples, grid))
+        assert _bits_equal(
+            to_time(spec).samples, _reference_to_time(spec.samples, grid)
+        )
+
+    @pytest.mark.parametrize(
+        "element",
+        [
+            DispersiveElement(gdd=7.0, tod=1.5, transmission=0.8),
+            DispersiveElement(gdd=-12.0),
+        ],
+    )
+    def test_dispersion(self, n_samples, element):
+        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        env = gaussian_pulse(grid, fwhm=5.0, center=-20.0, amplitude=0.7 + 0.2j)
+        out = apply_dispersion(env, element)
+        assert _bits_equal(out.samples, _reference_dispersion(env.samples, grid, element))
+
+    def test_shift(self, n_samples):
+        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        env = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0, relative_phase=0.4)
+        out = shifted(env, 37.3)
+        assert _bits_equal(out.samples, _reference_shift(env.samples, grid, 37.3))
 
 
 class TestTransforms:

@@ -13,6 +13,7 @@ from timelens import (
     asymmetry,
     gaussian_pulse,
     recombine,
+    shifted,
     time_bin_pulse,
     visibility_experiment,
 )
@@ -99,6 +100,13 @@ class TestVisibilityExperiment:
         result = visibility_experiment(two_bin, bin_separation=15.0)
         assert result.visibility > 0.999
         assert result.constructive_energy > result.destructive_energy
+
+    def test_ports_share_one_delayed_copy(self, two_bin):
+        result = visibility_experiment(two_bin, 15.0, relative_phase=0.3)
+        assert np.array_equal(result.delayed.samples, shifted(two_bin, 15.0).samples)
+        ports = ((result.constructive, 0.3), (result.destructive, 0.3 + np.pi))
+        for port, phase in ports:
+            assert np.array_equal(port.samples, recombine(two_bin, 15.0, phase).samples)
 
     def test_visibility_bounded(self, two_bin):
         result = visibility_experiment(two_bin, bin_separation=15.0)
