@@ -289,7 +289,7 @@ def apply_time_lens(
         unit_phase[nonzero] = pump.envelope.samples[nonzero] / amplitude[nonzero]
         eta = np.sin(0.5 * np.pi * amplitude / peak)
         factor = 1j * eta * (unit_phase if sign > 0 else np.conjugate(unit_phase))
-    out = env.with_samples(env.samples * factor)
-    return out.with_carrier(
+    carrier = (
         lens.output_carrier_nm if env.carrier_wavelength_nm is not None else None
     )
+    return SampledEnvelope(env.grid, env.samples * factor, carrier)

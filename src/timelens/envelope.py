@@ -73,9 +73,6 @@ class SampledEnvelope:
         """Same grid and carrier, new sample values."""
         return SampledEnvelope(self.grid, samples, self.carrier_wavelength_nm)
 
-    def with_carrier(self, carrier_wavelength_nm: float | None) -> "SampledEnvelope":
-        return SampledEnvelope(self.grid, self.samples, carrier_wavelength_nm)
-
 
 @dataclass(frozen=True)
 class SpectralEnvelope:

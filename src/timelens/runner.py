@@ -6,12 +6,16 @@ only ``sweep.csv`` and its report, and its points that differ only in
 ``analysis.analyzer_phase`` share one propagation.  Artifacts are rendered to
 strings before anything touches disk.  Floats are written with ``repr`` so
 artifacts are bit-identical across repeated runs of the same scenario and
-parse back to the exact same doubles.
+parse back to the exact same doubles.  Where the process may run on more
+than one CPU (Linux), ``simulate`` renders its waveform CSVs in forked
+worker processes, up to one per usable CPU; elsewhere it renders them
+serially, to the same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -342,6 +346,29 @@ def _central_energy(run: _Run, phase: float) -> float:
     return float(port.intensity[mask].sum() * run.env_in.grid.dt)
 
 
+def _render_csvs(envs: list[SampledEnvelope]) -> list[str]:
+    """``waveform_csv`` of each envelope, in order.
+
+    Where the process may run on two or more CPUs, forked worker processes
+    render the CSVs and the caller waits; elsewhere they render serially.
+    Either way the strings are the same.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    cpus = 1 if affinity is None else len(affinity(0))
+    workers = min(len(envs), cpus)
+    if workers < 2:
+        return [waveform_csv(env) for env in envs]
+    # Imported here so that ``import timelens`` does not pay for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker would import numpy and timelens again,
+    # which costs more than the rendering it takes over.
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(waveform_csv, envs))
+
+
 def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str]]:
     """Execute a simulation scenario.
 
@@ -357,12 +384,13 @@ def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str]]:
             "central_energy": _central_energy(run, phase),
         }
 
-    files = {"stage_00_input.csv": waveform_csv(run.env_in)}
+    envs = {"stage_00_input.csv": run.env_in}
     for index, (label, env) in enumerate(run.trace.steps, start=1):
-        files[f"stage_{index:02d}_{label}.csv"] = waveform_csv(env)
+        envs[f"stage_{index:02d}_{label}.csv"] = env
     if run.interference is not None:
-        files["analyzer_constructive.csv"] = waveform_csv(run.interference.constructive)
-        files["analyzer_destructive.csv"] = waveform_csv(run.interference.destructive)
+        envs["analyzer_constructive.csv"] = run.interference.constructive
+        envs["analyzer_destructive.csv"] = run.interference.destructive
+    files = dict(zip(envs, _render_csvs(list(envs.values()))))
 
     report["artifacts"] = ["report.json", *files]
     files["report.json"] = json.dumps(report, indent=2) + "\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import filecmp
 import json
 import math
@@ -31,9 +32,11 @@ from timelens.cli import (
     EXIT_PHYSICS,
     EXIT_SEMANTIC,
     EXIT_SYNTAX,
+    EXIT_UNEXPECTED,
     OUTPUT_ENV_VAR,
     main,
 )
+from timelens.runner import waveform_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -50,6 +53,42 @@ focal_gdd = 5 ps2
 [grid]
 n_samples = 4096
 """
+
+
+# Seven CSVs: five stages and both analyzer ports.
+FAST_TIME_BIN = """\
+[input]
+kind = time-bin
+bin_fwhm = 5 ps
+bin_separation = 15 ps
+
+[system]
+topology = field-lens
+magnification = -20
+focal_gdd = 5 ps2
+
+[grid]
+n_samples = 8192
+"""
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's timelens."""
+    package_root = str(Path(timelens.__file__).resolve().parents[1])
+    path = [package_root, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def _raise_in_worker(env):
+    # Module level, so a worker process can unpickle it by reference.
+    raise ValueError("render failed in a worker")
 
 
 @pytest.fixture(autouse=True)
@@ -131,17 +170,77 @@ class TestSimulate:
             "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "assert not loaded, loaded\n"
         )
-        package_root = str(Path(timelens.__file__).resolve().parents[1])
-        path = [package_root, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        result = _fresh_python(code)
         assert result.returncode == 0, result.stderr
+
+    def test_import_loads_no_process_pool(self):
+        # The render pool's modules are imported on first use only.
+        code = (
+            "import sys, timelens\n"
+            "pool = ('multiprocessing', 'concurrent')\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] in pool)\n"
+            "assert not loaded, loaded\n"
+        )
+        result = _fresh_python(code)
+        assert result.returncode == 0, result.stderr
+
+    def test_csvs_equal_waveform_csv_of_their_envelopes(self):
+        scenario = parse_scenario(FAST_TIME_BIN)
+        _, files = run_simulate(scenario)
+        run = timelens.runner._compute(scenario)
+        expected = {"stage_00_input.csv": run.env_in}
+        for index, (label, env) in enumerate(run.trace.steps, start=1):
+            expected[f"stage_{index:02d}_{label}.csv"] = env
+        expected["analyzer_constructive.csv"] = run.interference.constructive
+        expected["analyzer_destructive.csv"] = run.interference.destructive
+        assert list(files) == [*expected, "report.json"]
+        assert len(expected) == 7
+        for name, env in expected.items():
+            assert files[name] == waveform_csv(env), name
+
+    def test_one_usable_cpu_renders_serially_with_the_same_bytes(self, monkeypatch):
+        scenario = parse_scenario(FAST_TIME_BIN)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        _, pooled = run_simulate(scenario)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one usable CPU must not start a worker pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        _, serial = run_simulate(scenario)
+        assert serial == pooled
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(timelens.runner, "waveform_csv", _raise_in_worker)
+        with pytest.raises(ValueError, match="render failed in a worker"):
+            run_simulate(parse_scenario(FAST_TIME_BIN))
+        scenario = tmp_path / "time_bin.scn"
+        scenario.write_text(FAST_TIME_BIN, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", str(scenario), "--out", str(out)]) == EXIT_UNEXPECTED
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_dead_worker_raises_broken_process_pool(self):
+        # In a child interpreter, so that a hang fails on the timeout.
+        code = (
+            "import os\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "import timelens.runner\n"
+            "from timelens import parse_scenario, run_simulate\n"
+            "def die(env):\n"
+            "    os._exit(3)\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "timelens.runner.waveform_csv = die\n"
+            "try:\n"
+            f"    run_simulate(parse_scenario({FAST_TIME_BIN!r}))\n"
+            "except BrokenProcessPool:\n"
+            "    print('broken pool')\n"
+        )
+        result = _fresh_python(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "broken pool\n"
 
 
 class TestOutputPrecedence:

@@ -12,6 +12,7 @@ from timelens import (
     ConversionDirection,
     DesignError,
     DispersiveElement,
+    SampledEnvelope,
     TimeGrid,
     TimeLens,
     WindowOverflowError,
@@ -269,3 +270,40 @@ class TestTimeLensApplication:
         other_grid = TimeGrid.centered(window=200.0, n_samples=2**11)
         with pytest.raises(ValueError):
             apply_time_lens(env, pumped, pump_for(pumped, other_grid))
+
+    @pytest.mark.parametrize("n_samples", [2**12, 2**15])
+    @pytest.mark.parametrize("pump_seed_fwhm", [None, 2.5])
+    @pytest.mark.parametrize("direction", list(ConversionDirection))
+    def test_output_bits_match_two_step_construction(
+        self, n_samples, pump_seed_fwhm, direction
+    ):
+        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        env = gaussian_pulse(grid, fwhm=5.0, center=-3.0, carrier_wavelength_nm=710.0)
+        lens = TimeLens(
+            direction=direction, focal_gdd=7.0, pump_seed_fwhm=pump_seed_fwhm
+        )
+        pump = pump_for(lens, grid)
+        out = apply_time_lens(env, lens, pump)
+
+        # The lens factor and the product as formed before the output was
+        # built in one step: a new envelope with the product, then another
+        # with the output carrier.
+        sign = lens.direction.phase_sign
+        if pump is None:
+            phi = -(env.times**2) / (2.0 * lens.focal_gdd)
+            factor = 1j * np.exp(1j * sign * phi)
+        else:
+            amplitude = np.abs(pump.envelope.samples)
+            peak = float(amplitude.max())
+            unit_phase = np.ones_like(pump.envelope.samples)
+            nonzero = amplitude > 0.0
+            unit_phase[nonzero] = pump.envelope.samples[nonzero] / amplitude[nonzero]
+            eta = np.sin(0.5 * np.pi * amplitude / peak)
+            factor = 1j * eta * (unit_phase if sign > 0 else np.conjugate(unit_phase))
+        product = env.with_samples(env.samples * factor)
+        reference = SampledEnvelope(grid, product.samples, lens.output_carrier_nm)
+        assert out.grid == reference.grid
+        assert out.carrier_wavelength_nm == reference.carrier_wavelength_nm
+        assert np.array_equal(
+            out.samples.view(np.uint64), reference.samples.view(np.uint64)
+        )
