@@ -34,12 +34,10 @@ from .design import (
 from .elements import (
     ConversionDirection,
     DispersiveElement,
-    PumpWaveform,
     TimeLens,
     apply_dispersion,
     apply_time_lens,
     converted_carrier,
-    pump_for,
     pump_phase_curvature,
     stretched_pump_fwhm,
     synthesize_pump,
@@ -71,6 +69,7 @@ from .errors import (
     ScenarioSemanticError,
     ScenarioSyntaxError,
     TimeLensError,
+    UndersampledError,
     WindowOverflowError,
 )
 from .grid import TimeGrid
@@ -137,7 +136,6 @@ __all__ = [
     "InsufficientSupportError",
     "InterferenceResult",
     "PeakDetectionError",
-    "PumpWaveform",
     "SampledEnvelope",
     "Scenario",
     "ScenarioError",
@@ -151,6 +149,7 @@ __all__ = [
     "TimeLens",
     "TimeLensError",
     "TopologyKind",
+    "UndersampledError",
     "WindowOverflowError",
     "apply_dispersion",
     "apply_time_lens",
@@ -172,7 +171,6 @@ __all__ = [
     "phase_rms",
     "plan_grid",
     "pump_bandwidth",
-    "pump_for",
     "pump_phase_curvature",
     "read_waveform_csv",
     "recombine",

@@ -5,8 +5,9 @@ A dispersive element multiplies the spectrum by
 
 A time lens is a three-wave-mixing frequency converter driven by a strong
 chirped pump.  The pump is a Gaussian seed of width ``pump_seed_fwhm``
-stretched by ``focal_gdd`` worth of dispersion and peak-normalized; under the
-spectral-phase convention above its temporal phase is exactly quadratic,
+stretched by ``focal_gdd`` worth of dispersion and peak-normalized, taken in
+closed form (Agrawal, *Nonlinear Fiber Optics*, sec. 3.2); its temporal phase
+is exactly quadratic up to a constant,
 
     phi_p(t) = -t^2 / (2*focal_gdd)   (large-chirp limit; see
                                        :func:`pump_phase_curvature` for the
@@ -32,7 +33,6 @@ from .envelope import (
     SampledEnvelope,
     SpectralEnvelope,
     boundary_leakage,
-    gaussian_pulse,
     to_frequency,
     to_time,
 )
@@ -146,14 +146,6 @@ class TimeLens:
         )
 
 
-@dataclass(frozen=True)
-class PumpWaveform:
-    """Classical chirped pump: peak-normalized envelope plus its chirp GDD."""
-
-    envelope: SampledEnvelope
-    chirp_gdd: float
-
-
 def _dispersion_kernel(element: DispersiveElement, w: np.ndarray) -> np.ndarray:
     """exp(i*(gdd/2)*w^2 + i*(tod/6)*w^3) on the angular frequencies ``w``."""
     phase = 0.5 * element.gdd * w**2
@@ -218,50 +210,37 @@ def pump_phase_curvature(seed_fwhm: float, chirp_gdd: float) -> float:
 
 def synthesize_pump(
     grid: TimeGrid, seed_fwhm: float, chirp_gdd: float
-) -> PumpWaveform:
-    """Disperse a Gaussian seed by chirp_gdd and peak-normalize.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form chirped pump on ``grid``: (peak-normalized magnitude, phase).
 
-    The resulting envelope has unit peak magnitude, the seed's spectral
-    width (dispersion is phase-only), and an exactly quadratic temporal
-    phase with curvature :func:`pump_phase_curvature`.
-
-    Raises:
-        WindowOverflowError: seed or stretched pump exceeds the grid window.
+    A seed exp(-p*t^2), p = 2*ln2/seed_fwhm^2, dispersed by ``chirp_gdd`` is
+    exp(-p*t^2/(1 - 2i*p*chirp_gdd)) / sqrt(1 - 2i*p*chirp_gdd): a Gaussian of
+    FWHM :func:`stretched_pump_fwhm` with phase
+    :func:`pump_phase_curvature` * t^2 + arctan(2*p*chirp_gdd)/2.
     """
-    seed = gaussian_pulse(grid, seed_fwhm)
-    dispersed = apply_dispersion(seed, DispersiveElement(gdd=chirp_gdd, label="pump chirp"))
-    peak = float(np.abs(dispersed.samples).max())
-    return PumpWaveform(
-        envelope=dispersed.with_samples(dispersed.samples / peak),
-        chirp_gdd=chirp_gdd,
-    )
+    t = grid.times
+    p = 2.0 * LN2 / seed_fwhm**2
+    magnitude = np.exp(-2.0 * LN2 * (t / stretched_pump_fwhm(seed_fwhm, chirp_gdd)) ** 2)
+    offset = 0.5 * np.arctan(2.0 * p * chirp_gdd)
+    return magnitude, pump_phase_curvature(seed_fwhm, chirp_gdd) * t**2 + offset
 
 
-def pump_for(lens: TimeLens, grid: TimeGrid) -> PumpWaveform | None:
-    """The pump a lens requires on the given grid (None for an IDEAL lens)."""
-    if lens.is_ideal:
-        return None
-    return synthesize_pump(grid, lens.pump_seed_fwhm, lens.focal_gdd)
-
-
-def apply_time_lens(
-    env: SampledEnvelope, lens: TimeLens, pump: PumpWaveform | None = None
-) -> SampledEnvelope:
+def apply_time_lens(env: SampledEnvelope, lens: TimeLens) -> SampledEnvelope:
     """Convert a signal through the lens.
 
     output(t) = i * eta(t) * exp(s*i*phi_p(t)) * input(t), with s = -1 for
-    down-conversion and s = +1 for up-conversion.  For a pumped lens phi_p is
-    the pump envelope's phase and eta(t) = sin((pi/2) * |A_p(t)| / peak) —
-    full conversion at the pump peak, graceful roll-off in the wings.  For an
-    IDEAL lens (pump None) phi_p(t) = -t^2/(2*focal_gdd) exactly and eta = 1.
+    down-conversion and s = +1 for up-conversion.  For a pumped lens phi_p and
+    the pump magnitude |A_p| come from :func:`synthesize_pump` and
+    eta(t) = sin((pi/2) * |A_p(t)|) — full conversion at the pump peak,
+    graceful roll-off in the wings.  For an IDEAL lens
+    phi_p(t) = -t^2/(2*focal_gdd) exactly and eta = 1.
 
     The output carrier follows the lens's energy-conservation bookkeeping.
 
     Raises:
         CarrierMismatchError: envelope carrier differs from the lens input
             carrier.
-        ValueError: pump given for an ideal lens, missing for a pumped lens,
-            or on a different grid.
+        WindowOverflowError: the pump reaches the window boundary.
     """
     if env.carrier_wavelength_nm is not None:
         expected = lens.input_carrier_nm
@@ -272,23 +251,17 @@ def apply_time_lens(
             )
     sign = lens.direction.phase_sign
     if lens.is_ideal:
-        if pump is not None:
-            raise ValueError("ideal lens takes no pump waveform")
         t = env.times
         phi = -(t**2) / (2.0 * lens.focal_gdd)
         factor = 1j * np.exp(1j * sign * phi)
     else:
-        if pump is None:
-            raise ValueError("pumped lens requires a pump waveform")
-        if pump.envelope.grid != env.grid:
-            raise ValueError("pump grid must equal the signal grid")
-        amplitude = np.abs(pump.envelope.samples)
-        peak = float(amplitude.max())
-        unit_phase = np.ones_like(pump.envelope.samples)
-        nonzero = amplitude > 0.0
-        unit_phase[nonzero] = pump.envelope.samples[nonzero] / amplitude[nonzero]
-        eta = np.sin(0.5 * np.pi * amplitude / peak)
-        factor = 1j * eta * (unit_phase if sign > 0 else np.conjugate(unit_phase))
+        magnitude, phase = synthesize_pump(env.grid, lens.pump_seed_fwhm, lens.focal_gdd)
+        if max(magnitude[0], magnitude[-1]) > BOUNDARY_TOLERANCE:
+            raise WindowOverflowError(
+                f"{lens.label}: pump chirped by {lens.focal_gdd} ps^2 reaches the "
+                "window boundary; enlarge the grid window"
+            )
+        factor = 1j * np.sin(0.5 * np.pi * magnitude) * np.exp(1j * sign * phase)
     carrier = (
         lens.output_carrier_nm if env.carrier_wavelength_nm is not None else None
     )

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     DegenerateInputError,
     InsufficientSupportError,
+    UndersampledError,
     WindowOverflowError,
 )
 from .grid import TimeGrid
@@ -41,7 +42,7 @@ class SampledEnvelope:
         grid: the shared time grid.
         samples: complex amplitudes per grid point, shape (n_samples,).
         carrier_wavelength_nm: metadata label for the optical carrier; may be
-            None for carrier-agnostic waveforms (e.g. pump envelopes).
+            None for carrier-agnostic waveforms.
     """
 
     grid: TimeGrid
@@ -141,6 +142,22 @@ def to_time(spec: SpectralEnvelope) -> SampledEnvelope:
     return SampledEnvelope(grid, samples, spec.carrier_wavelength_nm)
 
 
+def _check_spectral_edge(grid: TimeGrid, fwhm: float, what: str) -> None:
+    """Raise :class:`UndersampledError` if a Gaussian of intensity FWHM ``fwhm``
+    keeps over :data:`BOUNDARY_TOLERANCE` of its peak spectral amplitude at
+    w = (63/64)*pi/dt, the outer 1/64 of the band: the window check's twin."""
+    scale = ((63.0 / 64.0) * np.pi * fwhm) ** 2 / (8.0 * LN2)
+    edge = float(np.exp(-scale / grid.dt**2))
+    if edge > BOUNDARY_TOLERANCE:
+        n = 2 * grid.n_samples
+        while np.exp(-scale * (n / grid.window) ** 2) > BOUNDARY_TOLERANCE:
+            n *= 2
+        raise UndersampledError(
+            f"{what}: dt={grid.dt} ps leaves {edge:.3g} of the peak spectrum "
+            f"at the band edge; use n_samples >= {n} for this window"
+        )
+
+
 def gaussian_pulse(
     grid: TimeGrid,
     fwhm: float,
@@ -155,6 +172,7 @@ def gaussian_pulse(
     Raises:
         WindowOverflowError: if the 4*fwhm extent around ``center`` does not
             fit the grid window.
+        UndersampledError: if dt is too coarse for the spectrum.
     """
     if not (fwhm > 0.0 and np.isfinite(fwhm)):
         raise ValueError(f"fwhm must be positive, got {fwhm!r}")
@@ -164,6 +182,7 @@ def gaussian_pulse(
             f"4*fwhm extent; grid window is [{grid.t0}, "
             f"{grid.t0 + (grid.n_samples - 1) * grid.dt}] ps"
         )
+    _check_spectral_edge(grid, fwhm, f"gaussian pulse (fwhm={fwhm} ps)")
     t = grid.times
     samples = amplitude * np.exp(-2.0 * LN2 * ((t - center) / fwhm) ** 2)
     return SampledEnvelope(grid, samples, carrier_wavelength_nm)
@@ -182,7 +201,7 @@ def time_bin_pulse(
     g(t - separation/2) with g a unit-peak Gaussian of intensity FWHM
     ``bin_fwhm``.  ``separation`` is the early-to-late peak distance in ps;
     the total pattern width between outermost half-maximum crossings is
-    separation + bin_fwhm.
+    separation + bin_fwhm.  Raises as :func:`gaussian_pulse` does.
     """
     if not (bin_fwhm > 0.0 and np.isfinite(bin_fwhm)):
         raise ValueError(f"bin_fwhm must be positive, got {bin_fwhm!r}")
@@ -194,6 +213,7 @@ def time_bin_pulse(
             f"time-bin pulse (bin_fwhm={bin_fwhm} ps, separation={separation} "
             "ps) exceeds the grid window"
         )
+    _check_spectral_edge(grid, bin_fwhm, f"time-bin pulse (bin_fwhm={bin_fwhm} ps)")
     t = grid.times
     early = np.exp(-2.0 * LN2 * ((t + half) / bin_fwhm) ** 2)
     late = np.exp(-2.0 * LN2 * ((t - half) / bin_fwhm) ** 2)

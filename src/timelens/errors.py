@@ -17,6 +17,11 @@ class WindowOverflowError(TimeLensError):
     dispersion would wrap around the grid boundary)."""
 
 
+class UndersampledError(TimeLensError):
+    """The sample spacing is too coarse for a waveform's spectrum (the
+    spectrum would reach the band edge and alias)."""
+
+
 class DegenerateInputError(TimeLensError):
     """An operation received an all-zero / zero-energy envelope."""
 

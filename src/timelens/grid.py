@@ -84,6 +84,10 @@ class TimeGrid:
         ramp.setflags(write=False)
         return ramp
 
+    def __getstate__(self) -> dict:
+        """Pickle the fields only; an unpickled grid rebuilds its ramp on use."""
+        return {k: v for k, v in self.__dict__.items() if k != "_ramp"}
+
     def contains(self, t_lo: float, t_hi: float) -> bool:
         """Whether the closed interval [t_lo, t_hi] lies inside the window."""
         return t_lo >= self.t0 and t_hi <= self.t0 + (self.n_samples - 1) * self.dt

@@ -31,7 +31,6 @@ from .elements import (
     TimeLens,
     apply_dispersion,
     apply_time_lens,
-    pump_for,
     stretched_pump_fwhm,
 )
 from .envelope import SampledEnvelope
@@ -483,6 +482,6 @@ def run_system(input_env: SampledEnvelope, topology: SystemTopology) -> StageTra
         if isinstance(element, DispersiveElement):
             env = apply_dispersion(env, element)
         else:
-            env = apply_time_lens(env, element, pump_for(element, env.grid))
+            env = apply_time_lens(env, element)
         steps.append((element.label, env))
     return StageTrace(input=input_env, steps=tuple(steps), magnification=topology.magnification)

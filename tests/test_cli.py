@@ -18,6 +18,7 @@ import timelens.runner
 from timelens import (
     SampledEnvelope,
     TimeGrid,
+    UndersampledError,
     energy,
     fwhm,
     parse_scenario,
@@ -303,6 +304,19 @@ class TestExitCodes:
             EXIT_PHYSICS
         )
 
+    def test_undersampled_grid_names_the_sample_count(self, tmp_path, capsys):
+        text = (SCENARIO_DIR / "fringe_scan.scn").read_text(encoding="utf-8")
+        coarse = tmp_path / "coarse.scn"
+        coarse.write_text(
+            text.replace("n_samples = 16384", "n_samples = 4096"), encoding="utf-8"
+        )
+        assert main(["simulate", str(coarse), "--out", str(tmp_path / "o")]) == (
+            EXIT_PHYSICS
+        )
+        err = capsys.readouterr().err
+        assert "UndersampledError" in err
+        assert "n_samples >= 8192" in err
+
     def test_physics_failure_leaves_no_artifacts(self, tmp_path):
         cramped = tmp_path / "cramped.scn"
         cramped.write_text(FAST_GAUSSIAN + "window = 30 ps\n", encoding="utf-8")
@@ -338,6 +352,37 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_SEMANTIC
+
+
+class TestSamplingLimit:
+    """Both sides of the input's spectral-edge limit on shipped scenarios."""
+
+    @staticmethod
+    def _scenario(name, n_samples):
+        text = (SCENARIO_DIR / f"{name}.scn").read_text(encoding="utf-8")
+        return parse_scenario(
+            text.replace("n_samples = 16384", f"n_samples = {n_samples}")
+        )
+
+    @pytest.mark.parametrize(
+        ("name", "n_samples", "needed"),
+        [
+            ("fringe_scan", 2048, 8192),
+            ("fringe_scan", 4096, 8192),
+            ("ideal_magnifier", 512, 2048),
+            ("ideal_magnifier", 1024, 2048),
+        ],
+    )
+    def test_coarse_grid_is_rejected(self, name, n_samples, needed):
+        with pytest.raises(UndersampledError, match=f"n_samples >= {needed} "):
+            run_simulate(self._scenario(name, n_samples))
+
+    def test_first_admitted_grids_run(self):
+        report, _ = run_simulate(self._scenario("ideal_magnifier", 2048))
+        assert report["image"]["fidelity_to_ideal"] > 1.0 - 1e-8
+        report, _ = run_simulate(self._scenario("fringe_scan", 8192))
+        assert report["image"]["fidelity_to_ideal"] > 0.997
+        assert report["interference"]["visibility"] > 0.997
 
 
 class TestDesign:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from timelens import (
     InsufficientSupportError,
     SampledEnvelope,
     TimeGrid,
+    UndersampledError,
     WindowOverflowError,
     apply_dispersion,
     boundary_leakage,
@@ -78,6 +80,18 @@ class TestTimeGridRamp:
         assert computed == fresh
         assert hash(computed) == hash(fresh)
         assert {computed: "grid"}[fresh] == "grid"
+
+    def test_pickle_leaves_out_the_ramp(self):
+        grid = TimeGrid.centered(window=400.0, n_samples=2**12)
+        env = gaussian_pulse(grid, fwhm=5.0)
+        fresh = len(pickle.dumps(env))
+        to_frequency(env)
+        assert "_ramp" in vars(grid)
+        assert len(pickle.dumps(env)) == fresh
+        copy = pickle.loads(pickle.dumps(grid))
+        assert copy == grid
+        assert "_ramp" not in vars(copy)
+        assert _bits_equal(copy._ramp, grid._ramp)
 
     def test_transforms_leave_input_unchanged(self, small_grid):
         rng = np.random.default_rng(3)
@@ -234,6 +248,32 @@ class TestGaussianPulse:
         env = gaussian_pulse(small_grid, fwhm=5.0)
         expected, _ = quad(lambda t: math.exp(-4.0 * LN2 * (t / 5.0) ** 2), -40, 40)
         assert energy(env) == pytest.approx(expected, rel=1e-9)
+
+
+class TestSpectralEdge:
+    # A 5 ps Gaussian keeps 1e-8 of its peak spectral amplitude at
+    # w = sqrt(8*ln2*ln(1e8))/5 = 2.0214 rad/ps; the check puts that at
+    # (63/64)*pi/dt, so it admits dt <= 1.5299 ps.
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda grid: gaussian_pulse(grid, fwhm=5.0),
+            lambda grid: time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0),
+        ],
+    )
+    def test_both_sides_of_the_limit(self, make):
+        make(TimeGrid.centered(window=256 * 1.52, n_samples=256))
+        coarse = TimeGrid.centered(window=256 * 1.54, n_samples=256)
+        with pytest.raises(UndersampledError, match=r"dt=1\.54 ps.*n_samples >= 512 "):
+            make(coarse)
+
+    def test_remedy_is_the_smallest_passing_power_of_two(self):
+        grid = TimeGrid.centered(window=400.0, n_samples=64)  # dt = 6.25 ps
+        with pytest.raises(UndersampledError, match="n_samples >= 512 "):
+            gaussian_pulse(grid, fwhm=5.0)
+        gaussian_pulse(TimeGrid.centered(window=400.0, n_samples=512), fwhm=5.0)
+        with pytest.raises(UndersampledError):
+            gaussian_pulse(TimeGrid.centered(window=400.0, n_samples=256), fwhm=5.0)
 
 
 class TestTimeBinPulse:

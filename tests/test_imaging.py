@@ -205,6 +205,37 @@ class TestRunSystem:
         c2, _ = phase_fit_quadratic(trace.final)
         assert abs(c2) * (20.0 * 5.0) ** 2 < 0.01
 
+    @pytest.mark.parametrize(
+        ("build", "m", "ffts"),
+        [
+            (single_lens_system, -20.0, 4),
+            (field_lens_system, -20.0, 4),
+            (telescope_system, 20.0, 6),
+        ],
+    )
+    def test_pumped_run_makes_two_ffts_per_dispersive_stage(
+        self, monkeypatch, build, m, ffts
+    ):
+        # a pumped lens is one closed-form multiplier: it adds no transform
+        calls = []
+
+        def counted(transform):
+            def wrapper(*args, **kwargs):
+                calls.append(transform)
+                return transform(*args, **kwargs)
+
+            return wrapper
+
+        system = build(m, 5.0, pump_seed_fwhm=2.5)
+        grid = plan_grid(
+            system, input_extent=20.0, input_bandwidth=GAUSS_BW, n_samples=2**13
+        )
+        pulse = gaussian_pulse(grid, 5.0, carrier_wavelength_nm=710.0)
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        run_system(pulse, system)
+        assert len(calls) == ffts == 2 * len(system.dispersive_elements())
+
     def test_stage_trace_exposes_every_stage(self):
         system = field_lens_system(-20.0, 5.0)
         _, trace = _run(system)
