@@ -153,6 +153,13 @@ def _print_design_summary(report: dict, out_dir: Path) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i, arg in enumerate(argv[:-1]):
+        # attach the value to --range (or its abbreviation), so that a
+        # negative START is not read as an option
+        if len(arg) > 2 and "--range".startswith(arg):
+            argv[i : i + 2] = [f"{arg}={argv[i + 1]}"]
+            break
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -15,6 +15,12 @@ time lenses:
   chirp M*D1 (up-conversion), D3 = -M*D1.  In the conventional focal-GDD
   labels this is Df1 = -D1 and Df2 = M*D1 = -D3; both the residual phase and
   the net chirp cancel, giving a flat-phase image with magnification +M.
+
+One layout table lists each configuration's stages in order, as (label,
+lens direction or None for a dispersive element), and one helper gives each
+stage's GDD or pump chirp from the solvers for a magnification and a sizing
+value (the main-lens focal GDD, or a telescope's input GDD).  The builders,
+``verify_topology`` and ``sizing_divisor`` all read that table.
 """
 
 from __future__ import annotations
@@ -186,14 +192,115 @@ class SystemTopology:
         return tuple(carriers)
 
 
-def _imprint_focal(lens: TimeLens) -> float:
-    """GDD F such that the lens multiplies the signal by exp(+i*t^2/(2F)).
+#: Stage order of each configuration: (label, lens direction, or None for a
+#: dispersive element).  ``_stage_values`` gives each stage's value.
+_LAYOUTS: dict[TopologyKind, tuple[tuple[str, ConversionDirection | None], ...]] = {
+    TopologyKind.SINGLE_LENS: (
+        ("input_gdd", None),
+        ("main_lens", ConversionDirection.DOWN),
+        ("output_gdd", None),
+    ),
+    TopologyKind.FIELD_LENS: (
+        ("input_gdd", None),
+        ("main_lens", ConversionDirection.DOWN),
+        ("output_gdd", None),
+        ("field_lens", ConversionDirection.UP),
+    ),
+    TopologyKind.TELESCOPE: (
+        ("input_gdd", None),
+        ("lens_1", ConversionDirection.DOWN),
+        ("relay_gdd", None),
+        ("lens_2", ConversionDirection.UP),
+        ("output_gdd", None),
+    ),
+}
 
-    Down-conversion imprints +t^2/(2*chirp); up-conversion flips the sign.
+
+def _stage_values(
+    kind: TopologyKind, magnification: float, sizing: float
+) -> tuple[float, ...]:
+    """Each stage's GDD, or pump chirp for a lens, in layout order.  The
+    sizing value is the first lens's pump chirp."""
+    if kind is TopologyKind.TELESCOPE:
+        df1, d2, df2, d3 = solve_telescope(magnification, sizing)
+        return sizing, -df1, d2, df2, d3
+    d1, d2, dr = solve_field_lens(magnification, sizing)
+    if kind is TopologyKind.FIELD_LENS:
+        return d1, sizing, d2, dr
+    return d1, sizing, d2
+
+
+def sizing_divisor(kind: TopologyKind, magnification: float) -> float:
+    """|largest stage GDD or pump chirp| / |sizing value|: dividing a
+    requested largest dispersion by it recovers the sizing value."""
+    return max(abs(value) for value in _stage_values(kind, magnification, 1.0))
+
+
+def assemble_system(
+    kind: TopologyKind,
+    magnification: float,
+    sizing: float,
+    pump_seed_fwhm: float | None = None,
+    input_carrier_nm: float = 710.0,
+    pump_carrier_nm: float = 1550.0,
+    tod_ratio: float = 0.0,
+    transmission: float = 1.0,
+) -> SystemTopology:
+    """Build ``kind``'s stage chain from its layout.
+
+    Every dispersive element gets ``transmission``; the largest-|gdd| one
+    (the first, on a tie) also gets tod = tod_ratio * gdd.  Each lens takes
+    the signal carrier left by the lens before it.
     """
-    if lens.direction is ConversionDirection.DOWN:
-        return lens.focal_gdd
-    return -lens.focal_gdd
+    layout = _LAYOUTS[kind]
+    values = _stage_values(kind, magnification, sizing)
+    dispersive = [i for i, (_, direction) in enumerate(layout) if direction is None]
+    tod_at = max(dispersive, key=lambda i: abs(values[i])) if tod_ratio else None
+    carrier = input_carrier_nm
+    stages: list[Element] = []
+    for i, ((label, direction), value) in enumerate(zip(layout, values)):
+        if direction is None:
+            tod = tod_ratio * value if i == tod_at else 0.0
+            stages.append(DispersiveElement(value, tod, transmission, label))
+        else:
+            lens = TimeLens(
+                direction, value, pump_seed_fwhm, carrier, pump_carrier_nm, label
+            )
+            carrier = lens.output_carrier_nm
+            stages.append(lens)
+    return SystemTopology(kind, magnification, tuple(stages))
+
+
+def single_lens_system(
+    magnification: float, focal_gdd: float, **options
+) -> SystemTopology:
+    """D1 -> down-conversion lens (pump chirp = focal_gdd) -> D2.  Options
+    are those of :func:`assemble_system`."""
+    return assemble_system(TopologyKind.SINGLE_LENS, magnification, focal_gdd, **options)
+
+
+def field_lens_system(
+    magnification: float, focal_gdd: float, **options
+) -> SystemTopology:
+    """Single-lens chain plus an image-plane up-conversion corrector with
+    pump chirp Dr = M*focal_gdd; its imprinted phase -t^2/(2*M*Df) cancels
+    the residual curvature.  Options are those of :func:`assemble_system`."""
+    return assemble_system(TopologyKind.FIELD_LENS, magnification, focal_gdd, **options)
+
+
+def telescope_system(
+    magnification: float, input_gdd: float, **options
+) -> SystemTopology:
+    """D1 -> down lens (chirp D1) -> D2 -> up lens (chirp M*D1) -> D3.
+    Options are those of :func:`assemble_system`."""
+    return assemble_system(TopologyKind.TELESCOPE, magnification, input_gdd, **options)
+
+
+def _imprint_focal(direction: ConversionDirection, chirp: float) -> float:
+    """GDD F such that a lens with this pump chirp multiplies the signal by
+    exp(+i*t^2/(2F)): down-conversion imprints +t^2/(2*chirp), up-conversion
+    the opposite sign."""
+    return chirp if direction is ConversionDirection.DOWN else -chirp
 
 
 def _close(a: float, b: float) -> bool:
@@ -201,196 +308,34 @@ def _close(a: float, b: float) -> bool:
 
 
 def verify_topology(topology: SystemTopology) -> None:
-    """Re-check the configuration identities; raises DesignError on violation."""
-    stages = topology.stages
-    m = topology.magnification
-    if topology.kind in (TopologyKind.SINGLE_LENS, TopologyKind.FIELD_LENS):
-        expected = 3 if topology.kind is TopologyKind.SINGLE_LENS else 4
-        if len(stages) != expected or not (
-            isinstance(stages[0], DispersiveElement)
-            and isinstance(stages[1], TimeLens)
-            and isinstance(stages[2], DispersiveElement)
-        ):
-            raise DesignError(f"malformed {topology.kind.value} stage chain")
-        d1, d2 = stages[0].gdd, stages[2].gdd
-        f = _imprint_focal(stages[1])
-        if d1 == 0.0 or d2 == 0.0 or f == 0.0:
-            raise DesignError("zero dispersion in imaging chain")
-        if not _close(1.0 / d1 + 1.0 / d2, 1.0 / f):
-            raise DesignError(
-                f"imaging condition violated: 1/{d1} + 1/{d2} != 1/{f}"
-            )
-        if not _close(-d2 / d1, m):
-            raise DesignError(
-                f"magnification mismatch: -D2/D1 = {-d2 / d1}, stored {m}"
-            )
-        if topology.kind is TopologyKind.FIELD_LENS:
-            if not isinstance(stages[3], TimeLens):
-                raise DesignError("field-lens chain must end with a lens")
-            # corrector imprint must cancel the residual curvature 1/(2*M*f)
-            if not _close(_imprint_focal(stages[3]), -m * f):
-                raise DesignError(
-                    "field-lens corrector does not cancel the residual phase: "
-                    f"imprint focal {_imprint_focal(stages[3])}, need {-m * f}"
-                )
-    elif topology.kind is TopologyKind.TELESCOPE:
-        if len(stages) != 5 or not (
-            isinstance(stages[0], DispersiveElement)
-            and isinstance(stages[1], TimeLens)
-            and isinstance(stages[2], DispersiveElement)
-            and isinstance(stages[3], TimeLens)
-            and isinstance(stages[4], DispersiveElement)
-        ):
-            raise DesignError("malformed telescope stage chain")
-        d1, d2, d3 = stages[0].gdd, stages[2].gdd, stages[4].gdd
-        f1 = _imprint_focal(stages[1])
-        f2 = _imprint_focal(stages[3])
-        checks = (
-            (f1, d1, "first lens imprint focal must equal D1"),
-            (f2, d3, "second lens imprint focal must equal D3"),
-            (d3, -m * d1, "D3 must equal -M*D1"),
-            (d2, d1 + d3, "D2 must equal D1 + D3"),
-        )
-        for got, want, why in checks:
-            if not _close(got, want):
-                raise DesignError(f"telescope condition violated: {why} "
-                                  f"(got {got}, want {want})")
-    else:  # pragma: no cover - enum is exhaustive
-        raise DesignError(f"unknown topology kind {topology.kind!r}")
+    """Re-check a chain against its kind's layout; raises DesignError.
 
-
-def _dispersive(
-    gdd: float, label: str, tod: float = 0.0, transmission: float = 1.0
-) -> DispersiveElement:
-    return DispersiveElement(gdd=gdd, tod=tod, transmission=transmission, label=label)
-
-
-def _apply_tod_ratio(
-    elements: list[DispersiveElement], tod_ratio: float
-) -> list[DispersiveElement]:
-    """Attach tod = tod_ratio * gdd to the largest-|gdd| element."""
-    if tod_ratio == 0.0:
-        return elements
-    target = max(range(len(elements)), key=lambda i: abs(elements[i].gdd))
-    e = elements[target]
-    elements[target] = DispersiveElement(
-        gdd=e.gdd, tod=tod_ratio * e.gdd, transmission=e.transmission, label=e.label
-    )
-    return elements
-
-
-def single_lens_system(
-    magnification: float,
-    focal_gdd: float,
-    pump_seed_fwhm: float | None = None,
-    input_carrier_nm: float = 710.0,
-    pump_carrier_nm: float = 1550.0,
-    tod_ratio: float = 0.0,
-    transmission: float = 1.0,
-) -> SystemTopology:
-    """D1 -> down-conversion lens (pump chirp = focal_gdd) -> D2."""
-    d1, d2 = solve_single_lens(magnification, focal_gdd)
-    lens = TimeLens(
-        direction=ConversionDirection.DOWN,
-        focal_gdd=focal_gdd,
-        pump_seed_fwhm=pump_seed_fwhm,
-        input_carrier_nm=input_carrier_nm,
-        pump_carrier_nm=pump_carrier_nm,
-        label="main_lens",
-    )
-    elements = _apply_tod_ratio(
-        [
-            _dispersive(d1, "input_gdd", transmission=transmission),
-            _dispersive(d2, "output_gdd", transmission=transmission),
-        ],
-        tod_ratio,
-    )
-    return SystemTopology(
-        kind=TopologyKind.SINGLE_LENS,
-        magnification=magnification,
-        stages=(elements[0], lens, elements[1]),
-    )
-
-
-def field_lens_system(
-    magnification: float,
-    focal_gdd: float,
-    pump_seed_fwhm: float | None = None,
-    input_carrier_nm: float = 710.0,
-    pump_carrier_nm: float = 1550.0,
-    tod_ratio: float = 0.0,
-    transmission: float = 1.0,
-) -> SystemTopology:
-    """Single-lens chain plus an image-plane corrector lens.
-
-    The corrector is an up-conversion lens with pump chirp Dr = M*focal_gdd;
-    its imprinted phase -t^2/(2*M*Df) cancels the residual curvature.
+    The stage count and element types must match the layout.  Every GDD and
+    lens imprint focal must then equal the value the solvers give for the
+    stored magnification and the chain's own sizing value, which is the
+    first lens's imprint focal.
     """
-    base = single_lens_system(
-        magnification,
-        focal_gdd,
-        pump_seed_fwhm=pump_seed_fwhm,
-        input_carrier_nm=input_carrier_nm,
-        pump_carrier_nm=pump_carrier_nm,
-        tod_ratio=tod_ratio,
-        transmission=transmission,
-    )
-    _, _, dr = solve_field_lens(magnification, focal_gdd)
-    corrector = TimeLens(
-        direction=ConversionDirection.UP,
-        focal_gdd=dr,
-        pump_seed_fwhm=pump_seed_fwhm,
-        input_carrier_nm=base.lenses()[0].output_carrier_nm,
-        pump_carrier_nm=pump_carrier_nm,
-        label="field_lens",
-    )
-    return SystemTopology(
-        kind=TopologyKind.FIELD_LENS,
-        magnification=magnification,
-        stages=base.stages + (corrector,),
-    )
-
-
-def telescope_system(
-    magnification: float,
-    input_gdd: float,
-    pump_seed_fwhm: float | None = None,
-    input_carrier_nm: float = 710.0,
-    pump_carrier_nm: float = 1550.0,
-    tod_ratio: float = 0.0,
-    transmission: float = 1.0,
-) -> SystemTopology:
-    """D1 -> down lens (chirp D1) -> D2 -> up lens (chirp M*D1) -> D3."""
-    df1, d2, df2, d3 = solve_telescope(magnification, input_gdd)
-    lens1 = TimeLens(
-        direction=ConversionDirection.DOWN,
-        focal_gdd=-df1,  # pump chirp D1: imprints +t^2/(2*D1)
-        pump_seed_fwhm=pump_seed_fwhm,
-        input_carrier_nm=input_carrier_nm,
-        pump_carrier_nm=pump_carrier_nm,
-        label="lens_1",
-    )
-    lens2 = TimeLens(
-        direction=ConversionDirection.UP,
-        focal_gdd=df2,  # pump chirp M*D1: imprints +t^2/(2*D3)
-        pump_seed_fwhm=pump_seed_fwhm,
-        input_carrier_nm=lens1.output_carrier_nm,
-        pump_carrier_nm=pump_carrier_nm,
-        label="lens_2",
-    )
-    elements = _apply_tod_ratio(
-        [
-            _dispersive(input_gdd, "input_gdd", transmission=transmission),
-            _dispersive(d2, "relay_gdd", transmission=transmission),
-            _dispersive(d3, "output_gdd", transmission=transmission),
-        ],
-        tod_ratio,
-    )
-    return SystemTopology(
-        kind=TopologyKind.TELESCOPE,
-        magnification=magnification,
-        stages=(elements[0], lens1, elements[1], lens2, elements[2]),
-    )
+    layout = _LAYOUTS[topology.kind]
+    stages = topology.stages
+    if len(stages) != len(layout) or not all(
+        isinstance(stage, DispersiveElement if direction is None else TimeLens)
+        for stage, (_, direction) in zip(stages, layout)
+    ):
+        raise DesignError(f"malformed {topology.kind.value} stage chain")
+    first = topology.lenses()[0]
+    sizing = _imprint_focal(first.direction, first.focal_gdd)
+    values = _stage_values(topology.kind, topology.magnification, sizing)
+    for stage, (label, direction), value in zip(stages, layout, values):
+        if direction is None:
+            got, want = stage.gdd, value
+        else:
+            got = _imprint_focal(stage.direction, stage.focal_gdd)
+            want = _imprint_focal(direction, value)
+        if not _close(got, want):
+            raise DesignError(
+                f"{topology.kind.value} stage {label} violates the design at M = "
+                f"{topology.magnification}, sizing {sizing}: got {got}, want {want}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -48,12 +48,11 @@ from .imaging import (
     StageTrace,
     SystemTopology,
     TopologyKind,
+    assemble_system,
     check_far_field,
-    field_lens_system,
     plan_grid,
     run_system,
-    single_lens_system,
-    telescope_system,
+    sizing_divisor,
 )
 from .interferometry import InterferenceResult, analyzer_port, visibility_experiment
 from .scenario import Scenario, SystemSpec, key_spec, parse_scenario
@@ -63,44 +62,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def sizing_divisor(kind: TopologyKind, magnification: float) -> float:
-    """|largest system GDD| / |sizing GDD| for the given topology.
-
-    The sizing GDD is the main-lens focal GDD for single-lens and field-lens
-    systems and the input GDD for telescopes.  Dividing a requested largest
-    dispersion by this factor recovers the sizing value.
-    """
-    m = magnification
-    if kind is TopologyKind.TELESCOPE:
-        return max(1.0, abs(1.0 - m), abs(m))
-    divisor = max(1.0, abs(m - 1.0), abs(m - 1.0) / abs(m))
-    if kind is TopologyKind.FIELD_LENS:
-        divisor = max(divisor, abs(m))
-    return divisor
-
-
 def build_topology(system: SystemSpec) -> SystemTopology:
     """Materialize a system from its scenario section."""
-    kind = system.topology
     if system.largest_gdd is not None:
-        sizing = system.largest_gdd / sizing_divisor(kind, system.magnification)
-    elif kind is TopologyKind.TELESCOPE:
-        sizing = system.input_gdd
-    else:
-        sizing = system.focal_gdd
-    common = dict(
-        magnification=system.magnification,
+        sizing = system.largest_gdd / sizing_divisor(
+            system.topology, system.magnification
+        )
+    else:  # the parser admits exactly one of focal_gdd / input_gdd
+        sizing = system.focal_gdd if system.focal_gdd is not None else system.input_gdd
+    return assemble_system(
+        system.topology,
+        system.magnification,
+        sizing,
         pump_seed_fwhm=system.pump_seed_fwhm,
         input_carrier_nm=system.input_carrier_nm,
         pump_carrier_nm=system.pump_carrier_nm,
         tod_ratio=system.tod_ratio,
         transmission=system.transmission,
     )
-    if kind is TopologyKind.SINGLE_LENS:
-        return single_lens_system(focal_gdd=sizing, **common)
-    if kind is TopologyKind.FIELD_LENS:
-        return field_lens_system(focal_gdd=sizing, **common)
-    return telescope_system(input_gdd=sizing, **common)
 
 
 def build_input(scenario: Scenario, grid: TimeGrid) -> SampledEnvelope:

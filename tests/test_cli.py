@@ -427,6 +427,19 @@ class TestSweep:
         widths = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(w == pytest.approx(100.0, rel=0.01) for w in widths)
 
+    def test_negative_range_start_in_every_form(self, fast_scenario, tmp_path):
+        # single-lens and field-lens magnifications are negative
+        sweeps = []
+        forms = (["--range", "-30:-10:3"], ["--range=-30:-10:3"], ["--ran", "-30:-10:3"])
+        for form in forms:
+            out = tmp_path / f"sweep{len(sweeps)}"
+            args = ["sweep", str(fast_scenario), "--param", "system.magnification"]
+            assert main(args + form + ["--out", str(out)]) == EXIT_OK
+            sweeps.append((out / "sweep.csv").read_text())
+        assert sweeps[0] == sweeps[1] == sweeps[2]
+        values = [float(row.split(",")[0]) for row in sweeps[0].splitlines()[1:]]
+        assert values == [-30.0, -20.0, -10.0]
+
     def test_fringe_scan_contrast_matches_visibility(self, tmp_path):
         scenario = SCENARIO_DIR / "fringe_scan.scn"
         sim_out = tmp_path / "sim"

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from timelens import (
+    ConversionDirection,
     DesignError,
     DispersiveElement,
     SystemTopology,
+    TimeLens,
     TopologyKind,
     check_far_field,
+    converted_carrier,
     energy,
     field_lens_system,
     fwhm,
@@ -37,6 +40,19 @@ from timelens import (
 
 LN2 = math.log(2.0)
 GAUSS_BW = 4.0 * LN2 / 5.0  # angular spectral FWHM of a 5 ps Gaussian
+
+#: One system of each kind, as (builder, magnification, sizing).
+KINDS = {
+    TopologyKind.SINGLE_LENS: (single_lens_system, -20.0, 5.0),
+    TopologyKind.FIELD_LENS: (field_lens_system, -20.0, 5.0),
+    TopologyKind.TELESCOPE: (telescope_system, 20.0, 5.0),
+}
+#: Every stage of every kind, as (kind, stage index).
+STAGES = [
+    pytest.param(kind, index, id=f"{kind.value}-{stage.label}")
+    for kind, (build, m, sizing) in KINDS.items()
+    for index, stage in enumerate(build(m, sizing).stages)
+]
 
 
 def _run(system, input_fwhm=5.0, n_samples=2**13):
@@ -135,7 +151,67 @@ class TestResidualPhase:
         assert lax.passed
 
 
+def _build(kind, **options):
+    build, m, sizing = KINDS[kind]
+    return build(m, sizing, **options)
+
+
+def _scaled(system, index, factor):
+    """The system with one stage's gdd or lens pump chirp scaled by factor."""
+    stage = system.stages[index]
+    if isinstance(stage, DispersiveElement):
+        stage = dataclasses.replace(stage, gdd=stage.gdd * factor)
+    else:
+        stage = dataclasses.replace(stage, focal_gdd=stage.focal_gdd * factor)
+    stages = system.stages[:index] + (stage,) + system.stages[index + 1 :]
+    return dataclasses.replace(system, stages=stages)
+
+
 class TestTopologyAssembly:
+    @pytest.mark.parametrize("kind", list(KINDS), ids=lambda kind: kind.value)
+    def test_builders_match_solver_layout(self, kind):
+        options = dict(
+            pump_seed_fwhm=2.5, pump_carrier_nm=1600.0, tod_ratio=0.7, transmission=0.9
+        )
+        system = _build(kind, **options)
+        down, up = ConversionDirection.DOWN, ConversionDirection.UP
+        idler = converted_carrier(710.0, 1600.0, down)
+
+        def gdd(value, label, tod=0.0):
+            return DispersiveElement(gdd=value, tod=tod, transmission=0.9, label=label)
+
+        def lens(direction, chirp, carrier, label):
+            return TimeLens(
+                direction=direction,
+                focal_gdd=chirp,
+                pump_seed_fwhm=2.5,
+                input_carrier_nm=carrier,
+                pump_carrier_nm=1600.0,
+                label=label,
+            )
+
+        if kind is TopologyKind.TELESCOPE:
+            df1, d2, df2, d3 = solve_telescope(20.0, 5.0)
+            stages = (
+                gdd(5.0, "input_gdd"),
+                lens(down, -df1, 710.0, "lens_1"),
+                gdd(d2, "relay_gdd"),
+                lens(up, df2, idler, "lens_2"),
+                gdd(d3, "output_gdd", tod=0.7 * d3),  # |D3| = 100 > |D2| = 95
+            )
+            m = 20.0
+        else:
+            d1, d2, dr = solve_field_lens(-20.0, 5.0)
+            stages = (
+                gdd(d1, "input_gdd"),
+                lens(down, 5.0, 710.0, "main_lens"),
+                gdd(d2, "output_gdd", tod=0.7 * d2),  # |D2| = 105 > |D1| = 5.25
+            )
+            if kind is TopologyKind.FIELD_LENS:
+                stages += (lens(up, dr, idler, "field_lens"),)
+            m = -20.0
+        assert system == SystemTopology(kind=kind, magnification=m, stages=stages)
+
     def test_field_lens_stage_order_and_labels(self):
         system = field_lens_system(-20.0, 5.0)
         trace_labels = [s.label for s in system.stages]
@@ -179,6 +255,29 @@ class TestTopologyAssembly:
         tampered = dataclasses.replace(system, stages=tuple(bad_stages))
         with pytest.raises(DesignError):
             verify_topology(tampered)
+
+    @pytest.mark.parametrize(("kind", "index"), STAGES)
+    def test_scaled_stage_rejected(self, kind, index):
+        with pytest.raises(DesignError):
+            verify_topology(_scaled(_build(kind), index, 1.3))
+
+    @pytest.mark.parametrize(("kind", "index"), STAGES)
+    def test_rounding_level_scaling_accepted(self, kind, index):
+        verify_topology(_scaled(_build(kind), index, 1.0 + 1e-14))
+
+    @pytest.mark.parametrize(("kind", "index"), STAGES)
+    def test_missing_stage_rejected(self, kind, index):
+        system = _build(kind)
+        stages = system.stages[:index] + system.stages[index + 1 :]
+        with pytest.raises(DesignError):
+            verify_topology(dataclasses.replace(system, stages=stages))
+
+    @pytest.mark.parametrize("kind", list(KINDS), ids=lambda kind: kind.value)
+    def test_lens_in_place_of_dispersion_rejected(self, kind):
+        system = _build(kind)
+        stages = (system.stages[1],) + system.stages[1:]
+        with pytest.raises(DesignError):
+            verify_topology(dataclasses.replace(system, stages=stages))
 
 
 class TestRunSystem:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from timelens import (
@@ -16,10 +16,12 @@ from timelens import (
     DispersiveElement,
     TimeGrid,
     TimeLens,
+    TopologyKind,
     apply_dispersion,
     apply_time_lens,
     asymmetry,
     energy,
+    field_lens_system,
     fwhm,
     gaussian_pulse,
     magnified_copy,
@@ -28,14 +30,17 @@ from timelens import (
     recombine,
     requirements,
     shifted,
+    single_lens_system,
     solve_field_lens,
     solve_single_lens,
     solve_telescope,
+    telescope_system,
     time_bin_pulse,
     to_frequency,
     to_time,
     visibility_experiment,
 )
+from timelens.runner import sizing_divisor
 
 GRID = TimeGrid.centered(400.0, 2**11)
 
@@ -257,3 +262,26 @@ class TestTimeLens:
         env = pulse(5.0, 3.0)
         out = apply_time_lens(env, lens)
         assert np.max(np.abs(np.abs(out.samples) - np.abs(env.samples))) < 1e-12
+
+
+class TestSizingDivisor:
+    BUILDERS = {
+        TopologyKind.SINGLE_LENS: single_lens_system,
+        TopologyKind.FIELD_LENS: field_lens_system,
+        TopologyKind.TELESCOPE: telescope_system,
+    }
+
+    @given(
+        st.sampled_from(list(BUILDERS)),
+        st.floats(0.01, 100.0, **finite),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    def test_divisor_is_largest_stage_value_at_unit_sizing(self, kind, size, sign):
+        m = sign * size
+        assume(kind is TopologyKind.TELESCOPE or m != 1.0)
+        system = self.BUILDERS[kind](m, 1.0)
+        largest = max(
+            [abs(e.gdd) for e in system.dispersive_elements()]
+            + [abs(lens.focal_gdd) for lens in system.lenses()]
+        )
+        assert sizing_divisor(kind, m) == pytest.approx(largest, rel=1e-15)
