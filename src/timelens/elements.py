@@ -32,6 +32,7 @@ from .envelope import (
     LN2,
     SampledEnvelope,
     SpectralEnvelope,
+    _adopt,
     boundary_leakage,
     to_frequency,
     to_time,
@@ -146,12 +147,25 @@ class TimeLens:
         )
 
 
-def _dispersion_kernel(element: DispersiveElement, w: np.ndarray) -> np.ndarray:
-    """exp(i*(gdd/2)*w^2 + i*(tod/6)*w^3) on the angular frequencies ``w``."""
-    phase = 0.5 * element.gdd * w**2
-    if element.tod != 0.0:
-        phase = phase + (element.tod / 6.0) * w**3
-    return np.exp(1j * phase)
+def _dispersion_kernel(element: DispersiveElement, grid: TimeGrid) -> np.ndarray:
+    """New array exp(i*(gdd/2)*w^2 + i*(tod/6)*w^3) on the grid's angular
+    frequencies, evaluated in blocks.
+
+    Without TOD the kernel is even in w, and omegas[n/2 + j] ==
+    -omegas[n/2 - j] exactly, so only w <= 0 is evaluated and then mirrored.
+    """
+    half = grid.n_samples // 2
+    kernel = np.empty(grid.n_samples, dtype=np.complex128)
+    stop = grid.n_samples if element.tod != 0.0 else half + 1
+    for span, k in grid._blocks(0, stop):
+        w = (k - half) * grid.domega
+        phase = 0.5 * element.gdd * w**2
+        if element.tod != 0.0:
+            phase = phase + (element.tod / 6.0) * w**3
+        np.exp(1j * phase, out=kernel[span])
+    if element.tod == 0.0:
+        kernel[half + 1 :] = kernel[half - 1 : 0 : -1]
+    return kernel
 
 
 def apply_dispersion(
@@ -170,7 +184,7 @@ def apply_dispersion(
     """
     if element.gdd == 0.0 and element.tod == 0.0 and element.transmission == 1.0:
         return env
-    kernel = _dispersion_kernel(element, env.grid.omegas)
+    kernel = _dispersion_kernel(element, env.grid)
     spectrum = to_frequency(env).samples
     if element.transmission != 1.0:
         spectrum = spectrum * element.transmission
@@ -178,7 +192,7 @@ def apply_dispersion(
     # the operands are swapped
     np.multiply(spectrum, kernel, out=kernel)
     del spectrum  # free it before the inverse transform allocates its own arrays
-    out = to_time(SpectralEnvelope(env.grid, kernel, env.carrier_wavelength_nm))
+    out = to_time(_adopt(SpectralEnvelope, env.grid, kernel, env.carrier_wavelength_nm))
     if boundary_leakage(out) > BOUNDARY_TOLERANCE:
         raise WindowOverflowError(
             f"{element.label}: dispersion gdd={element.gdd} ps^2, "
@@ -218,7 +232,13 @@ def synthesize_pump(
     FWHM :func:`stretched_pump_fwhm` with phase
     :func:`pump_phase_curvature` * t^2 + arctan(2*p*chirp_gdd)/2.
     """
-    t = grid.times
+    return _pump(grid.times, seed_fwhm, chirp_gdd)
+
+
+def _pump(
+    t: np.ndarray, seed_fwhm: float, chirp_gdd: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`synthesize_pump` at the times ``t``."""
     p = 2.0 * LN2 / seed_fwhm**2
     magnitude = np.exp(-2.0 * LN2 * (t / stretched_pump_fwhm(seed_fwhm, chirp_gdd)) ** 2)
     offset = 0.5 * np.arctan(2.0 * p * chirp_gdd)
@@ -249,20 +269,30 @@ def apply_time_lens(env: SampledEnvelope, lens: TimeLens) -> SampledEnvelope:
                 f"lens expects input carrier {expected} nm, envelope is at "
                 f"{env.carrier_wavelength_nm} nm"
             )
-    sign = lens.direction.phase_sign
-    if lens.is_ideal:
-        t = env.times
-        phi = -(t**2) / (2.0 * lens.focal_gdd)
-        factor = 1j * np.exp(1j * sign * phi)
-    else:
-        magnitude, phase = synthesize_pump(env.grid, lens.pump_seed_fwhm, lens.focal_gdd)
-        if max(magnitude[0], magnitude[-1]) > BOUNDARY_TOLERANCE:
+    grid = env.grid
+    if not lens.is_ideal:
+        ends = grid.t0 + grid.dt * np.array([0, grid.n_samples - 1])
+        edge_magnitude, _ = _pump(ends, lens.pump_seed_fwhm, lens.focal_gdd)
+        if edge_magnitude.max() > BOUNDARY_TOLERANCE:
             raise WindowOverflowError(
                 f"{lens.label}: pump chirped by {lens.focal_gdd} ps^2 reaches the "
                 "window boundary; enlarge the grid window"
             )
-        factor = 1j * np.sin(0.5 * np.pi * magnitude) * np.exp(1j * sign * phase)
+    samples = np.empty(grid.n_samples, dtype=np.complex128)
+    for span, k in grid._blocks():
+        t = grid.t0 + grid.dt * k
+        np.multiply(env.samples[span], _lens_factor(lens, t), out=samples[span])
     carrier = (
         lens.output_carrier_nm if env.carrier_wavelength_nm is not None else None
     )
-    return SampledEnvelope(env.grid, env.samples * factor, carrier)
+    return _adopt(SampledEnvelope, grid, samples, carrier)
+
+
+def _lens_factor(lens: TimeLens, t: np.ndarray) -> np.ndarray:
+    """The lens multiplier i*eta(t)*exp(s*i*phi_p(t)) at the times ``t``."""
+    sign = lens.direction.phase_sign
+    if lens.is_ideal:
+        phi = -(t**2) / (2.0 * lens.focal_gdd)
+        return 1j * np.exp(1j * sign * phi)
+    magnitude, phase = _pump(t, lens.pump_seed_fwhm, lens.focal_gdd)
+    return 1j * np.sin(0.5 * np.pi * magnitude) * np.exp(1j * sign * phase)

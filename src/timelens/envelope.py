@@ -10,6 +10,10 @@ Conventions:
       A(w) = (1/sqrt(2*pi)) * integral a(t) exp(-i w t) dt and back, so
       Parseval holds exactly in the discrete approximation:
       sum(|a|^2) dt == sum(|A|^2) dw.
+    * Envelopes own read-only samples.  The public constructors (and
+      ``with_samples``) copy what they are given, so the caller's array may
+      change afterwards; arrays the library has just built are adopted by
+      ``_adopt`` without a copy, after the same shape and finiteness checks.
 """
 
 from __future__ import annotations
@@ -50,17 +54,7 @@ class SampledEnvelope:
     carrier_wavelength_nm: float | None = None
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.shape != (self.grid.n_samples,):
-            raise ValueError(
-                f"samples shape {samples.shape} does not match grid "
-                f"({self.grid.n_samples},)"
-            )
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        samples = samples.copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        _own(self, np.array(self.samples, dtype=np.complex128))
 
     @property
     def times(self) -> np.ndarray:
@@ -89,15 +83,7 @@ class SpectralEnvelope:
     carrier_wavelength_nm: float | None = None
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.shape != (self.grid.n_samples,):
-            raise ValueError(
-                f"samples shape {samples.shape} does not match grid "
-                f"({self.grid.n_samples},)"
-            )
-        samples = samples.copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        _own(self, np.array(self.samples, dtype=np.complex128))
 
     @property
     def omegas(self) -> np.ndarray:
@@ -112,6 +98,36 @@ class SpectralEnvelope:
 
 
 AnyEnvelope = Union[SampledEnvelope, SpectralEnvelope]
+
+
+def _own(env: AnyEnvelope, samples: np.ndarray) -> None:
+    """Check ``samples`` against ``env``'s grid (time-domain samples must also
+    be finite), make it read-only and store it as ``env.samples``."""
+    if samples.shape != (env.grid.n_samples,):
+        raise ValueError(
+            f"samples shape {samples.shape} does not match grid "
+            f"({env.grid.n_samples},)"
+        )
+    if isinstance(env, SampledEnvelope) and not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
+    samples.setflags(write=False)
+    object.__setattr__(env, "samples", samples)
+
+
+def _adopt(
+    cls: type[AnyEnvelope],
+    grid: TimeGrid,
+    samples: np.ndarray,
+    carrier_wavelength_nm: float | None,
+) -> AnyEnvelope:
+    """A ``cls`` envelope around ``samples``, a complex128 array the library
+    has just built and holds no other reference to, without the copy the
+    public constructor makes; the constructor's checks still run."""
+    env = object.__new__(cls)
+    object.__setattr__(env, "grid", grid)
+    object.__setattr__(env, "carrier_wavelength_nm", carrier_wavelength_nm)
+    _own(env, samples)
+    return env
 
 
 def to_frequency(env: SampledEnvelope) -> SpectralEnvelope:
@@ -129,7 +145,7 @@ def to_frequency(env: SampledEnvelope) -> SpectralEnvelope:
     spectrum = np.fft.fft(work)
     spectrum *= grid.dt / np.sqrt(2.0 * np.pi)
     spectrum *= grid._ramp
-    return SpectralEnvelope(grid, spectrum, env.carrier_wavelength_nm)
+    return _adopt(SpectralEnvelope, grid, spectrum, env.carrier_wavelength_nm)
 
 
 def to_time(spec: SpectralEnvelope) -> SampledEnvelope:
@@ -139,7 +155,7 @@ def to_time(spec: SpectralEnvelope) -> SampledEnvelope:
     samples = np.fft.ifft(spec.samples * np.conjugate(grid._ramp))
     samples[1::2] *= -1.0
     samples *= grid.n_samples * grid.domega / np.sqrt(2.0 * np.pi)
-    return SampledEnvelope(grid, samples, spec.carrier_wavelength_nm)
+    return _adopt(SampledEnvelope, grid, samples, spec.carrier_wavelength_nm)
 
 
 def _check_spectral_edge(grid: TimeGrid, fwhm: float, what: str) -> None:
@@ -214,11 +230,13 @@ def time_bin_pulse(
             "ps) exceeds the grid window"
         )
     _check_spectral_edge(grid, bin_fwhm, f"time-bin pulse (bin_fwhm={bin_fwhm} ps)")
-    t = grid.times
-    early = np.exp(-2.0 * LN2 * ((t + half) / bin_fwhm) ** 2)
-    late = np.exp(-2.0 * LN2 * ((t - half) / bin_fwhm) ** 2)
-    samples = 0.5 * early + 0.5 * np.exp(1j * relative_phase) * late
-    return SampledEnvelope(grid, samples, carrier_wavelength_nm)
+    samples = np.empty(grid.n_samples, dtype=np.complex128)
+    for span, k in grid._blocks():
+        t = grid.t0 + grid.dt * k
+        early = np.exp(-2.0 * LN2 * ((t + half) / bin_fwhm) ** 2)
+        late = np.exp(-2.0 * LN2 * ((t - half) / bin_fwhm) ** 2)
+        samples[span] = 0.5 * early + 0.5 * np.exp(1j * relative_phase) * late
+    return _adopt(SampledEnvelope, grid, samples, carrier_wavelength_nm)
 
 
 def _axis_and_step(env: AnyEnvelope) -> tuple[np.ndarray, float]:
@@ -415,20 +433,23 @@ def shifted(env: SampledEnvelope, delay: float) -> SampledEnvelope:
     # The spectral shift is circular, so a large delay can wrap the waveform
     # back into the interior where boundary leakage alone would not flag it;
     # require the shifted support to fit the window outright.
+    grid = env.grid
     mags = np.abs(env.samples)
     peak = float(mags.max())
     if peak > 0.0:
         significant = np.nonzero(mags > BOUNDARY_TOLERANCE * peak)[0]
-        t = env.times
-        lo = t[significant[0]] + delay
-        hi = t[significant[-1]] + delay
-        if not env.grid.contains(lo, hi):
+        lo, hi = grid.t0 + grid.dt * significant[[0, -1]] + delay
+        if not grid.contains(lo, hi):
             raise WindowOverflowError(
                 f"time shift by {delay} ps pushes the waveform support "
                 f"[{lo:.6g}, {hi:.6g}] ps outside the window"
             )
     spec = to_frequency(env)
-    out = to_time(spec.with_samples(spec.samples * np.exp(-1j * spec.omegas * delay)))
+    # Keep this one full-size product with a fresh right operand: above
+    # 256 KiB numpy reuses that operand in place, which swaps the complex
+    # product's operands and so its rounding; a blocked product would not.
+    delayed = spec.samples * grid._phase_ramp(delay)
+    out = to_time(_adopt(SpectralEnvelope, grid, delayed, spec.carrier_wavelength_nm))
     if boundary_leakage(out) > BOUNDARY_TOLERANCE:
         raise WindowOverflowError(
             f"time shift by {delay} ps pushes the waveform across the window "
@@ -454,16 +475,41 @@ def magnified_copy(env: SampledEnvelope, magnification: float) -> SampledEnvelop
     """
     if magnification == 0.0 or not np.isfinite(magnification):
         raise ValueError(f"magnification must be nonzero, got {magnification!r}")
-    n = env.grid.n_samples
-    x = (env.times / magnification - env.grid.t0) / env.grid.dt
-    inside = (x >= 0.0) & (x <= n - 1)
-    u, k = np.modf(x[inside])
-    # spline coefficient k (from -32 to n + 31) is c[k + 32]
-    c = np.convolve(env.samples, _SPLINE_PREFILTER)
-    j = k.astype(np.intp) + 32
+    grid = env.grid
+    n = grid.n_samples
+    scale = np.sqrt(abs(magnification))
     values = np.zeros(n, dtype=np.complex128)
-    values[inside] = (
-        (1.0 - u) ** 3 * c[j - 1] + (4.0 - 6.0 * u**2 + 3.0 * u**3) * c[j]
-        + (1.0 + 3.0 * (u + u**2 - u**3)) * c[j + 1] + u**3 * c[j + 2]
-    ) / 6.0
-    return env.with_samples(values / np.sqrt(abs(magnification)))
+    for span, k in grid._blocks():
+        x = ((grid.t0 + grid.dt * k) / magnification - grid.t0) / grid.dt
+        inside = (x >= 0.0) & (x <= n - 1)
+        if inside.any():
+            x = x[inside]
+            values[span][inside] = _spline_at(env.samples, x) / scale
+    return _adopt(SampledEnvelope, grid, values, env.carrier_wavelength_nm)
+
+
+def _spline_at(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cubic B-spline interpolant of ``samples`` at fractional sample
+    positions 0 <= ``x`` <= len(samples) - 1, with zero samples beyond them.
+
+    Spline coefficient m (from -32 to n + 31) is the 65-tap sum c[m + 32]
+    over samples m - 32 .. m + 32, and the stencil at x reads coefficients
+    floor(x) - 1 .. floor(x) + 2.  Convolving only samples lo .. hi - 1 gives
+    the same sums wherever the stencil reads them, and at least 65 samples
+    keep np.convolve's operand order.
+    """
+    n = len(samples)
+    u, whole = np.modf(x)
+    lo = max(0, min(int(whole.min()) - 33, n - 65))
+    hi = min(n, max(int(whole.max()) + 35, 65))
+    c = np.convolve(samples[lo:hi], _SPLINE_PREFILTER)
+    j = whole.astype(np.intp)
+    del whole
+    j += 32 - lo
+    # summed in place, term by term, to keep few block-sized arrays alive
+    out = (1.0 - u) ** 3 * c[j - 1]
+    out += (4.0 - 6.0 * u**2 + 3.0 * u**3) * c[j]
+    out += (1.0 + 3.0 * (u + u**2 - u**3)) * c[j + 1]
+    out += u**3 * c[j + 2]
+    out /= 6.0
+    return out

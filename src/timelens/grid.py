@@ -3,14 +3,24 @@
 The grid fixes both domains at once: ``n_samples`` points spaced ``dt`` (ps)
 starting at ``t0``, and the conjugate angular-frequency axis centered on zero
 carrier offset with spacing ``2*pi/(n_samples*dt)`` (rad/ps).
+
+The per-sample kernels of the propagation path are evaluated in blocks of
+:data:`BLOCK` samples, each written into one preallocated output.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+#: Samples per block of a per-sample kernel.  A block of complex values is
+#: 128 KiB: it stays in cache, and it is below numpy's 256 KiB threshold for
+#: reusing temporaries in place, so a block never swaps the operands of a
+#: complex product (``a*b`` and ``b*a`` can differ in the last bit).
+BLOCK = 2**13
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -76,11 +86,38 @@ class TimeGrid:
         n = self.n_samples
         return (np.arange(n) - n // 2) * self.domega
 
+    def _blocks(
+        self, start: int = 0, stop: int | None = None
+    ) -> Iterator[tuple[slice, np.ndarray]]:
+        """(slice, sample indices k) of consecutive runs of at most
+        :data:`BLOCK` samples covering [start, stop), by default the grid.
+
+        ``t0 + dt*k`` and ``(k - n_samples//2)*domega`` are bitwise equal to
+        the matching slices of :attr:`times` and :attr:`omegas`.
+        """
+        stop = self.n_samples if stop is None else stop
+        for lo in range(start, stop, BLOCK):
+            hi = min(lo + BLOCK, stop)
+            yield slice(lo, hi), np.arange(lo, hi)
+
+    def _phase_ramp(self, tau: float) -> np.ndarray:
+        """New array exp(-i*omegas*tau), evaluated in blocks for omegas <= 0.
+
+        omegas[n/2 + j] == -omegas[n/2 - j] exactly, so the rest of the axis
+        is the conjugate of its mirror image.
+        """
+        half = self.n_samples // 2
+        ramp = np.empty(self.n_samples, dtype=np.complex128)
+        for span, k in self._blocks(0, half + 1):
+            np.exp(-1j * ((k - half) * self.domega) * tau, out=ramp[span])
+        np.conjugate(ramp[half - 1 : 0 : -1], out=ramp[half + 1 :])
+        return ramp
+
     @cached_property
     def _ramp(self) -> np.ndarray:
         """Read-only forward transform ramp exp(-i*omegas*t0), computed once per
         grid object; :mod:`timelens.envelope` applies it and its conjugate."""
-        ramp = np.exp(-1j * self.omegas * self.t0)
+        ramp = self._phase_ramp(self.t0)
         ramp.setflags(write=False)
         return ramp
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import SampledEnvelope, shifted
+from .envelope import SampledEnvelope, _adopt, shifted
 from .errors import DegenerateInputError, PeakDetectionError
 
 #: Local maxima below this fraction of the global intensity peak are ignored
@@ -26,7 +26,7 @@ def analyzer_port(
     """Output port (1/2) * [a(t) + e^{i*phase} * a(t - delay)] of ``env`` and
     its already delayed copy ``delayed`` = a(t - delay); no transform."""
     samples = 0.5 * (env.samples + np.exp(1j * phase) * delayed.samples)
-    return env.with_samples(samples)
+    return _adopt(SampledEnvelope, env.grid, samples, env.carrier_wavelength_nm)
 
 
 def recombine(env: SampledEnvelope, delay: float, phase: float) -> SampledEnvelope:
@@ -105,7 +105,7 @@ def _window_energy(
 ) -> float:
     t = env.times
     mask = (t >= window[0]) & (t <= window[1])
-    intensity = env.intensity[mask]
+    intensity = np.abs(env.samples[mask]) ** 2
     if metric == "energy":
         return float(intensity.sum() * env.grid.dt)
     if metric == "peak":

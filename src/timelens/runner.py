@@ -322,7 +322,7 @@ def _central_energy(run: _Run, phase: float) -> float:
     t = port.times
     lo, hi = run.interference.window
     mask = (t >= lo) & (t <= hi)
-    return float(port.intensity[mask].sum() * run.env_in.grid.dt)
+    return float((np.abs(port.samples[mask]) ** 2).sum() * run.env_in.grid.dt)
 
 
 def _render_csvs(envs: list[SampledEnvelope]) -> list[str]:

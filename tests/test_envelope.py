@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +12,18 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from timelens import (
+    ConversionDirection,
     DegenerateInputError,
     DispersiveElement,
     InsufficientSupportError,
     SampledEnvelope,
+    SpectralEnvelope,
     TimeGrid,
+    TimeLens,
     UndersampledError,
     WindowOverflowError,
     apply_dispersion,
+    apply_time_lens,
     boundary_leakage,
     energy,
     fwhm,
@@ -140,6 +145,32 @@ def _reference_shift(samples: np.ndarray, grid: TimeGrid, delay: float) -> np.nd
     return _reference_to_time(spec * np.exp(-1j * grid.omegas * delay), grid)
 
 
+def _reference_magnified_copy(env: SampledEnvelope, magnification: float) -> np.ndarray:
+    n = env.grid.n_samples
+    x = (env.times / magnification - env.grid.t0) / env.grid.dt
+    inside = (x >= 0.0) & (x <= n - 1)
+    u, k = np.modf(x[inside])
+    prefilter = np.sqrt(3.0) * (np.sqrt(3.0) - 2.0) ** np.abs(np.arange(-32, 33))
+    c = np.convolve(env.samples, prefilter)
+    j = k.astype(np.intp) + 32
+    values = np.zeros(n, dtype=np.complex128)
+    values[inside] = (
+        (1.0 - u) ** 3 * c[j - 1] + (4.0 - 6.0 * u**2 + 3.0 * u**3) * c[j]
+        + (1.0 + 3.0 * (u + u**2 - u**3)) * c[j + 1] + u**3 * c[j + 2]
+    ) / 6.0
+    return values / np.sqrt(abs(magnification))
+
+
+def _reference_time_bin_pulse(
+    grid: TimeGrid, bin_fwhm: float, separation: float, relative_phase: float
+) -> np.ndarray:
+    t = grid.times
+    half = 0.5 * separation
+    early = np.exp(-2.0 * LN2 * ((t + half) / bin_fwhm) ** 2)
+    late = np.exp(-2.0 * LN2 * ((t - half) / bin_fwhm) ** 2)
+    return 0.5 * early + 0.5 * np.exp(1j * relative_phase) * late
+
+
 # 2**12 and 2**15 samples lie on either side of numpy's 256 KiB threshold for
 # reusing temporaries in place, which can swap the operands of a complex
 # product and so change its rounding.
@@ -183,6 +214,89 @@ class TestTransformBitIdentity:
         env = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0, relative_phase=0.4)
         out = shifted(env, 37.3)
         assert _bits_equal(out.samples, _reference_shift(env.samples, grid, 37.3))
+
+    @pytest.mark.parametrize("magnification", [-20.0, 13.7, 1.0, -0.5])
+    def test_magnified_copy(self, n_samples, magnification):
+        env = self._random(TimeGrid.centered(window=400.0, n_samples=n_samples))
+        out = magnified_copy(env, magnification)
+        assert _bits_equal(out.samples, _reference_magnified_copy(env, magnification))
+
+    def test_time_bin_pulse(self, n_samples):
+        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        out = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0, relative_phase=0.4)
+        assert _bits_equal(out.samples, _reference_time_bin_pulse(grid, 5.0, 15.0, 0.4))
+
+    @pytest.mark.parametrize("t0", [None, -123.4])
+    def test_ramp(self, n_samples, t0):
+        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        if t0 is not None:
+            grid = TimeGrid(n_samples=n_samples, dt=grid.dt, t0=t0)
+        assert _bits_equal(grid._ramp, np.exp(-1j * grid.omegas * grid.t0))
+
+
+class TestOwnership:
+    """Public constructors copy; envelopes the library builds are read-only."""
+
+    def test_constructor_copies_its_input(self, small_grid):
+        samples = np.ones(small_grid.n_samples, dtype=np.complex128)
+        env = SampledEnvelope(small_grid, samples)
+        samples[0] = 5.0
+        assert env.samples[0] == 1.0
+        spec = SpectralEnvelope(small_grid, samples)
+        samples[0] = 7.0
+        assert spec.samples[0] == 5.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_constructor_rejects_non_finite_samples(self, small_grid, bad):
+        samples = np.zeros(small_grid.n_samples, dtype=np.complex128)
+        samples[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SampledEnvelope(small_grid, samples)
+
+    def test_built_envelopes_are_read_only(self, small_grid):
+        pulse = time_bin_pulse(
+            small_grid, bin_fwhm=5.0, separation=15.0, carrier_wavelength_nm=710.0
+        )
+        lens = TimeLens(ConversionDirection.DOWN, focal_gdd=7.0, pump_seed_fwhm=2.5)
+        built = [
+            pulse,
+            to_time(to_frequency(pulse)),
+            apply_time_lens(pulse, lens),
+            magnified_copy(pulse, -3.0),
+        ]
+        for env in built:
+            assert not env.samples.flags.writeable
+            with pytest.raises(ValueError):
+                env.samples[0] = 1.0
+
+    def test_to_time_rejects_a_non_finite_spectrum(self, small_grid):
+        samples = np.zeros(small_grid.n_samples, dtype=np.complex128)
+        samples[10] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            to_time(SpectralEnvelope(small_grid, samples))
+
+
+class TestPeakMemory:
+    """Blocked kernels allocate little beyond their output (tracemalloc counts
+    numpy's buffers); full-size intermediates would take several times it."""
+
+    @pytest.mark.parametrize("operation", ["magnified_copy", "pumped_lens"])
+    def test_peak_is_at_most_twice_the_output(self, operation):
+        grid = TimeGrid.centered(window=400.0, n_samples=2**16)
+        pulse = time_bin_pulse(
+            grid, bin_fwhm=5.0, separation=15.0, carrier_wavelength_nm=710.0
+        )
+        lens = TimeLens(ConversionDirection.DOWN, focal_gdd=7.0, pump_seed_fwhm=2.5)
+        tracemalloc.start()
+        try:
+            if operation == "magnified_copy":
+                out = magnified_copy(pulse, -17.0)
+            else:
+                out = apply_time_lens(pulse, lens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.samples.nbytes
 
 
 class TestTransforms:
