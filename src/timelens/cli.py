@@ -19,6 +19,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -92,6 +93,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ValueError(f"expected START:STOP:COUNT, got {text!r}")
     start, stop = float(parts[0]), float(parts[1])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"START and STOP must be finite, got {text!r}")
     count = int(parts[2])
     if count < 1:
         raise ValueError(f"COUNT must be >= 1, got {count}")

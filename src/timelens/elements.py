@@ -40,6 +40,10 @@ from .envelope import (
 from .errors import CarrierMismatchError, DesignError, WindowOverflowError
 from .grid import TimeGrid
 
+#: Default carriers, nm: a 710 nm signal converted by a 1550 nm pump.
+DEFAULT_INPUT_CARRIER_NM = 710.0
+DEFAULT_PUMP_CARRIER_NM = 1550.0
+
 #: Relative tolerance for carrier-wavelength comparisons (metadata labels).
 CARRIER_TOLERANCE = 1e-3
 
@@ -122,8 +126,8 @@ class TimeLens:
     direction: ConversionDirection
     focal_gdd: float
     pump_seed_fwhm: float | None = None
-    input_carrier_nm: float = 710.0
-    pump_carrier_nm: float = 1550.0
+    input_carrier_nm: float = DEFAULT_INPUT_CARRIER_NM
+    pump_carrier_nm: float = DEFAULT_PUMP_CARRIER_NM
     label: str = "lens"
 
     def __post_init__(self) -> None:

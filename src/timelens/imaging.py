@@ -32,6 +32,8 @@ from typing import Union
 import numpy as np
 
 from .elements import (
+    DEFAULT_INPUT_CARRIER_NM,
+    DEFAULT_PUMP_CARRIER_NM,
     ConversionDirection,
     DispersiveElement,
     TimeLens,
@@ -241,8 +243,8 @@ def assemble_system(
     magnification: float,
     sizing: float,
     pump_seed_fwhm: float | None = None,
-    input_carrier_nm: float = 710.0,
-    pump_carrier_nm: float = 1550.0,
+    input_carrier_nm: float = DEFAULT_INPUT_CARRIER_NM,
+    pump_carrier_nm: float = DEFAULT_PUMP_CARRIER_NM,
     tod_ratio: float = 0.0,
     transmission: float = 1.0,
 ) -> SystemTopology:

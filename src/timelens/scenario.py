@@ -1,10 +1,15 @@
 """Declarative scenario files: parsing, validation, typed access.
 
 Format: INI-like sections of ``key = value`` lines with ``#`` comments.
-Numeric values may carry a unit suffix which, when present, must match the
-key's unit (``bin_fwhm = 5 ps``, ``largest_gdd = 1000 ps2``,
+Section names, keys and enum values are case-insensitive.  Numeric values
+must be finite and may carry a unit suffix which, when present, must match
+the key's unit (``bin_fwhm = 5 ps``, ``largest_gdd = 1000 ps2``,
 ``bandwidth = 1 rad/ps``).  Unknown sections or keys are rejected, and all
 problems are reported together with their line numbers.
+
+``_SCHEMA`` holds every key's type, unit, choices and range check; the spec
+dataclasses hold every default.  Only rules that involve more than one key
+have code of their own.
 
 A scenario describes a simulation ([input] + [system] with optional [grid],
 [analysis], [output]) and/or a design request ([design]); the subcommand
@@ -13,12 +18,15 @@ picks which part it needs.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable
 
-from .design import DesignConfiguration
+from .design import DEFAULT_FAR_FIELD_MULTIPLIER, DesignConfiguration
+from .elements import DEFAULT_INPUT_CARRIER_NM, DEFAULT_PUMP_CARRIER_NM
 from .errors import ScenarioSemanticError, ScenarioSyntaxError
-from .imaging import TopologyKind
+from .imaging import DEFAULT_MARGIN, DEFAULT_N_SAMPLES, TopologyKind
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_-]+)\]$")
 _KEY_RE = re.compile(r"^[A-Za-z0-9_]+$")
@@ -32,61 +40,89 @@ _UNIT_ALIASES: dict[str, set[str]] = {
     "nm": {"nm"},
 }
 
+#: A range check: a predicate on the number and why a value fails it.
+_Check = tuple[Callable[[float], bool], str]
+
+_POSITIVE: _Check = (lambda v: v > 0.0, "must be positive")
+_NONNEGATIVE: _Check = (lambda v: v >= 0.0, "must be nonnegative")
+_NONZERO: _Check = (lambda v: v != 0.0, "must be nonzero")
+
 
 @dataclass(frozen=True)
 class _KeySpec:
     kind: str  # "float" | "int" | "bool" | "enum" | "string"
     unit: str | None = None
     choices: tuple[str, ...] = ()
+    check: _Check | None = None
+    convert: Callable[[str], object] = str  # an enum choice to its value
+    field: str | None = None  # the spec field, when not named like the key
 
 
 _SCHEMA: dict[str, dict[str, _KeySpec]] = {
     "input": {
         "kind": _KeySpec("enum", choices=("gaussian", "time-bin")),
-        "fwhm": _KeySpec("float", unit="ps"),
+        "fwhm": _KeySpec("float", unit="ps", check=_POSITIVE),
         "center": _KeySpec("float", unit="ps"),
-        "bin_fwhm": _KeySpec("float", unit="ps"),
-        "bin_separation": _KeySpec("float", unit="ps"),
+        "bin_fwhm": _KeySpec("float", unit="ps", check=_POSITIVE),
+        "bin_separation": _KeySpec("float", unit="ps", check=_NONNEGATIVE),
         "relative_phase": _KeySpec("float", unit="rad"),
     },
     "system": {
         "topology": _KeySpec(
-            "enum", choices=("single-lens", "field-lens", "telescope")
+            "enum",
+            choices=("single-lens", "field-lens", "telescope"),
+            convert=TopologyKind,
         ),
         "magnification": _KeySpec("float"),
-        "focal_gdd": _KeySpec("float", unit="ps2"),
-        "input_gdd": _KeySpec("float", unit="ps2"),
-        "largest_gdd": _KeySpec("float", unit="ps2"),
+        "focal_gdd": _KeySpec("float", unit="ps2", check=_NONZERO),
+        "input_gdd": _KeySpec("float", unit="ps2", check=_NONZERO),
+        "largest_gdd": _KeySpec("float", unit="ps2", check=_NONZERO),
         "pump": _KeySpec("enum", choices=("ideal", "pumped")),
-        "pump_seed_fwhm": _KeySpec("float", unit="ps"),
+        "pump_seed_fwhm": _KeySpec("float", unit="ps", check=_POSITIVE),
         "tod_ratio": _KeySpec("float", unit="ps"),
-        "transmission": _KeySpec("float"),
-        "input_carrier": _KeySpec("float", unit="nm"),
-        "pump_carrier": _KeySpec("float", unit="nm"),
+        "transmission": _KeySpec(
+            "float", check=(lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+        ),
+        "input_carrier": _KeySpec(
+            "float", unit="nm", check=_POSITIVE, field="input_carrier_nm"
+        ),
+        "pump_carrier": _KeySpec(
+            "float", unit="nm", check=_POSITIVE, field="pump_carrier_nm"
+        ),
     },
     "grid": {
-        "n_samples": _KeySpec("int"),
-        "margin": _KeySpec("float"),
-        "window": _KeySpec("float", unit="ps"),
+        "n_samples": _KeySpec(
+            "int",
+            check=(
+                lambda n: n >= 16 and not n & (n - 1),
+                "must be a power of two >= 16",
+            ),
+        ),
+        "margin": _KeySpec("float", check=_POSITIVE),
+        "window": _KeySpec("float", unit="ps", check=_POSITIVE),
     },
     "analysis": {
         "visibility": _KeySpec("bool"),
-        "analyzer_delay": _KeySpec("float", unit="ps"),
+        "analyzer_delay": _KeySpec("float", unit="ps", check=_POSITIVE),
         "analyzer_phase": _KeySpec("float", unit="rad"),
         "metric": _KeySpec("enum", choices=("energy", "peak")),
-        "phase_fit_window": _KeySpec("float"),
+        "phase_fit_window": _KeySpec("float", check=_POSITIVE),
     },
     "output": {
         "dir": _KeySpec("string"),
     },
     "design": {
         "configuration": _KeySpec(
-            "enum", choices=("far-field", "telescope", "field-lens")
+            "enum",
+            choices=("far-field", "telescope", "field-lens"),
+            convert=DesignConfiguration,
         ),
-        "input_fwhm": _KeySpec("float", unit="ps"),
-        "bandwidth": _KeySpec("float", unit="rad/ps"),
-        "magnification": _KeySpec("float"),
-        "far_field_multiplier": _KeySpec("float"),
+        "input_fwhm": _KeySpec("float", unit="ps", check=_POSITIVE),
+        "bandwidth": _KeySpec("float", unit="rad/ps", check=_POSITIVE),
+        "magnification": _KeySpec("float", check=_POSITIVE),
+        "far_field_multiplier": _KeySpec(
+            "float", check=(lambda v: v >= 1.0, "must be >= 1")
+        ),
     },
 }
 
@@ -94,11 +130,11 @@ _SCHEMA: dict[str, dict[str, _KeySpec]] = {
 @dataclass(frozen=True)
 class InputSpec:
     kind: str
-    fwhm: float | None
-    center: float
-    bin_fwhm: float | None
-    bin_separation: float | None
-    relative_phase: float
+    fwhm: float | None = None
+    center: float = 0.0
+    bin_fwhm: float | None = None
+    bin_separation: float | None = None
+    relative_phase: float = 0.0
 
     @property
     def extent(self) -> float:
@@ -116,20 +152,20 @@ class InputSpec:
 class SystemSpec:
     topology: TopologyKind
     magnification: float
-    focal_gdd: float | None
-    input_gdd: float | None
-    largest_gdd: float | None
-    pump_seed_fwhm: float | None  # None means ideal lenses
-    tod_ratio: float
-    transmission: float
-    input_carrier_nm: float
-    pump_carrier_nm: float
+    focal_gdd: float | None = None
+    input_gdd: float | None = None
+    largest_gdd: float | None = None
+    pump_seed_fwhm: float | None = None  # None means ideal lenses
+    tod_ratio: float = 0.0
+    transmission: float = 1.0
+    input_carrier_nm: float = DEFAULT_INPUT_CARRIER_NM
+    pump_carrier_nm: float = DEFAULT_PUMP_CARRIER_NM
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    n_samples: int = 2**15
-    margin: float = 4.0
+    n_samples: int = DEFAULT_N_SAMPLES
+    margin: float = DEFAULT_MARGIN
     window: float | None = None
 
 
@@ -148,7 +184,7 @@ class DesignSpec:
     input_fwhm: float
     bandwidth: float
     magnification: float
-    far_field_multiplier: float = 10.0
+    far_field_multiplier: float = DEFAULT_FAR_FIELD_MULTIPLIER
 
 
 @dataclass(frozen=True)
@@ -165,32 +201,33 @@ class Scenario:
         return self.input is not None and self.system is not None
 
 
+#: The spec each section builds; its fields without a default are required.
+_SPECS = {
+    "input": InputSpec,
+    "system": SystemSpec,
+    "grid": GridSpec,
+    "analysis": AnalysisSpec,
+    "design": DesignSpec,
+}
+_REQUIRED = {
+    name: tuple(f.name for f in fields(cls) if f.default is MISSING)
+    for name, cls in _SPECS.items()
+}
+
+#: A section's raw entries: key -> (line number, value text).
+_Entries = dict[str, tuple[int, str]]
+
+
 def key_spec(path: str) -> _KeySpec | None:
     """Schema entry for a ``section.key`` path, or None if unknown."""
     section, _, key = path.partition(".")
     return _SCHEMA.get(section.strip().lower(), {}).get(key.strip().lower())
 
 
-@dataclass
-class _Raw:
-    line: int
-    text: str
-
-
-class _Diagnostics:
-    def __init__(self) -> None:
-        self.syntax: list[tuple[int, str]] = []
-        self.semantic: list[tuple[int, str]] = []
-
-    def raise_if_any(self) -> None:
-        if self.syntax:
-            raise ScenarioSyntaxError(sorted(self.syntax))
-        if self.semantic:
-            raise ScenarioSemanticError(sorted(self.semantic))
-
-
-def _parse_raw(text: str, diag: _Diagnostics) -> dict[str, dict[str, _Raw]]:
-    sections: dict[str, dict[str, _Raw]] = {}
+def _parse_raw(
+    text: str, syntax: list[tuple[int, str]], problems: list[tuple[int, str]]
+) -> dict[str, _Entries]:
+    sections: dict[str, _Entries] = {}
     current: str | None = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -202,7 +239,7 @@ def _parse_raw(text: str, diag: _Diagnostics) -> dict[str, dict[str, _Raw]]:
             sections.setdefault(current, {})
             continue
         if "=" not in line:
-            diag.syntax.append(
+            syntax.append(
                 (lineno, f"expected 'key = value' or '[section]', got {line!r}")
             )
             continue
@@ -210,356 +247,137 @@ def _parse_raw(text: str, diag: _Diagnostics) -> dict[str, dict[str, _Raw]]:
         key = key.strip().lower()
         value = value.strip()
         if not _KEY_RE.match(key):
-            diag.syntax.append((lineno, f"malformed key {key!r}"))
-            continue
-        if current is None:
-            diag.syntax.append(
-                (lineno, f"key {key!r} appears before any [section] header")
-            )
-            continue
-        if not value:
-            diag.syntax.append((lineno, f"key {key!r} has no value"))
-            continue
-        if key in sections[current]:
-            diag.semantic.append(
-                (lineno, f"duplicate key {key!r} in section [{current}]")
-            )
-            continue
-        sections[current][key] = _Raw(lineno, value)
+            syntax.append((lineno, f"malformed key {key!r}"))
+        elif current is None:
+            syntax.append((lineno, f"key {key!r} appears before any [section] header"))
+        elif not value:
+            syntax.append((lineno, f"key {key!r} has no value"))
+        elif key in sections[current]:
+            problems.append((lineno, f"duplicate key {key!r} in section [{current}]"))
+        else:
+            sections[current][key] = (lineno, value)
     return sections
 
 
-class _Section:
-    """Typed, diagnostic-collecting access to one raw section."""
-
-    def __init__(
-        self, name: str, raw: dict[str, _Raw], diag: _Diagnostics
-    ) -> None:
-        self.name = name
-        self.raw = raw
-        self.diag = diag
-        self.schema = _SCHEMA[name]
-        for key, item in raw.items():
-            if key not in self.schema:
-                diag.semantic.append(
-                    (item.line, f"unknown key {key!r} in section [{name}]")
-                )
-
-    def line(self, key: str) -> int:
-        item = self.raw.get(key)
-        return item.line if item is not None else 0
-
-    def has(self, key: str) -> bool:
-        return key in self.raw and key in self.schema
-
-    def get(self, key: str, default=None):
-        if key not in self.raw:
-            return default
-        item = self.raw[key]
-        spec = self.schema[key]
-        value = item.text
-        if spec.kind == "string":
-            return value
-        if spec.kind == "bool":
-            low = value.lower()
-            if low in ("true", "false"):
-                return low == "true"
-            self.diag.semantic.append(
-                (item.line, f"{key}: expected true or false, got {value!r}")
+def _coerce(key: str, spec: _KeySpec, text: str) -> object:
+    """``text`` as a value of ``spec``; raises ValueError with the diagnostic."""
+    if spec.kind == "string":
+        return text
+    if spec.kind == "bool":
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"{key}: expected true or false, got {text!r}")
+        return text.lower() == "true"
+    if spec.kind == "enum":
+        if text.lower() not in spec.choices:
+            raise ValueError(
+                f"{key}: expected one of {', '.join(spec.choices)}, got {text!r}"
             )
-            return default
-        if spec.kind == "enum":
-            low = value.lower()
-            if low in spec.choices:
-                return low
-            self.diag.semantic.append(
-                (
-                    item.line,
-                    f"{key}: expected one of {', '.join(spec.choices)}, got {value!r}",
-                )
-            )
-            return default
-        # numeric kinds, optionally followed by a unit
-        tokens = value.split()
-        number, unit = tokens[0], " ".join(tokens[1:])
-        if unit:
-            allowed = _UNIT_ALIASES.get(spec.unit or "", set())
-            if spec.unit is None:
-                self.diag.semantic.append(
-                    (item.line, f"{key} is dimensionless but has unit {unit!r}")
-                )
-                return default
-            if unit not in allowed:
-                self.diag.semantic.append(
-                    (
-                        item.line,
-                        f"{key}: unit mismatch, expected {spec.unit!r}, got {unit!r}",
-                    )
-                )
-                return default
-        try:
-            numeric = float(number)
-        except ValueError:
-            self.diag.semantic.append(
-                (item.line, f"{key}: expected a number, got {number!r}")
-            )
-            return default
-        if spec.kind == "int":
-            if numeric != int(numeric):
-                self.diag.semantic.append(
-                    (item.line, f"{key}: expected an integer, got {number!r}")
-                )
-                return default
-            return int(numeric)
-        return numeric
-
-    def require(self, key: str):
-        if key not in self.raw:
-            self.diag.semantic.append(
-                (0, f"section [{self.name}] is missing required key {key!r}")
-            )
-            return None
-        return self.get(key)
-
-    def forbid(self, key: str, why: str) -> None:
-        if key in self.raw:
-            self.diag.semantic.append((self.raw[key].line, f"{key}: {why}"))
+        return spec.convert(text.lower())
+    number, *rest = text.split()
+    unit = " ".join(rest)
+    if unit and spec.unit is None:
+        raise ValueError(f"{key} is dimensionless but has unit {unit!r}")
+    if unit and unit not in _UNIT_ALIASES[spec.unit]:
+        raise ValueError(f"{key}: unit mismatch, expected {spec.unit!r}, got {unit!r}")
+    try:
+        value = float(number)
+    except ValueError:
+        raise ValueError(f"{key}: expected a number, got {number!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{key}: expected a finite number, got {number!r}")
+    if spec.kind == "int":
+        if value != int(value):
+            raise ValueError(f"{key}: expected an integer, got {number!r}")
+        value = int(value)
+    if spec.check is not None and not spec.check[0](value):
+        raise ValueError(f"{key} {spec.check[1]}")
+    return value
 
 
-def _validate_input(section: _Section, diag: _Diagnostics) -> InputSpec | None:
-    kind = section.require("kind")
-    if kind is None:
-        return None
-    if kind == "gaussian":
-        fwhm = section.require("fwhm")
-        for key in ("bin_fwhm", "bin_separation", "relative_phase"):
-            section.forbid(key, "only valid for kind = time-bin")
-        if fwhm is not None and fwhm <= 0.0:
-            diag.semantic.append((section.line("fwhm"), "fwhm must be positive"))
-            fwhm = None
-        return (
-            InputSpec(
-                kind=kind,
-                fwhm=fwhm,
-                center=section.get("center", 0.0),
-                bin_fwhm=None,
-                bin_separation=None,
-                relative_phase=0.0,
-            )
-            if fwhm is not None
-            else None
-        )
-    bin_fwhm = section.require("bin_fwhm")
-    bin_separation = section.require("bin_separation")
-    section.forbid("fwhm", "only valid for kind = gaussian")
-    section.forbid("center", "only valid for kind = gaussian")
-    if bin_fwhm is not None and bin_fwhm <= 0.0:
-        diag.semantic.append((section.line("bin_fwhm"), "bin_fwhm must be positive"))
-        bin_fwhm = None
-    if bin_separation is not None and bin_separation < 0.0:
-        diag.semantic.append(
-            (section.line("bin_separation"), "bin_separation must be nonnegative")
-        )
-        bin_separation = None
-    if bin_fwhm is None or bin_separation is None:
-        return None
-    return InputSpec(
-        kind=kind,
-        fwhm=None,
-        center=0.0,
-        bin_fwhm=bin_fwhm,
-        bin_separation=bin_separation,
-        relative_phase=section.get("relative_phase", 0.0),
-    )
-
-
-def _validate_system(section: _Section, diag: _Diagnostics) -> SystemSpec | None:
-    topology_name = section.require("topology")
-    magnification = section.require("magnification")
-    if topology_name is None or magnification is None:
-        return None
-    topology = TopologyKind(topology_name)
-    if magnification == 0.0:
-        diag.semantic.append(
-            (
-                section.line("magnification"),
-                "magnification 0 is degenerate: no imaging system exists",
-            )
-        )
-        return None
-    if topology is not TopologyKind.TELESCOPE and magnification == 1.0:
-        diag.semantic.append(
-            (
-                section.line("magnification"),
-                "magnification 1 is degenerate for a single-lens/field-lens "
-                "system (it forces D1 = 0)",
-            )
-        )
-        return None
-
-    sizing_keys = [
-        k for k in ("focal_gdd", "input_gdd", "largest_gdd") if section.has(k)
+def _missing(
+    section: str, keys: tuple[str, ...], raw: _Entries
+) -> list[tuple[int, str]]:
+    return [
+        (0, f"section [{section}] is missing required key {key!r}")
+        for key in keys
+        if key not in raw
     ]
-    if topology is TopologyKind.TELESCOPE:
-        section.forbid("focal_gdd", "telescope systems are sized by input_gdd")
-        valid = ("input_gdd", "largest_gdd")
-    else:
-        section.forbid("input_gdd", f"{topology.value} systems are sized by focal_gdd")
-        valid = ("focal_gdd", "largest_gdd")
-    chosen = [k for k in sizing_keys if k in valid]
-    if len(chosen) != 1:
-        diag.semantic.append(
-            (
-                0,
-                f"section [system] needs exactly one of {' / '.join(valid)} "
-                f"(found {len(chosen)})",
-            )
-        )
-        return None
-    sizing_value = section.get(chosen[0])
-    if sizing_value is None or sizing_value == 0.0:
-        diag.semantic.append((section.line(chosen[0]), f"{chosen[0]} must be nonzero"))
-        return None
 
-    pump_mode = section.get("pump")
-    pump_seed = section.get("pump_seed_fwhm")
-    if pump_mode == "ideal" and pump_seed is not None:
-        diag.semantic.append(
-            (
-                section.line("pump_seed_fwhm"),
-                "pump_seed_fwhm conflicts with pump = ideal",
-            )
-        )
-        return None
-    if pump_mode == "pumped" and pump_seed is None:
-        diag.semantic.append(
-            (section.line("pump"), "pump = pumped requires pump_seed_fwhm")
-        )
-        return None
-    if pump_seed is not None and pump_seed <= 0.0:
-        diag.semantic.append(
-            (section.line("pump_seed_fwhm"), "pump_seed_fwhm must be positive")
-        )
-        return None
 
-    transmission = section.get("transmission", 1.0)
-    if not (0.0 < transmission <= 1.0):
-        diag.semantic.append(
-            (section.line("transmission"), "transmission must be in (0, 1]")
+def _check_input(raw: _Entries, values: dict) -> list[tuple[int, str]]:
+    """Each input kind requires some of its keys and rejects the other's."""
+    kind = values.get("kind")
+    if kind is None:
+        return []
+    required = {"gaussian": ("fwhm",), "time-bin": ("bin_fwhm", "bin_separation")}
+    accepted = {
+        "gaussian": ("fwhm", "center"),
+        "time-bin": ("bin_fwhm", "bin_separation", "relative_phase"),
+    }
+    other = "time-bin" if kind == "gaussian" else "gaussian"
+    return _missing("input", required[kind], raw) + [
+        (raw[key][0], f"{key}: only valid for kind = {other}")
+        for key in accepted[other]
+        if key in raw
+    ]
+
+
+def _check_system(raw: _Entries, values: dict) -> list[tuple[int, str]]:
+    """Degenerate magnifications, the sizing key, the pump mode and the
+    carrier order.  Consumes ``pump``, which the spec records as
+    ``pump_seed_fwhm`` alone."""
+    problems: list[tuple[int, str]] = []
+
+    def report(key: str, message: str) -> None:
+        problems.append((raw[key][0] if key in raw else 0, message))
+
+    topology = values.get("topology")
+    magnification = values.get("magnification")
+    if magnification == 0.0:
+        report(
+            "magnification", "magnification 0 is degenerate: no imaging system exists"
         )
-        return None
-    input_carrier = section.get("input_carrier", 710.0)
-    pump_carrier = section.get("pump_carrier", 1550.0)
-    for key, value in (("input_carrier", input_carrier), ("pump_carrier", pump_carrier)):
-        if value <= 0.0:
-            diag.semantic.append((section.line(key), f"{key} must be positive"))
-            return None
-    if 1.0 / input_carrier <= 1.0 / pump_carrier:
-        diag.semantic.append(
-            (
-                section.line("input_carrier"),
+    elif magnification == 1.0 and topology not in (None, TopologyKind.TELESCOPE):
+        report(
+            "magnification",
+            "magnification 1 is degenerate for a single-lens/field-lens system "
+            "(it forces D1 = 0)",
+        )
+
+    if topology is not None:
+        if topology is TopologyKind.TELESCOPE:
+            wrong, sized_by = "focal_gdd", "input_gdd"
+        else:
+            wrong, sized_by = "input_gdd", "focal_gdd"
+        if wrong in raw:
+            report(wrong, f"{wrong}: {topology.value} systems are sized by {sized_by}")
+        found = sum(key in raw for key in (sized_by, "largest_gdd"))
+        if found != 1:
+            problems.append(
+                (
+                    0,
+                    f"section [system] needs exactly one of {sized_by} / "
+                    f"largest_gdd (found {found})",
+                )
+            )
+
+    pump = values.pop("pump", None)
+    if pump == "ideal" and "pump_seed_fwhm" in raw:
+        report("pump_seed_fwhm", "pump_seed_fwhm conflicts with pump = ideal")
+    if pump == "pumped" and "pump_seed_fwhm" not in raw:
+        report("pump", "pump = pumped requires pump_seed_fwhm")
+
+    # Only valid carriers are compared; an invalid one is reported already.
+    if all(key in values for key in ("input_carrier", "pump_carrier") if key in raw):
+        input_nm = values.get("input_carrier", DEFAULT_INPUT_CARRIER_NM)
+        pump_nm = values.get("pump_carrier", DEFAULT_PUMP_CARRIER_NM)
+        if 1.0 / input_nm <= 1.0 / pump_nm:
+            report(
+                "input_carrier",
                 "down-conversion requires the input carrier frequency to exceed "
-                f"the pump's ({input_carrier} nm vs {pump_carrier} nm)",
+                f"the pump's ({input_nm} nm vs {pump_nm} nm)",
             )
-        )
-        return None
-
-    return SystemSpec(
-        topology=topology,
-        magnification=magnification,
-        focal_gdd=sizing_value if chosen[0] == "focal_gdd" else None,
-        input_gdd=sizing_value if chosen[0] == "input_gdd" else None,
-        largest_gdd=sizing_value if chosen[0] == "largest_gdd" else None,
-        pump_seed_fwhm=pump_seed,
-        tod_ratio=section.get("tod_ratio", 0.0),
-        transmission=transmission,
-        input_carrier_nm=input_carrier,
-        pump_carrier_nm=pump_carrier,
-    )
-
-
-def _validate_grid(section: _Section, diag: _Diagnostics) -> GridSpec:
-    n_samples = section.get("n_samples", 2**15)
-    if n_samples is not None and (n_samples < 16 or n_samples & (n_samples - 1)):
-        diag.semantic.append(
-            (section.line("n_samples"), "n_samples must be a power of two >= 16")
-        )
-        n_samples = 2**15
-    margin = section.get("margin", 4.0)
-    if margin <= 0.0:
-        diag.semantic.append((section.line("margin"), "margin must be positive"))
-        margin = 4.0
-    window = section.get("window")
-    if window is not None and window <= 0.0:
-        diag.semantic.append((section.line("window"), "window must be positive"))
-        window = None
-    return GridSpec(n_samples=n_samples, margin=margin, window=window)
-
-
-def _validate_analysis(
-    section: _Section, diag: _Diagnostics, input_spec: InputSpec | None
-) -> AnalysisSpec:
-    visibility = section.get("visibility")
-    if (
-        visibility
-        and input_spec is not None
-        and input_spec.kind != "time-bin"
-    ):
-        diag.semantic.append(
-            (
-                section.line("visibility"),
-                "visibility analysis requires a time-bin input",
-            )
-        )
-        visibility = False
-    analyzer_delay = section.get("analyzer_delay")
-    if analyzer_delay is not None and analyzer_delay <= 0.0:
-        diag.semantic.append(
-            (section.line("analyzer_delay"), "analyzer_delay must be positive")
-        )
-        analyzer_delay = None
-    phase_fit_window = section.get("phase_fit_window", 1.0)
-    if phase_fit_window <= 0.0:
-        diag.semantic.append(
-            (section.line("phase_fit_window"), "phase_fit_window must be positive")
-        )
-        phase_fit_window = 1.0
-    return AnalysisSpec(
-        visibility=visibility,
-        analyzer_delay=analyzer_delay,
-        analyzer_phase=section.get("analyzer_phase"),
-        metric=section.get("metric", "energy"),
-        phase_fit_window=phase_fit_window,
-    )
-
-
-def _validate_design(section: _Section, diag: _Diagnostics) -> DesignSpec | None:
-    configuration = section.require("configuration")
-    input_fwhm = section.require("input_fwhm")
-    bandwidth = section.require("bandwidth")
-    magnification = section.require("magnification")
-    multiplier = section.get("far_field_multiplier", 10.0)
-    ok = True
-    for key, value, cond, why in (
-        ("input_fwhm", input_fwhm, lambda v: v > 0, "must be positive"),
-        ("bandwidth", bandwidth, lambda v: v > 0, "must be positive"),
-        ("magnification", magnification, lambda v: v > 0, "must be positive"),
-        ("far_field_multiplier", multiplier, lambda v: v >= 1, "must be >= 1"),
-    ):
-        if value is None:
-            ok = False
-        elif not cond(value):
-            diag.semantic.append((section.line(key), f"{key} {why}"))
-            ok = False
-    if not ok or configuration is None:
-        return None
-    return DesignSpec(
-        configuration=DesignConfiguration(configuration),
-        input_fwhm=input_fwhm,
-        bandwidth=bandwidth,
-        magnification=magnification,
-        far_field_multiplier=multiplier,
-    )
+    return problems
 
 
 def parse_scenario(
@@ -578,74 +396,85 @@ def parse_scenario(
         ScenarioSemanticError: unknown keys, unit/type mismatches, missing
             or out-of-range values (all listed with line numbers).
     """
-    diag = _Diagnostics()
-    raw = _parse_raw(text, diag)
-    if diag.syntax:
-        diag.raise_if_any()
+    syntax: list[tuple[int, str]] = []
+    problems: list[tuple[int, str]] = []
+    raw = _parse_raw(text, syntax, problems)
+    if syntax:
+        raise ScenarioSyntaxError(sorted(syntax))
 
     for path, value in (overrides or {}).items():
-        section_name, _, key = path.partition(".")
-        section_name = section_name.strip().lower()
-        key = key.strip().lower()
-        if section_name not in _SCHEMA or not key:
-            diag.semantic.append((0, f"override targets unknown section {path!r}"))
+        spec = key_spec(path)
+        if spec is None or spec.kind not in ("float", "int"):
+            problems.append(
+                (0, f"override target {path!r} is not a numeric scenario key")
+            )
             continue
-        if key not in _SCHEMA[section_name]:
-            diag.semantic.append((0, f"override targets unknown key {path!r}"))
-            continue
-        if _SCHEMA[section_name][key].kind not in ("float", "int"):
-            diag.semantic.append((0, f"override target {path!r} is not numeric"))
-            continue
-        raw.setdefault(section_name, {})[key] = _Raw(0, repr(float(value)))
+        section, _, key = path.partition(".")
+        raw.setdefault(section.strip().lower(), {})[key.strip().lower()] = (
+            0,
+            repr(float(value)),
+        )
 
-    for name in raw:
+    values: dict[str, dict] = {}
+    for name, entries in raw.items():
         if name not in _SCHEMA:
-            # collect one diagnostic per unknown section at its first key line
-            first = min((item.line for item in raw[name].values()), default=0)
-            diag.semantic.append((first, f"unknown section [{name}]"))
-    sections = {
-        name: _Section(name, raw.get(name, {}), diag)
-        for name in _SCHEMA
-        if name in raw
-    }
+            # one diagnostic per unknown section, at its first key line
+            first = min((line for line, _ in entries.values()), default=0)
+            problems.append((first, f"unknown section [{name}]"))
+            continue
+        values[name] = {}
+        for key, (line, value_text) in entries.items():
+            if key not in _SCHEMA[name]:
+                problems.append((line, f"unknown key {key!r} in section [{name}]"))
+                continue
+            try:
+                values[name][key] = _coerce(key, _SCHEMA[name][key], value_text)
+            except ValueError as exc:
+                problems.append((line, str(exc)))
+        problems += _missing(name, _REQUIRED.get(name, ()), entries)
 
-    input_spec = (
-        _validate_input(sections["input"], diag) if "input" in sections else None
-    )
-    system_spec = (
-        _validate_system(sections["system"], diag) if "system" in sections else None
-    )
-    grid_spec = (
-        _validate_grid(sections["grid"], diag) if "grid" in sections else GridSpec()
-    )
-    analysis_spec = (
-        _validate_analysis(sections["analysis"], diag, input_spec)
-        if "analysis" in sections
-        else AnalysisSpec()
-    )
-    design_spec = (
-        _validate_design(sections["design"], diag) if "design" in sections else None
-    )
-    output_dir = sections["output"].get("dir") if "output" in sections else None
+    if "input" in values:
+        problems += _check_input(raw["input"], values["input"])
+    if "system" in values:
+        problems += _check_system(raw["system"], values["system"])
+    kind = values.get("input", {}).get("kind")
+    if values.get("analysis", {}).get("visibility") and kind not in (None, "time-bin"):
+        problems.append(
+            (
+                raw["analysis"]["visibility"][0],
+                "visibility analysis requires a time-bin input",
+            )
+        )
 
     has_simulation = "input" in raw or "system" in raw
     if has_simulation:
         if "input" not in raw:
-            diag.semantic.append((0, "simulation scenarios need an [input] section"))
+            problems.append((0, "simulation scenarios need an [input] section"))
         if "system" not in raw:
-            diag.semantic.append((0, "simulation scenarios need a [system] section"))
+            problems.append((0, "simulation scenarios need a [system] section"))
     if not has_simulation and "design" not in raw:
-        diag.semantic.append(
+        problems.append(
             (0, "scenario defines neither a simulation ([input]/[system]) nor a "
                 "design request ([design])")
         )
-    diag.raise_if_any()
+    if problems:
+        raise ScenarioSemanticError(sorted(problems))
 
+    specs = {
+        name: cls(
+            **{
+                _SCHEMA[name][key].field or key: value
+                for key, value in values[name].items()
+            }
+        )
+        for name, cls in _SPECS.items()
+        if name in values
+    }
     return Scenario(
-        input=input_spec,
-        system=system_spec,
-        grid=grid_spec,
-        analysis=analysis_spec,
-        design=design_spec,
-        output_dir=output_dir,
+        input=specs.get("input"),
+        system=specs.get("system"),
+        grid=specs.get("grid", GridSpec()),
+        analysis=specs.get("analysis", AnalysisSpec()),
+        design=specs.get("design"),
+        output_dir=values.get("output", {}).get("dir"),
     )

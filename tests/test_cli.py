@@ -341,6 +341,24 @@ class TestExitCodes:
         assert main(args + ["--range", "0:1"]) == EXIT_SYNTAX
         assert main(args + ["--range", "0:1:0"]) == EXIT_SYNTAX
         assert main(args + ["--range", "a:b:3"]) == EXIT_SYNTAX
+        assert main(args + ["--range", "nan:1:3"]) == EXIT_SYNTAX
+        assert main(args + ["--range", "0:inf:3"]) == EXIT_SYNTAX
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("fwhm = 5 ps", "fwhm = inf ps"),
+            ("magnification = -20", "magnification = nan"),
+            ("n_samples = 4096", "n_samples = 4096\nwindow = inf ps"),
+        ],
+    )
+    def test_non_finite_value_is_a_semantic_error(self, tmp_path, capsys, old, new):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(FAST_GAUSSIAN.replace(old, new), encoding="utf-8")
+        assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == (
+            EXIT_SEMANTIC
+        )
+        assert "expected a finite number" in capsys.readouterr().err
 
     def test_sweep_of_non_numeric_key(self, fast_scenario, tmp_path):
         code = main(

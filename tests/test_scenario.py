@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import inspect
 from pathlib import Path
 
 import pytest
 
 from timelens import (
+    GridSpec,
     ScenarioSemanticError,
     ScenarioSyntaxError,
+    SystemSpec,
+    TimeLens,
     TopologyKind,
     parse_scenario,
+    plan_grid,
 )
+from timelens.imaging import assemble_system
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -63,6 +69,27 @@ class TestMinimalScenario:
         assert scenario.analysis.metric == "energy"
         assert scenario.design is None
         assert scenario.output_dir is None
+
+    def test_defaults_have_one_home(self):
+        assert parse_scenario(MINIMAL).grid == GridSpec()
+        grid_defaults = inspect.signature(plan_grid).parameters
+        assert GridSpec().n_samples == grid_defaults["n_samples"].default
+        assert GridSpec().margin == grid_defaults["margin"].default
+        system = parse_scenario(MINIMAL).system
+        lens_defaults = inspect.signature(TimeLens).parameters
+        assembly_defaults = inspect.signature(assemble_system).parameters
+        for field in ("input_carrier_nm", "pump_carrier_nm"):
+            assert getattr(system, field) == getattr(SystemSpec, field)
+            assert lens_defaults[field].default == getattr(SystemSpec, field)
+            assert assembly_defaults[field].default == getattr(SystemSpec, field)
+
+    def test_sections_keys_and_enum_values_fold_case(self):
+        shouted = (
+            MINIMAL.replace("[system]", "[SYSTEM]")
+            .replace("kind = gaussian", "KIND = Gaussian")
+            .replace("topology = field-lens", "Topology = Field-Lens")
+        )
+        assert parse_scenario(shouted) == parse_scenario(MINIMAL)
 
     def test_input_extent_and_feature_width(self):
         gaussian = parse_scenario(MINIMAL)
@@ -249,6 +276,44 @@ class TestSemanticDiagnostics:
             parse_scenario(bad)
         assert len(err.value.diagnostics) >= 2
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("fwhm = 5 ps", "fwhm = inf ps", 3),
+            ("fwhm = 5 ps", "fwhm = -inf", 3),
+            ("magnification = -20", "magnification = nan", 7),
+            ("focal_gdd = 5 ps2", "focal_gdd = 5 ps2\n[grid]\nwindow = inf ps", 10),
+            ("focal_gdd = 5 ps2", "focal_gdd = 5 ps2\n[grid]\nn_samples = inf", 10),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, old, new, line):
+        with pytest.raises(ScenarioSemanticError) as err:
+            parse_scenario(MINIMAL.replace(old, new))
+        assert len(err.value.diagnostics) == 1
+        number = new.split("= ")[-1].split()[0]
+        assert err.value.diagnostics[0][0] == line
+        assert f"expected a finite number, got {number!r}" in str(err.value)
+
+    def test_every_problem_reported_together(self):
+        bad = MINIMAL.replace("fwhm = 5 ps", "fwhm = -5 ps").replace(
+            "focal_gdd = 5 ps2",
+            "focal_gdd = 5 ps2\npump_seed_fwhm = -1 ps\ntransmission = 2\n"
+            "input_carrier = 1600 nm\n[grid]\nmargin = 0",
+        )
+        with pytest.raises(ScenarioSemanticError) as err:
+            parse_scenario(bad)
+        assert err.value.diagnostics == [
+            (3, "fwhm must be positive"),
+            (9, "pump_seed_fwhm must be positive"),
+            (10, "transmission must be in (0, 1]"),
+            (
+                11,
+                "down-conversion requires the input carrier frequency to exceed "
+                "the pump's (1600.0 nm vs 1550.0 nm)",
+            ),
+            (13, "margin must be positive"),
+        ]
+
 
 class TestDesignScenario:
     def test_design_only_scenario(self):
@@ -287,6 +352,14 @@ class TestOverrides:
     def test_non_numeric_target_rejected(self):
         with pytest.raises(ScenarioSemanticError):
             parse_scenario(MINIMAL, overrides={"input.kind": 1.0})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_override_rejected(self, value):
+        with pytest.raises(ScenarioSemanticError) as err:
+            parse_scenario(MINIMAL, overrides={"system.focal_gdd": value})
+        assert err.value.diagnostics == [
+            (0, f"focal_gdd: expected a finite number, got {repr(value)!r}")
+        ]
 
     def test_override_can_add_missing_key(self):
         scenario = parse_scenario(MINIMAL, overrides={"grid.n_samples": 4096})
