@@ -101,10 +101,12 @@ from .runner import (
     build_input,
     build_topology,
     read_waveform_csv,
+    read_waveform_npy,
     run_design,
     run_simulate,
     run_sweep,
     waveform_csv,
+    waveform_npy,
     write_artifacts,
 )
 from .scenario import (
@@ -173,6 +175,7 @@ __all__ = [
     "pump_bandwidth",
     "pump_phase_curvature",
     "read_waveform_csv",
+    "read_waveform_npy",
     "recombine",
     "requirements",
     "residual_phase",
@@ -195,5 +198,6 @@ __all__ = [
     "verify_topology",
     "visibility_experiment",
     "waveform_csv",
+    "waveform_npy",
     "write_artifacts",
 ]

@@ -176,15 +176,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         scenario = parse_scenario(text)
-    except ScenarioSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    except ScenarioSemanticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-
-    out_dir = _resolve_out(args.out, scenario.output_dir)
-    try:
         if args.command == "simulate":
             report, files = run_simulate(scenario)
         elif args.command == "design":
@@ -211,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
 
+    out_dir = _resolve_out(args.out, scenario.output_dir)
     try:
         write_artifacts(out_dir, files)
     except OSError as exc:

@@ -42,7 +42,7 @@ from .elements import (
     stretched_pump_fwhm,
 )
 from .envelope import SampledEnvelope
-from .errors import DesignError
+from .errors import DesignError, TimeLensError
 from .grid import TimeGrid
 
 #: Relative tolerance for the exact design identities.
@@ -421,14 +421,20 @@ def run_system(input_env: SampledEnvelope, topology: SystemTopology) -> StageTra
     returned trace holds the envelope after each stage; with ideal lenses
     the final envelope of a field-lens or telescope system equals
     a0(t/M)/sqrt(|M|) up to a global phase.
+
+    A :class:`TimeLensError` from a stage is re-raised as the same type with
+    the prefix ``stage N (label): ``, numbered as the stage artifacts are.
     """
     verify_topology(topology)
     env = input_env
     steps: list[tuple[str, SampledEnvelope]] = []
-    for element in topology.stages:
-        if isinstance(element, DispersiveElement):
-            env = apply_dispersion(env, element)
-        else:
-            env = apply_time_lens(env, element)
+    for index, element in enumerate(topology.stages, start=1):
+        try:
+            if isinstance(element, DispersiveElement):
+                env = apply_dispersion(env, element)
+            else:
+                env = apply_time_lens(env, element)
+        except TimeLensError as exc:
+            raise type(exc)(f"stage {index} ({element.label}): {exc}") from exc
         steps.append((element.label, env))
     return StageTrace(input=input_env, steps=tuple(steps), magnification=topology.magnification)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import SampledEnvelope, _adopt, shifted
-from .errors import DegenerateInputError, PeakDetectionError
+from .errors import DegenerateInputError, PeakDetectionError, WindowOverflowError
 
 #: Local maxima below this fraction of the global intensity peak are ignored
 #: when locating the outer peaks of the interference profile.
@@ -138,12 +138,17 @@ def visibility_experiment(
     time-reversed; the two coincide for the usual psi = 0).
 
     Raises:
+        WindowOverflowError: the analyzer delay shifts the image out of the
+            window; the message names the delay.
         PeakDetectionError: the combined two-setting profile has fewer than
             three local maxima above 1% of its global peak.
     """
     if bin_separation <= 0.0:
         raise ValueError(f"bin_separation must be positive, got {bin_separation!r}")
-    delayed = shifted(image, bin_separation)
+    try:
+        delayed = shifted(image, bin_separation)
+    except WindowOverflowError as exc:
+        raise WindowOverflowError(f"analyzer delay {bin_separation} ps: {exc}") from exc
     constructive = analyzer_port(image, delayed, relative_phase)
     destructive = analyzer_port(image, delayed, relative_phase + np.pi)
     combined = constructive.intensity + destructive.intensity

@@ -1,21 +1,19 @@
 """Scenario execution: simulate, design, and sweep runs with file artifacts.
 
 A simulation is computed first and rendered second.  ``simulate`` writes a
-``report.json`` plus one CSV per stage and analyzer port; ``sweep`` renders
-only ``sweep.csv`` and its report, and its points that differ only in
-``analysis.analyzer_phase`` share one propagation.  Artifacts are rendered to
-strings before anything touches disk.  Floats are written with ``repr`` so
-artifacts are bit-identical across repeated runs of the same scenario and
-parse back to the exact same doubles.  Where the process may run on more
-than one CPU (Linux), ``simulate`` renders its waveform CSVs in forked
-worker processes, up to one per usable CPU; elsewhere it renders them
-serially, to the same bytes.
+``report.json`` plus one ``.npy`` file per stage and analyzer port: the
+envelope's complex128 samples exactly as computed, with the times left to the
+report's ``grid`` block.  ``sweep`` renders only ``sweep.csv`` and its report,
+and its points that differ only in ``analysis.analyzer_phase`` share one
+propagation.  Artifacts are rendered before anything touches disk.  Floats in
+text artifacts are written with ``repr``, so every artifact is bit-identical
+across repeated runs of the same scenario and reads back to the same doubles.
 """
 
 from __future__ import annotations
 
+import io
 import json
-import os
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -156,6 +154,23 @@ def read_waveform_csv(text: str, carrier_nm: float | None = None) -> SampledEnve
         raise ValueError("waveform CSV needs at least two rows")
     grid = TimeGrid(n_samples=len(t), dt=t[1] - t[0], t0=t[0])
     return SampledEnvelope(grid, np.asarray(samples), carrier_nm)
+
+
+def waveform_npy(env: SampledEnvelope) -> bytes:
+    """``.npy`` bytes of the envelope's 1-D complex128 samples; no times."""
+    buffer = io.BytesIO()
+    np.save(buffer, env.samples, allow_pickle=False)
+    return buffer.getvalue()
+
+
+def read_waveform_npy(
+    data: bytes, grid: TimeGrid, carrier_nm: float | None = None
+) -> SampledEnvelope:
+    """Inverse of :func:`waveform_npy`; ``grid`` is the report's ``grid`` block
+    ``g`` as ``TimeGrid(g["n_samples"], g["dt_ps"], g["t0_ps"])``.  Raises
+    ValueError when the samples do not have the grid's shape."""
+    samples = np.load(io.BytesIO(data), allow_pickle=False)
+    return SampledEnvelope(grid, samples, carrier_nm)
 
 
 def _stage_entry(label: str, env: SampledEnvelope) -> dict:
@@ -325,30 +340,7 @@ def _central_energy(run: _Run, phase: float) -> float:
     return float((np.abs(port.samples[mask]) ** 2).sum() * run.env_in.grid.dt)
 
 
-def _render_csvs(envs: list[SampledEnvelope]) -> list[str]:
-    """``waveform_csv`` of each envelope, in order.
-
-    Where the process may run on two or more CPUs, forked worker processes
-    render the CSVs and the caller waits; elsewhere they render serially.
-    Either way the strings are the same.
-    """
-    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    cpus = 1 if affinity is None else len(affinity(0))
-    workers = min(len(envs), cpus)
-    if workers < 2:
-        return [waveform_csv(env) for env in envs]
-    # Imported here so that ``import timelens`` does not pay for them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: a spawned worker would import numpy and timelens again,
-    # which costs more than the rendering it takes over.
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(waveform_csv, envs))
-
-
-def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str]]:
+def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str | bytes]]:
     """Execute a simulation scenario.
 
     Returns:
@@ -363,13 +355,11 @@ def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str]]:
             "central_energy": _central_energy(run, phase),
         }
 
-    envs = {"stage_00_input.csv": run.env_in}
-    for index, (label, env) in enumerate(run.trace.steps, start=1):
-        envs[f"stage_{index:02d}_{label}.csv"] = env
+    stages = enumerate([("input", run.env_in), *run.trace.steps])
+    files = {f"stage_{i:02d}_{label}.npy": waveform_npy(env) for i, (label, env) in stages}
     if run.interference is not None:
-        envs["analyzer_constructive.csv"] = run.interference.constructive
-        envs["analyzer_destructive.csv"] = run.interference.destructive
-    files = dict(zip(envs, _render_csvs(list(envs.values()))))
+        for port in ("constructive", "destructive"):
+            files[f"analyzer_{port}.npy"] = waveform_npy(getattr(run.interference, port))
 
     report["artifacts"] = ["report.json", *files]
     files["report.json"] = json.dumps(report, indent=2) + "\n"
@@ -510,14 +500,14 @@ def run_sweep(
     return report, files
 
 
-def write_artifacts(out_dir: Path, files: dict[str, str]) -> list[Path]:
-    """Write every artifact, removing all of them if any write fails."""
+def write_artifacts(out_dir: Path, files: dict[str, str | bytes]) -> list[Path]:
+    """Write every artifact, text or bytes, removing all of them if any write fails."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
         for name, content in files.items():
             path = out_dir / name
-            path.write_text(content, encoding="utf-8")
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
             written.append(path)
     except BaseException:
         for path in written:

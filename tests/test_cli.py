@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import filecmp
+import io
 import json
 import math
 import os
@@ -22,7 +22,7 @@ from timelens import (
     energy,
     fwhm,
     parse_scenario,
-    read_waveform_csv,
+    read_waveform_npy,
     run_simulate,
     run_sweep,
     write_artifacts,
@@ -37,7 +37,8 @@ from timelens.cli import (
     OUTPUT_ENV_VAR,
     main,
 )
-from timelens.runner import waveform_csv
+from timelens.interferometry import _window_energy
+from timelens.runner import _stage_entry, waveform_csv, waveform_npy
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -56,7 +57,7 @@ n_samples = 4096
 """
 
 
-# Seven CSVs: five stages and both analyzer ports.
+# Seven waveforms: five stages and both analyzer ports.
 FAST_TIME_BIN = """\
 [input]
 kind = time-bin
@@ -87,11 +88,6 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def _raise_in_worker(env):
-    # Module level, so a worker process can unpickle it by reference.
-    raise ValueError("render failed in a worker")
-
-
 @pytest.fixture(autouse=True)
 def _no_output_env(monkeypatch):
     monkeypatch.delenv(OUTPUT_ENV_VAR, raising=False)
@@ -111,34 +107,49 @@ class TestSimulate:
         report = json.loads((out / "report.json").read_text())
         names = sorted(p.name for p in out.iterdir())
         assert "report.json" in names
-        assert "stage_00_input.csv" in names
-        assert "stage_04_field_lens.csv" in names
+        assert "stage_00_input.npy" in names
+        assert "stage_04_field_lens.npy" in names
         assert set(report["artifacts"]) == set(names)
         assert report["magnification"] == -20.0
         assert report["image"]["fwhm_ps"] == pytest.approx(100.0, rel=0.01)
 
-    def test_report_rederivable_from_waveform_csv(self, fast_scenario, tmp_path):
+    def test_report_rederivable_from_waveform_npy(self, tmp_path):
+        # A pumped time-bin run: every stage entry, the image block and both
+        # analyzer ports follow exactly from the .npy files and the grid block.
         out = tmp_path / "results"
-        main(["simulate", str(fast_scenario), "--out", str(out)])
+        scenario = SCENARIO_DIR / "visibility_field_lens.scn"
+        assert main(["simulate", str(scenario), "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
-        final = read_waveform_csv(
-            (out / "stage_04_field_lens.csv").read_text()
-        )
-        assert energy(final) == pytest.approx(report["image"]["energy"], rel=1e-12)
-        assert fwhm(final) == pytest.approx(report["image"]["fwhm_ps"], rel=1e-12)
-        stage = report["stages"][-1]
-        assert stage["energy"] == pytest.approx(energy(final), rel=1e-12)
+        g = report["grid"]
+        grid = TimeGrid(g["n_samples"], g["dt_ps"], g["t0_ps"])
 
-    def test_waveform_csv_axis_uniform_and_increasing(self, fast_scenario, tmp_path):
-        out = tmp_path / "results"
-        main(["simulate", str(fast_scenario), "--out", str(out)])
-        report = json.loads((out / "report.json").read_text())
-        lines = (out / "stage_00_input.csv").read_text().splitlines()
-        assert lines[0] == "t_ps,re,im,intensity"
-        t = np.array([float(row.split(",")[0]) for row in lines[1:]])
-        steps = np.diff(t)
-        assert np.all(steps > 0)
-        assert np.max(np.abs(steps - report["grid"]["dt_ps"])) < 1e-12
+        def load(name, carrier_nm=None):
+            return read_waveform_npy((out / name).read_bytes(), grid, carrier_nm)
+
+        source = load("stage_00_input.npy")
+        assert energy(source) == report["input"]["energy"]
+        assert fwhm(source) == report["input"]["fwhm_ps"]
+        stages = report["stages"]
+        assert len(stages) == 4
+        for index, stage in enumerate(stages, start=1):
+            label = stage["label"]
+            env = load(f"stage_{index:02d}_{label}.npy", stage["carrier_nm"])
+            assert _stage_entry(label, env) == stage
+        assert energy(env) == report["image"]["energy"]
+        assert fwhm(env) == report["image"]["fwhm_ps"]
+
+        run = timelens.runner._compute(parse_scenario(scenario.read_text()))
+        interference = report["interference"]
+        window = tuple(interference["window_ps"])
+        for port in ("constructive", "destructive"):
+            env = load(f"analyzer_{port}.npy")
+            computed = getattr(run.interference, port)
+            assert env.samples.view(np.uint64).tolist() == (
+                computed.samples.view(np.uint64).tolist()
+            )
+            assert _window_energy(env, window, interference["metric"]) == (
+                interference[f"{port}_energy"]
+            )
 
     def test_far_field_check_present_for_lens_systems(self, fast_scenario, tmp_path):
         out = tmp_path / "results"
@@ -175,7 +186,7 @@ class TestSimulate:
         assert result.returncode == 0, result.stderr
 
     def test_import_loads_no_process_pool(self):
-        # The render pool's modules are imported on first use only.
+        # Rendering is serial; importing timelens starts no worker machinery.
         code = (
             "import sys, timelens\n"
             "pool = ('multiprocessing', 'concurrent')\n"
@@ -185,63 +196,64 @@ class TestSimulate:
         result = _fresh_python(code)
         assert result.returncode == 0, result.stderr
 
-    def test_csvs_equal_waveform_csv_of_their_envelopes(self):
+    def test_npys_equal_waveform_npy_of_their_envelopes(self):
         scenario = parse_scenario(FAST_TIME_BIN)
         _, files = run_simulate(scenario)
         run = timelens.runner._compute(scenario)
-        expected = {"stage_00_input.csv": run.env_in}
+        expected = {"stage_00_input.npy": run.env_in}
         for index, (label, env) in enumerate(run.trace.steps, start=1):
-            expected[f"stage_{index:02d}_{label}.csv"] = env
-        expected["analyzer_constructive.csv"] = run.interference.constructive
-        expected["analyzer_destructive.csv"] = run.interference.destructive
+            expected[f"stage_{index:02d}_{label}.npy"] = env
+        expected["analyzer_constructive.npy"] = run.interference.constructive
+        expected["analyzer_destructive.npy"] = run.interference.destructive
         assert list(files) == [*expected, "report.json"]
         assert len(expected) == 7
         for name, env in expected.items():
-            assert files[name] == waveform_csv(env), name
+            assert files[name] == waveform_npy(env), name
 
-    def test_one_usable_cpu_renders_serially_with_the_same_bytes(self, monkeypatch):
-        scenario = parse_scenario(FAST_TIME_BIN)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        _, pooled = run_simulate(scenario)
+    def test_render_error_exits_unexpected_and_writes_nothing(
+        self, monkeypatch, tmp_path
+    ):
+        def broken(env):
+            raise ValueError("render failed")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("one usable CPU must not start a worker pool")
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        _, serial = run_simulate(scenario)
-        assert serial == pooled
-
-    def test_worker_error_reaches_the_caller(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(timelens.runner, "waveform_csv", _raise_in_worker)
-        with pytest.raises(ValueError, match="render failed in a worker"):
-            run_simulate(parse_scenario(FAST_TIME_BIN))
+        monkeypatch.setattr(timelens.runner, "waveform_npy", broken)
         scenario = tmp_path / "time_bin.scn"
         scenario.write_text(FAST_TIME_BIN, encoding="utf-8")
         out = tmp_path / "o"
         assert main(["simulate", str(scenario), "--out", str(out)]) == EXIT_UNEXPECTED
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
-    def test_dead_worker_raises_broken_process_pool(self):
-        # In a child interpreter, so that a hang fails on the timeout.
-        code = (
-            "import os\n"
-            "from concurrent.futures.process import BrokenProcessPool\n"
-            "import timelens.runner\n"
-            "from timelens import parse_scenario, run_simulate\n"
-            "def die(env):\n"
-            "    os._exit(3)\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "timelens.runner.waveform_csv = die\n"
-            "try:\n"
-            f"    run_simulate(parse_scenario({FAST_TIME_BIN!r}))\n"
-            "except BrokenProcessPool:\n"
-            "    print('broken pool')\n"
+
+class TestWaveformFiles:
+    def test_npy_round_trip_is_bitwise(self):
+        grid = TimeGrid(n_samples=256, dt=0.1234, t0=-15.5)
+        rng = np.random.default_rng(7)
+        samples = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        env = SampledEnvelope(grid, samples, 710.0)
+        data = waveform_npy(env)
+        assert np.load(io.BytesIO(data), allow_pickle=False).dtype == np.complex128
+        back = read_waveform_npy(data, grid, 710.0)
+        assert back.grid == grid and back.carrier_wavelength_nm == 710.0
+        assert back.samples.view(np.uint64).tolist() == (
+            env.samples.view(np.uint64).tolist()
         )
-        result = _fresh_python(code)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "broken pool\n"
+        assert waveform_npy(back) == data
+
+    def test_npy_shape_mismatch_raises(self):
+        env = SampledEnvelope(TimeGrid(n_samples=64, dt=0.1, t0=-3.2), np.ones(64))
+        with pytest.raises(ValueError, match="does not match grid"):
+            read_waveform_npy(waveform_npy(env), TimeGrid(n_samples=128, dt=0.1, t0=-3.2))
+
+    def test_waveform_csv_axis_uniform_and_increasing(self):
+        grid = TimeGrid(n_samples=128, dt=0.1, t0=-6.4)
+        lines = waveform_csv(SampledEnvelope(grid, np.ones(128))).splitlines()
+        assert lines[0] == "t_ps,re,im,intensity"
+        assert len(lines) == 1 + 128
+        t = np.array([float(row.split(",")[0]) for row in lines[1:]])
+        assert t.tolist() == grid.times.tolist()
+        steps = np.diff(t)
+        assert np.all(steps > 0)
+        assert np.max(np.abs(steps - grid.dt)) < 1e-12
 
 
 class TestOutputPrecedence:
@@ -508,7 +520,7 @@ class TestSweep:
         self, fast_scenario, tmp_path, monkeypatch
     ):
         propagations = self._count_calls(monkeypatch, "run_system")
-        renders = self._count_calls(monkeypatch, "waveform_csv")
+        renders = self._count_calls(monkeypatch, "waveform_npy")
         code = main(
             [
                 "sweep", str(SCENARIO_DIR / "fringe_scan.scn"),

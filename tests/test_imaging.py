@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 from timelens import (
+    CarrierMismatchError,
     ConversionDirection,
     DesignError,
     DispersiveElement,
     SystemTopology,
+    TimeGrid,
     TimeLens,
     TopologyKind,
+    WindowOverflowError,
     check_far_field,
     converted_carrier,
     energy,
@@ -392,6 +395,36 @@ class TestRunSystem:
         assert energy(trace.final) == pytest.approx(
             energy(pulse) * 0.9**4, rel=1e-9
         )
+
+
+class TestStageErrors:
+    """A physics error inside ``run_system`` names its stage's index and label."""
+
+    @staticmethod
+    def _pulse(window, carrier_nm=710.0):
+        grid = TimeGrid.centered(window=window, n_samples=2**12)
+        return gaussian_pulse(grid, fwhm=5.0, carrier_wavelength_nm=carrier_nm)
+
+    def test_dispersion_overflow(self):
+        # 105 ps^2 of output GDD stretches the image past a 60 ps window
+        with pytest.raises(WindowOverflowError, match=r"^stage 3 \(output_gdd\): "):
+            run_system(self._pulse(60.0), field_lens_system(-20.0, 5.0))
+
+    def test_pump_overflow(self):
+        # a 0.1 ps seed chirped by 5 ps^2 is about 140 ps long
+        system = field_lens_system(-20.0, 5.0, pump_seed_fwhm=0.1)
+        with pytest.raises(WindowOverflowError, match=r"^stage 2 \(main_lens\): "):
+            run_system(self._pulse(60.0), system)
+
+    def test_carrier_mismatch(self):
+        with pytest.raises(CarrierMismatchError, match=r"^stage 2 \(main_lens\): "):
+            run_system(self._pulse(400.0, carrier_nm=800.0), field_lens_system(-20.0, 5.0))
+
+    def test_original_error_is_the_cause(self):
+        with pytest.raises(WindowOverflowError) as info:
+            run_system(self._pulse(60.0), field_lens_system(-20.0, 5.0))
+        assert type(info.value.__cause__) is WindowOverflowError
+        assert str(info.value) == f"stage 3 (output_gdd): {info.value.__cause__}"
 
 
 class TestPlanGrid:

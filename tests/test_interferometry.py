@@ -10,6 +10,7 @@ from timelens import (
     PeakDetectionError,
     SampledEnvelope,
     TimeGrid,
+    WindowOverflowError,
     asymmetry,
     gaussian_pulse,
     recombine,
@@ -170,6 +171,11 @@ class TestVisibilityExperiment:
     def test_unknown_metric_rejected(self, two_bin):
         with pytest.raises(ValueError):
             visibility_experiment(two_bin, bin_separation=15.0, metric="median")
+
+    def test_analyzer_delay_overflow_names_the_delay(self, two_bin):
+        # the 400 ps window cannot hold the bins delayed by 390 ps
+        with pytest.raises(WindowOverflowError, match=r"^analyzer delay 390\.0 ps: "):
+            visibility_experiment(two_bin, bin_separation=390.0)
 
 
 class TestOuterPeaks:
