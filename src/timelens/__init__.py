@@ -100,7 +100,6 @@ from .interferometry import (
 from .runner import (
     build_input,
     build_topology,
-    read_waveform_csv,
     read_waveform_npy,
     run_design,
     run_simulate,
@@ -174,7 +173,6 @@ __all__ = [
     "plan_grid",
     "pump_bandwidth",
     "pump_phase_curvature",
-    "read_waveform_csv",
     "read_waveform_npy",
     "recombine",
     "requirements",

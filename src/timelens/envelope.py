@@ -11,9 +11,10 @@ Conventions:
       Parseval holds exactly in the discrete approximation:
       sum(|a|^2) dt == sum(|A|^2) dw.
     * Envelopes own read-only samples.  The public constructors (and
-      ``with_samples``) copy what they are given, so the caller's array may
-      change afterwards; arrays the library has just built are adopted by
-      ``_adopt`` without a copy, after the same shape and finiteness checks.
+      ``SampledEnvelope.with_samples``) copy what they are given, so the
+      caller's array may change afterwards; arrays the library has just built
+      are adopted by ``_adopt`` without a copy, after the same shape and
+      finiteness checks.
 """
 
 from __future__ import annotations
@@ -92,9 +93,6 @@ class SpectralEnvelope:
     @property
     def intensity(self) -> np.ndarray:
         return np.abs(self.samples) ** 2
-
-    def with_samples(self, samples: np.ndarray) -> "SpectralEnvelope":
-        return SpectralEnvelope(self.grid, samples, self.carrier_wavelength_nm)
 
 
 AnyEnvelope = Union[SampledEnvelope, SpectralEnvelope]
@@ -391,23 +389,17 @@ def phase_fit_quadratic(
     return float(coeffs[2]), rms  # the t^2 coefficient is shift-invariant
 
 
-def phase_rms(
-    env: SampledEnvelope,
-    window_fwhm_fraction: float = 1.0,
-    detrend_degree: int = 1,
-) -> float:
-    """RMS deviation of the unwrapped phase from a low-order trend.
+def phase_rms(env: SampledEnvelope, window_fwhm_fraction: float = 1.0) -> float:
+    """RMS deviation of the unwrapped phase from a linear trend.
 
-    With the default ``detrend_degree=1`` a constant (global phase) and a
-    linear term (carrier-frequency offset) are removed first, so the result
-    measures genuine phase structure — curvature and above — across the
-    central window.  Sample selection matches :func:`phase_fit_quadratic`.
+    A constant (global phase) and a linear term (carrier-frequency offset)
+    are removed first, so the result measures genuine phase structure —
+    curvature and above — across the central window.  Sample selection
+    matches :func:`phase_fit_quadratic`.
     """
-    if detrend_degree not in (0, 1):
-        raise ValueError("detrend_degree must be 0 or 1")
     times, phases = _phase_fit_block(env, window_fwhm_fraction)
     tau = times - times[len(times) // 2]
-    coeffs = np.polynomial.polynomial.polyfit(tau, phases, deg=detrend_degree)
+    coeffs = np.polynomial.polynomial.polyfit(tau, phases, deg=1)
     fit = np.polynomial.polynomial.polyval(tau, coeffs)
     return float(np.sqrt(np.mean((phases - fit) ** 2)))
 

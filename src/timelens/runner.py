@@ -7,7 +7,8 @@ report's ``grid`` block.  ``sweep`` renders only ``sweep.csv`` and its report,
 and its points that differ only in ``analysis.analyzer_phase`` share one
 propagation.  Artifacts are rendered before anything touches disk.  Floats in
 text artifacts are written with ``repr``, so every artifact is bit-identical
-across repeated runs of the same scenario and reads back to the same doubles.
+across repeated runs of the same scenario on one numpy build and CPU, and
+reads back to the same doubles.
 """
 
 from __future__ import annotations
@@ -52,7 +53,12 @@ from .imaging import (
     run_system,
     sizing_divisor,
 )
-from .interferometry import InterferenceResult, analyzer_port, visibility_experiment
+from .interferometry import (
+    InterferenceResult,
+    _window_energy,
+    analyzer_port,
+    visibility_experiment,
+)
 from .scenario import Scenario, SystemSpec, key_spec, parse_scenario
 
 
@@ -137,23 +143,6 @@ def waveform_csv(env: SampledEnvelope) -> str:
         re, im = float(c.real), float(c.imag)
         rows.append(f"{float(t)!r},{re!r},{im!r},{re * re + im * im!r}")
     return "\n".join(rows) + "\n"
-
-
-def read_waveform_csv(text: str, carrier_nm: float | None = None) -> SampledEnvelope:
-    """Inverse of :func:`waveform_csv` (intensity column is redundant)."""
-    lines = text.strip().splitlines()
-    if not lines or lines[0].split(",")[:3] != ["t_ps", "re", "im"]:
-        raise ValueError("not a waveform CSV: bad header")
-    t: list[float] = []
-    samples: list[complex] = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        t.append(float(cells[0]))
-        samples.append(complex(float(cells[1]), float(cells[2])))
-    if len(t) < 2:
-        raise ValueError("waveform CSV needs at least two rows")
-    grid = TimeGrid(n_samples=len(t), dt=t[1] - t[0], t0=t[0])
-    return SampledEnvelope(grid, np.asarray(samples), carrier_nm)
 
 
 def waveform_npy(env: SampledEnvelope) -> bytes:
@@ -334,10 +323,7 @@ def _compute(scenario: Scenario) -> _Run:
 def _central_energy(run: _Run, phase: float) -> float:
     """Energy of the single analyzer port at ``phase`` inside the central window."""
     port = analyzer_port(run.trace.final, run.interference.delayed, phase)
-    t = port.times
-    lo, hi = run.interference.window
-    mask = (t >= lo) & (t <= hi)
-    return float((np.abs(port.samples[mask]) ** 2).sum() * run.env_in.grid.dt)
+    return _window_energy(port, run.interference.window, "energy")
 
 
 def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str | bytes]]:
