@@ -131,29 +131,44 @@ def _adopt(
 def to_frequency(env: SampledEnvelope) -> SpectralEnvelope:
     """Unitary transform to the carrier-relative angular-frequency domain.
 
-    A(w_n) = (dt/sqrt(2*pi)) * sum_k a(t_k) exp(-i w_n t_k), evaluated via a
-    single FFT: flipping the sign of every odd sample re-centers the spectrum
-    so that index n//2 is zero frequency, and the grid's cached ramp
-    exp(-i w t_0) accounts for a nonzero first sample time.  ``env`` is left
-    untouched.
+    A(w_m) = (dt/sqrt(2*pi)) * sum_k a(t_k) exp(-i w_m t_k), evaluated via a
+    single FFT.  With h = n//2 and the center time t_c = t0 + h*dt,
+    exp(-i w_m t_k) = (-1)^k (-1)^(m-h) exp(-2*pi*i*m*k/n) exp(-i w_m t_c)
+    exactly, so the transform is a sign flip of every odd sample, the FFT and
+    :func:`_recenter`.  ``env`` is left untouched.
     """
     grid = env.grid
     work = env.samples.copy()
     work[1::2] *= -1.0
     spectrum = np.fft.fft(work)
     spectrum *= grid.dt / np.sqrt(2.0 * np.pi)
-    spectrum *= grid._ramp
+    _recenter(spectrum, grid, 1.0)
     return _adopt(SpectralEnvelope, grid, spectrum, env.carrier_wavelength_nm)
 
 
 def to_time(spec: SpectralEnvelope) -> SampledEnvelope:
-    """Inverse of :func:`to_frequency` (exact round trip): the conjugate of
-    the grid's cached ramp, one inverse FFT, then the same odd-sample flip."""
+    """Inverse of :func:`to_frequency` (exact round trip): the conjugate
+    factors around one inverse FFT."""
     grid = spec.grid
-    samples = np.fft.ifft(spec.samples * np.conjugate(grid._ramp))
+    work = spec.samples.copy()
+    _recenter(work, grid, -1.0)
+    samples = np.fft.ifft(work)
     samples[1::2] *= -1.0
     samples *= grid.n_samples * grid.domega / np.sqrt(2.0 * np.pi)
     return _adopt(SampledEnvelope, grid, samples, spec.carrier_wavelength_nm)
+
+
+def _recenter(spectrum: np.ndarray, grid: TimeGrid, sign: float) -> None:
+    """Multiply ``spectrum`` in place by (-1)^(m - n//2) exp(-i*sign*w_m*t_c).
+
+    t_c = t0 + dt*(n//2) is exactly 0 on a :meth:`TimeGrid.centered` grid,
+    where this is a sign flip alone; any other grid also gets a phase ramp.
+    """
+    half = grid.n_samples // 2
+    spectrum[(half + 1) % 2 :: 2] *= -1.0
+    t_c = grid.t0 + grid.dt * half
+    if t_c != 0.0:
+        spectrum *= grid._phase_ramp(sign * t_c)
 
 
 def _check_spectral_edge(grid: TimeGrid, fwhm: float, what: str) -> None:

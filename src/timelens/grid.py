@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +55,8 @@ class TimeGrid:
         """Grid of total length ``window`` (ps) centered on t = 0.
 
         The zero of time falls exactly on sample ``n_samples // 2``, which
-        keeps symmetric pulses numerically even on the grid.
+        keeps symmetric pulses numerically even on the grid and lets the
+        transform pair re-center the spectrum with sign flips alone.
         """
         dt = window / n_samples
         return cls(n_samples=n_samples, dt=dt, t0=-dt * (n_samples // 2))
@@ -112,18 +112,6 @@ class TimeGrid:
             np.exp(-1j * ((k - half) * self.domega) * tau, out=ramp[span])
         np.conjugate(ramp[half - 1 : 0 : -1], out=ramp[half + 1 :])
         return ramp
-
-    @cached_property
-    def _ramp(self) -> np.ndarray:
-        """Read-only forward transform ramp exp(-i*omegas*t0), computed once per
-        grid object; :mod:`timelens.envelope` applies it and its conjugate."""
-        ramp = self._phase_ramp(self.t0)
-        ramp.setflags(write=False)
-        return ramp
-
-    def __getstate__(self) -> dict:
-        """Pickle the fields only; an unpickled grid rebuilds its ramp on use."""
-        return {k: v for k, v in self.__dict__.items() if k != "_ramp"}
 
     def contains(self, t_lo: float, t_hi: float) -> bool:
         """Whether the closed interval [t_lo, t_hi] lies inside the window."""

@@ -344,9 +344,9 @@ def verify_topology(topology: SystemTopology) -> None:
 # grid planning and execution
 # ---------------------------------------------------------------------------
 
-#: Window must cover this many stretched-pump FWHMs so that the pump itself
-#: satisfies the boundary-leakage invariant (a Gaussian is below 1e-8 of its
-#: peak amplitude four FWHMs from center).
+#: Planned windows cover at least this many stretched-pump FWHMs.  A pump only
+#: multiplies the signal, so a narrower window is correct too; the term stays
+#: so that default grids, and the numbers reported on them, do not move.
 PUMP_WINDOW_FACTOR = 8.0
 
 #: Default grid size: 2**15 samples.
@@ -370,9 +370,8 @@ def plan_grid(
     The window covers, with the given margin factor: the input extent, the
     magnified image extent, the group-delay spread |D| * bandwidth summed
     over all dispersive stages, and any analyzer delay applied afterwards.
-    Chirped pumps usually dominate: the window is at least
-    ``PUMP_WINDOW_FACTOR`` stretched-pump FWHMs so the pump satisfies the
-    boundary-leakage invariant.
+    It is also at least ``PUMP_WINDOW_FACTOR`` stretched-pump FWHMs, which
+    usually dominates for chirped pumps.
 
     Args:
         input_extent: full temporal support estimate of the input in ps

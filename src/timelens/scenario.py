@@ -138,9 +138,10 @@ class InputSpec:
 
     @property
     def extent(self) -> float:
-        """Temporal support estimate for grid planning, ps."""
+        """Temporal support estimate for grid planning, ps: the width of a
+        window centered on t = 0 that holds the input's 4-FWHM support."""
         if self.kind == "gaussian":
-            return 4.0 * self.fwhm
+            return 4.0 * self.fwhm + 2.0 * abs(self.center)
         return self.bin_separation + 4.0 * self.bin_fwhm
 
     @property

@@ -151,6 +151,30 @@ class TestSimulate:
                 interference[f"{port}_energy"]
             )
 
+    def test_off_center_input_is_imaged_or_rejected(self, tmp_path):
+        # A 5 ps Gaussian at +100 ps images to -2000 ps at M = -20; the
+        # planned window must hold it rather than wrap it.
+        text = (SCENARIO_DIR / "ideal_magnifier.scn").read_text(encoding="utf-8")
+        text = text.replace("fwhm = 5 ps", "fwhm = 5 ps\ncenter = 100 ps")
+        fine, coarse = tmp_path / "fine.scn", tmp_path / "coarse.scn"
+        fine.write_text(
+            text.replace("n_samples = 16384", "n_samples = 131072"), encoding="utf-8"
+        )
+        coarse.write_text(text, encoding="utf-8")
+        out = tmp_path / "fine"
+        assert main(["simulate", str(fine), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        g = report["grid"]
+        grid = TimeGrid(g["n_samples"], g["dt_ps"], g["t0_ps"])
+        image = read_waveform_npy((out / "stage_04_field_lens.npy").read_bytes(), grid)
+        assert abs(image.times[np.argmax(image.intensity)] + 2000.0) <= grid.dt
+        assert report["image"]["fidelity_to_ideal"] >= 0.999999
+        # 16384 samples sample that window too coarsely: the run stops with
+        # an error instead of returning a wrapped image
+        assert main(["simulate", str(coarse), "--out", str(tmp_path / "c")]) == (
+            EXIT_PHYSICS
+        )
+
     def test_far_field_check_present_for_lens_systems(self, fast_scenario, tmp_path):
         out = tmp_path / "results"
         main(["simulate", str(fast_scenario), "--out", str(out)])

@@ -69,34 +69,32 @@ def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-class TestTimeGridRamp:
-    def test_ramp_is_cached_and_read_only(self):
-        grid = TimeGrid.centered(window=100.0, n_samples=256)
-        ramp = grid._ramp
-        assert grid._ramp is ramp
-        assert not ramp.flags.writeable
-        with pytest.raises(ValueError):
-            ramp[0] = 0.0
-
-    def test_cached_ramp_keeps_equality_and_hash(self):
-        computed = TimeGrid.centered(window=100.0, n_samples=256)
-        fresh = TimeGrid.centered(window=100.0, n_samples=256)
-        computed._ramp
-        assert computed == fresh
-        assert hash(computed) == hash(fresh)
-        assert {computed: "grid"}[fresh] == "grid"
-
-    def test_pickle_leaves_out_the_ramp(self):
+class TestTransformSideEffects:
+    def test_transform_leaves_pickle_size_unchanged(self):
         grid = TimeGrid.centered(window=400.0, n_samples=2**12)
         env = gaussian_pulse(grid, fwhm=5.0)
         fresh = len(pickle.dumps(env))
         to_frequency(env)
-        assert "_ramp" in vars(grid)
         assert len(pickle.dumps(env)) == fresh
-        copy = pickle.loads(pickle.dumps(grid))
-        assert copy == grid
-        assert "_ramp" not in vars(copy)
-        assert _bits_equal(copy._ramp, grid._ramp)
+        assert pickle.loads(pickle.dumps(grid)) == grid
+
+    def test_centered_transforms_evaluate_no_exponential(self, small_grid, monkeypatch):
+        env = gaussian_pulse(small_grid, fwhm=5.0)
+        off_center = SampledEnvelope(
+            TimeGrid(small_grid.n_samples, small_grid.dt, small_grid.t0 + 0.5), env.samples
+        )
+        calls = []
+        exp = np.exp
+
+        def counting_exp(*args, **kwargs):
+            calls.append(args[0].shape)
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        to_time(to_frequency(env))
+        assert calls == []
+        to_time(to_frequency(off_center))
+        assert calls  # the counter sees the off-center grid's phase ramps
 
     def test_transforms_leave_input_unchanged(self, small_grid):
         rng = np.random.default_rng(3)
@@ -111,20 +109,23 @@ class TestTimeGridRamp:
 
 
 def _reference_to_frequency(samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    signs = np.ones(grid.n_samples)
-    signs[1::2] = -1.0
-    spectrum = np.fft.fft(samples * signs)
+    n = grid.n_samples
+    spectrum = np.fft.fft(samples * (-1.0) ** np.arange(n))
     spectrum *= grid.dt / np.sqrt(2.0 * np.pi)
-    spectrum *= np.exp(-1j * grid.omegas * grid.t0)
+    spectrum *= (-1.0) ** (np.arange(n) - n // 2)
+    t_c = grid.t0 + grid.dt * (n // 2)
+    if t_c != 0.0:
+        spectrum *= np.exp(-1j * grid.omegas * t_c)
     return spectrum
 
 
 def _reference_to_time(spectrum: np.ndarray, grid: TimeGrid) -> np.ndarray:
     n = grid.n_samples
-    signs = np.ones(n)
-    signs[1::2] = -1.0
-    work = spectrum * np.exp(1j * grid.omegas * grid.t0)
-    samples = np.fft.ifft(work) * signs
+    t_c = grid.t0 + grid.dt * (n // 2)
+    work = spectrum * (-1.0) ** (np.arange(n) - n // 2)
+    if t_c != 0.0:
+        work *= np.exp(1j * grid.omegas * t_c)
+    samples = np.fft.ifft(work) * (-1.0) ** np.arange(n)
     samples *= n * grid.domega / np.sqrt(2.0 * np.pi)
     return samples
 
@@ -226,12 +227,35 @@ class TestTransformBitIdentity:
         out = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0, relative_phase=0.4)
         assert _bits_equal(out.samples, _reference_time_bin_pulse(grid, 5.0, 15.0, 0.4))
 
-    @pytest.mark.parametrize("t0", [None, -123.4])
-    def test_ramp(self, n_samples, t0):
-        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
-        if t0 is not None:
-            grid = TimeGrid(n_samples=n_samples, dt=grid.dt, t0=t0)
-        assert _bits_equal(grid._ramp, np.exp(-1j * grid.omegas * grid.t0))
+
+# n = 2 is the only size where n//2 is odd, which flips the other half of
+# the spectral samples.
+@pytest.mark.parametrize("n_samples", [2, 4, 16, 64])
+@pytest.mark.parametrize("centered", [True, False])
+class TestTransformConvention:
+    """The transforms equal their defining sums on centered and off-center grids."""
+
+    @staticmethod
+    def _grid_and_samples(n_samples, centered):
+        grid = TimeGrid.centered(window=10.0, n_samples=n_samples)
+        if not centered:
+            grid = TimeGrid(n_samples, grid.dt, grid.t0 + 0.37 * grid.dt + 1.5)
+        rng = np.random.default_rng(n_samples)
+        return grid, rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
+
+    def test_to_frequency_is_the_direct_sum(self, n_samples, centered):
+        grid, samples = self._grid_and_samples(n_samples, centered)
+        phases = np.exp(-1j * np.outer(grid.omegas, grid.times))
+        direct = grid.dt / np.sqrt(2.0 * np.pi) * (phases @ samples)
+        spectrum = to_frequency(SampledEnvelope(grid, samples)).samples
+        assert np.max(np.abs(spectrum - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_to_time_is_the_direct_sum(self, n_samples, centered):
+        grid, spectrum = self._grid_and_samples(n_samples, centered)
+        phases = np.exp(1j * np.outer(grid.times, grid.omegas))
+        direct = grid.domega / np.sqrt(2.0 * np.pi) * (phases @ spectrum)
+        samples = to_time(SpectralEnvelope(grid, spectrum)).samples
+        assert np.max(np.abs(samples - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 class TestOwnership:
