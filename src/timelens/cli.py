@@ -11,9 +11,9 @@ Output directory precedence: ``--out`` flag, then the scenario's
 ``[output] dir``, then the ``TIMELENS_OUT`` environment variable, then
 ``./timelens-out``.
 
-Exit codes: 0 success, 2 usage or scenario syntax error, 3 scenario
-semantic error, 4 physics/domain failure, 5 I/O failure, 1 unexpected
-error.
+Exit codes: 0 success, 2 usage or scenario syntax error (a scenario that
+is not UTF-8 text included), 3 scenario semantic error, 4 physics/domain
+failure, 5 I/O failure, 1 unexpected error.
 """
 
 from __future__ import annotations
@@ -173,6 +173,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: scenario is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_SYNTAX
 
     try:
         scenario = parse_scenario(text)

@@ -31,11 +31,9 @@ from .envelope import (
     BOUNDARY_TOLERANCE,
     LN2,
     SampledEnvelope,
-    SpectralEnvelope,
     _adopt,
+    _filter,
     boundary_leakage,
-    to_frequency,
-    to_time,
 )
 from .errors import CarrierMismatchError, DesignError, WindowOverflowError
 from .grid import TimeGrid
@@ -177,9 +175,9 @@ def apply_dispersion(
 ) -> SampledEnvelope:
     """Propagate through a dispersive element.
 
-    Multiplies the spectrum by transmission * exp(i*(gdd/2)*w^2 +
-    i*(tod/6)*w^3); with transmission = 1 the spectral magnitude is
-    unchanged.
+    Filters the spectrum with the kernel transmission * exp(i*(gdd/2)*w^2 +
+    i*(tod/6)*w^3) (:func:`timelens.envelope._filter`); with transmission = 1
+    the spectral magnitude is unchanged.
 
     Raises:
         WindowOverflowError: the dispersed waveform reaches the window
@@ -189,14 +187,9 @@ def apply_dispersion(
     if element.gdd == 0.0 and element.tod == 0.0 and element.transmission == 1.0:
         return env
     kernel = _dispersion_kernel(element, env.grid)
-    spectrum = to_frequency(env).samples
     if element.transmission != 1.0:
-        spectrum = spectrum * element.transmission
-    # spectrum-first operand order: complex products round differently when
-    # the operands are swapped
-    np.multiply(spectrum, kernel, out=kernel)
-    del spectrum  # free it before the inverse transform allocates its own arrays
-    out = to_time(_adopt(SpectralEnvelope, env.grid, kernel, env.carrier_wavelength_nm))
+        kernel *= element.transmission
+    out = _filter(env, kernel)
     if boundary_leakage(out) > BOUNDARY_TOLERANCE:
         raise WindowOverflowError(
             f"{element.label}: dispersion gdd={element.gdd} ps^2, "

@@ -9,7 +9,9 @@ Conventions:
     * ``to_frequency``/``to_time`` form a unitary pair:
       A(w) = (1/sqrt(2*pi)) * integral a(t) exp(-i w t) dt and back, so
       Parseval holds exactly in the discrete approximation:
-      sum(|a|^2) dt == sum(|A|^2) dw.
+      sum(|a|^2) dt == sum(|A|^2) dw.  ``_filter`` is their one caller: every
+      spectral stage (dispersion, time shift) is that pair around one
+      spectrum-first multiply by its kernel.
     * Envelopes own read-only samples.  The public constructors (and
       ``SampledEnvelope.with_samples``) copy what they are given, so the
       caller's array may change afterwards; arrays the library has just built
@@ -428,6 +430,25 @@ def boundary_leakage(env: AnyEnvelope) -> float:
     return float(max(mags[0], mags[-1]) / peak)
 
 
+def _filter(env: SampledEnvelope, kernel: np.ndarray) -> SampledEnvelope:
+    """``env`` with its spectrum times ``kernel``, a new array on the grid's
+    omegas that receives the product: spectrum first, so every spectral stage
+    rounds alike, and the spectrum is freed before the inverse transform."""
+    np.multiply(to_frequency(env).samples, kernel, out=kernel)
+    return to_time(_adopt(SpectralEnvelope, env.grid, kernel, env.carrier_wavelength_nm))
+
+
+def _support(env: SampledEnvelope) -> np.ndarray | None:
+    """Times of the first and last samples above :data:`BOUNDARY_TOLERANCE`
+    of the peak magnitude; None for an all-zero envelope."""
+    mags = np.abs(env.samples)
+    peak = float(mags.max())
+    if peak == 0.0:
+        return None
+    significant = np.nonzero(mags > BOUNDARY_TOLERANCE * peak)[0]
+    return env.grid.t0 + env.grid.dt * significant[[0, -1]]
+
+
 def shifted(env: SampledEnvelope, delay: float) -> SampledEnvelope:
     """a(t - delay), via an exact spectral phase ramp.
 
@@ -440,23 +461,15 @@ def shifted(env: SampledEnvelope, delay: float) -> SampledEnvelope:
     # The spectral shift is circular, so a large delay can wrap the waveform
     # back into the interior where boundary leakage alone would not flag it;
     # require the shifted support to fit the window outright.
-    grid = env.grid
-    mags = np.abs(env.samples)
-    peak = float(mags.max())
-    if peak > 0.0:
-        significant = np.nonzero(mags > BOUNDARY_TOLERANCE * peak)[0]
-        lo, hi = grid.t0 + grid.dt * significant[[0, -1]] + delay
-        if not grid.contains(lo, hi):
+    support = _support(env)
+    if support is not None:
+        lo, hi = support + delay
+        if not env.grid.contains(lo, hi):
             raise WindowOverflowError(
                 f"time shift by {delay} ps pushes the waveform support "
                 f"[{lo:.6g}, {hi:.6g}] ps outside the window"
             )
-    spec = to_frequency(env)
-    # Keep this one full-size product with a fresh right operand: above
-    # 256 KiB numpy reuses that operand in place, which swaps the complex
-    # product's operands and so its rounding; a blocked product would not.
-    delayed = spec.samples * grid._phase_ramp(delay)
-    out = to_time(_adopt(SpectralEnvelope, grid, delayed, spec.carrier_wavelength_nm))
+    out = _filter(env, env.grid._phase_ramp(delay))
     if boundary_leakage(out) > BOUNDARY_TOLERANCE:
         raise WindowOverflowError(
             f"time shift by {delay} ps pushes the waveform across the window "

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -62,8 +62,15 @@ from .interferometry import (
 from .scenario import Scenario, SystemSpec, key_spec, parse_scenario
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv(columns: list[str], rows) -> str:
+    """CSV text: a header of ``columns``, then one line per row.  Strings pass
+    through, None is written ``nan`` and numbers as ``repr(float(v))``."""
+
+    def cell(v) -> str:
+        return v if isinstance(v, str) else "nan" if v is None else repr(float(v))
+
+    lines = [",".join(columns), *(",".join(map(cell, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def build_topology(system: SystemSpec) -> SystemTopology:
@@ -363,17 +370,7 @@ def run_design(scenario: Scenario) -> tuple[dict, dict[str, str]]:
         configuration=spec.configuration,
     )
     result = requirements(request, far_field_multiplier=spec.far_field_multiplier)
-    entries = [
-        {
-            "element": e.element,
-            "bound_kind": e.bound_kind,
-            "dispersion_bound_ps2": float(e.dispersion_bound_ps2),
-            "recommended_ps2": float(e.recommended_ps2),
-            "bandwidth_rad_per_ps": float(e.bandwidth_rad_per_ps),
-            "bandwidth_kind": e.bandwidth_kind,
-        }
-        for e in result.entries
-    ]
+    entries = [asdict(e) for e in result.entries]
     report: dict = {
         "subcommand": "design",
         "configuration": spec.configuration.value,
@@ -388,18 +385,7 @@ def run_design(scenario: Scenario) -> tuple[dict, dict[str, str]]:
         "footnotes": list(result.footnotes),
         "artifacts": ["report.json", "design.csv"],
     }
-    header = (
-        "element,bound_kind,dispersion_bound_ps2,recommended_ps2,"
-        "bandwidth_rad_per_ps,bandwidth_kind"
-    )
-    rows = [header]
-    for e in entries:
-        rows.append(
-            f"{e['element']},{e['bound_kind']},{_fmt(e['dispersion_bound_ps2'])},"
-            f"{_fmt(e['recommended_ps2'])},{_fmt(e['bandwidth_rad_per_ps'])},"
-            f"{e['bandwidth_kind']}"
-        )
-    files = {"design.csv": "\n".join(rows) + "\n"}
+    files = {"design.csv": _csv(list(entries[0]), [e.values() for e in entries])}
     files["report.json"] = json.dumps(report, indent=2) + "\n"
     return report, files
 
@@ -427,8 +413,10 @@ def run_sweep(
         raise ScenarioSemanticError(
             [(0, f"sweep parameter {param!r} is not a numeric scenario key")]
         )
-    base = parse_scenario(text)
-    if not base.simulatable:
+    # The first point's override decides the columns, so that a sweep of
+    # analysis.analyzer_phase reports the central energy it changes.
+    head = parse_scenario(text, overrides={param: values[0]} if values else None)
+    if not head.simulatable:
         raise ScenarioSemanticError(
             [(0, "sweep needs a simulation scenario ([input] and [system])")]
         )
@@ -436,10 +424,11 @@ def run_sweep(
     param_column = param.replace(".", "_") + unit_suffix
 
     columns = [param_column, "output_fwhm_ps", "output_energy"]
-    vis_base, _ = _resolve_analysis(base)
-    if vis_base:
+    visibility, _ = _resolve_analysis(head)
+    phased = visibility and head.analysis.analyzer_phase is not None
+    if visibility:
         columns += ["visibility", "constructive_energy", "destructive_energy"]
-        if base.analysis.analyzer_phase is not None:
+        if phased:
             columns.append("central_energy")
 
     rows: list[tuple[float, list[float]]] = []
@@ -452,28 +441,26 @@ def run_sweep(
         point_key = replace(scenario, analysis=unphased)
         if point_key != key:
             key, run = point_key, _compute(scenario)
+        interference = run.report.get("interference")
+        if (interference is not None) != visibility:
+            switched = "disabled" if visibility else "enabled"
+            raise ScenarioSemanticError(
+                [(0, f"sweep point {param}={value!r} {switched} the "
+                     "visibility analysis; fix the scenario or the range")]
+            )
         row = [value, run.report["image"]["fwhm_ps"], run.report["image"]["energy"]]
-        if vis_base:
-            interference = run.report.get("interference")
-            if interference is None:
-                raise ScenarioSemanticError(
-                    [(0, f"sweep point {param}={value!r} disabled the "
-                         "visibility analysis; fix the scenario or the range")]
-                )
+        if visibility:
             row += [
                 interference["visibility"],
                 interference["constructive_energy"],
                 interference["destructive_energy"],
             ]
-            if base.analysis.analyzer_phase is not None:
+            if phased:
                 row.append(_central_energy(run, scenario.analysis.analyzer_phase))
         rows.append((value, row))
     rows.sort(key=lambda pair: pair[0])
 
-    lines = [",".join(columns)]
-    for _, row in rows:
-        lines.append(",".join("nan" if v is None else _fmt(v) for v in row))
-    files = {"sweep.csv": "\n".join(lines) + "\n"}
+    files = {"sweep.csv": _csv(columns, [row for _, row in rows])}
     report = {
         "subcommand": "sweep",
         "param": param,

@@ -17,6 +17,7 @@ import pytest
 import timelens.runner
 from timelens import (
     SampledEnvelope,
+    ScenarioSemanticError,
     TimeGrid,
     UndersampledError,
     energy,
@@ -323,6 +324,14 @@ class TestExitCodes:
         bad.write_text("[input\nkind = gaussian\n", encoding="utf-8")
         assert main(["simulate", str(bad)]) == EXIT_SYNTAX
 
+    def test_non_utf8_scenario_is_a_syntax_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_bytes(b"\xff\xfe[input]\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(bad), "--out", str(out)]) == EXIT_SYNTAX
+        assert "scenario is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_semantic_error(self, tmp_path):
         bad = tmp_path / "bad.scn"
         bad.write_text(
@@ -618,6 +627,32 @@ class TestSweep:
             assert row["constructive_energy"] == interference["constructive_energy"]
             assert row["destructive_energy"] == interference["destructive_energy"]
             assert row["central_energy"] == report["single_port"]["central_energy"]
+
+
+    def test_phase_sweep_reports_central_energy_without_a_preset_phase(self):
+        # visibility_field_lens.scn sets no analyzer_phase: the swept key
+        # still decides the columns, and each row equals its own simulation.
+        text = (SCENARIO_DIR / "visibility_field_lens.scn").read_text(encoding="utf-8")
+        param = "analysis.analyzer_phase"
+        phases = timelens.runner.sweep_values(0.0, 3.1416, 3)
+        _, files = run_sweep(text, param, phases)
+        lines = files["sweep.csv"].splitlines()
+        header = lines[0].split(",")
+        assert header[-1] == "central_energy"
+        central = [float(line.split(",")[-1]) for line in lines[1:]]
+        for phase, energy_at_phase in zip(phases, central):
+            report, _ = run_simulate(parse_scenario(text, overrides={param: phase}))
+            assert energy_at_phase == report["single_port"]["central_energy"]
+        assert len(set(central)) == 3
+
+    @pytest.mark.parametrize("separations", [[15.0, 0.0], [0.0, 15.0]])
+    def test_points_that_disagree_on_visibility_stop_the_sweep(self, separations):
+        with pytest.raises(ScenarioSemanticError, match="the visibility analysis"):
+            run_sweep(FAST_TIME_BIN, "input.bin_separation", separations)
+
+    def test_empty_sweep_writes_only_the_header(self, fast_scenario):
+        _, files = run_sweep(fast_scenario.read_text(), "system.focal_gdd", [])
+        assert files["sweep.csv"] == "system_focal_gdd_ps2,output_fwhm_ps,output_energy\n"
 
 
 class TestStageEntry:
