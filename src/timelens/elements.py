@@ -150,8 +150,8 @@ class TimeLens:
 
 
 def _dispersion_kernel(element: DispersiveElement, grid: TimeGrid) -> np.ndarray:
-    """New array exp(i*(gdd/2)*w^2 + i*(tod/6)*w^3) on the grid's angular
-    frequencies, evaluated in blocks.
+    """New array transmission * exp(i*(gdd/2)*w^2 + i*(tod/6)*w^3) on the
+    grid's angular frequencies, evaluated in blocks.
 
     Without TOD the kernel is even in w, and omegas[n/2 + j] ==
     -omegas[n/2 - j] exactly, so only w <= 0 is evaluated and then mirrored.
@@ -165,6 +165,8 @@ def _dispersion_kernel(element: DispersiveElement, grid: TimeGrid) -> np.ndarray
         if element.tod != 0.0:
             phase = phase + (element.tod / 6.0) * w**3
         np.exp(1j * phase, out=kernel[span])
+        if element.transmission != 1.0:
+            kernel[span] *= element.transmission
     if element.tod == 0.0:
         kernel[half + 1 :] = kernel[half - 1 : 0 : -1]
     return kernel
@@ -186,10 +188,7 @@ def apply_dispersion(
     """
     if element.gdd == 0.0 and element.tod == 0.0 and element.transmission == 1.0:
         return env
-    kernel = _dispersion_kernel(element, env.grid)
-    if element.transmission != 1.0:
-        kernel *= element.transmission
-    out = _filter(env, kernel)
+    out = _filter(env, _dispersion_kernel(element, env.grid))
     if boundary_leakage(out) > BOUNDARY_TOLERANCE:
         raise WindowOverflowError(
             f"{element.label}: dispersion gdd={element.gdd} ps^2, "

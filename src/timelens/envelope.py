@@ -21,6 +21,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -39,6 +40,11 @@ LN2 = float(np.log(2.0))
 #: Amplitude threshold (relative to peak) below which boundary samples are
 #: considered leakage-free. Shared by the wrap-around checks.
 BOUNDARY_TOLERANCE = 1e-8
+
+#: Gaussian exponents below this are not evaluated: exp underflows to exactly
+#: 0.0 below about -745.13, which a unit-peak Gaussian reaches about 23.2
+#: FWHM from its center.
+_EXPONENT_FLOOR = -750.0
 
 
 @dataclass(frozen=True)
@@ -137,27 +143,28 @@ def to_frequency(env: SampledEnvelope) -> SpectralEnvelope:
     single FFT.  With h = n//2 and the center time t_c = t0 + h*dt,
     exp(-i w_m t_k) = (-1)^k (-1)^(m-h) exp(-2*pi*i*m*k/n) exp(-i w_m t_c)
     exactly, so the transform is a sign flip of every odd sample, the FFT and
-    :func:`_recenter`.  ``env`` is left untouched.
+    :func:`_recenter`, all in place on one copy of the samples.  ``env`` is
+    left untouched.
     """
     grid = env.grid
     work = env.samples.copy()
     work[1::2] *= -1.0
-    spectrum = np.fft.fft(work)
-    spectrum *= grid.dt / np.sqrt(2.0 * np.pi)
-    _recenter(spectrum, grid, 1.0)
-    return _adopt(SpectralEnvelope, grid, spectrum, env.carrier_wavelength_nm)
+    np.fft.fft(work, out=work)
+    work *= grid.dt / np.sqrt(2.0 * np.pi)
+    _recenter(work, grid, 1.0)
+    return _adopt(SpectralEnvelope, grid, work, env.carrier_wavelength_nm)
 
 
 def to_time(spec: SpectralEnvelope) -> SampledEnvelope:
     """Inverse of :func:`to_frequency` (exact round trip): the conjugate
-    factors around one inverse FFT."""
+    factors around one inverse FFT, in place on one copy of the spectrum."""
     grid = spec.grid
     work = spec.samples.copy()
     _recenter(work, grid, -1.0)
-    samples = np.fft.ifft(work)
-    samples[1::2] *= -1.0
-    samples *= grid.n_samples * grid.domega / np.sqrt(2.0 * np.pi)
-    return _adopt(SampledEnvelope, grid, samples, spec.carrier_wavelength_nm)
+    np.fft.ifft(work, out=work)
+    work[1::2] *= -1.0
+    work *= grid.n_samples * grid.domega / np.sqrt(2.0 * np.pi)
+    return _adopt(SampledEnvelope, grid, work, spec.carrier_wavelength_nm)
 
 
 def _recenter(spectrum: np.ndarray, grid: TimeGrid, sign: float) -> None:
@@ -189,6 +196,18 @@ def _check_spectral_edge(grid: TimeGrid, fwhm: float, what: str) -> None:
         )
 
 
+def _gaussian_support(
+    grid: TimeGrid, first: float, last: float, fwhm: float
+) -> tuple[int, int]:
+    """Sample range [start, stop) outside which unit Gaussians of FWHM
+    ``fwhm`` centered between ``first`` and ``last`` have exponents below
+    :data:`_EXPONENT_FLOOR`, so every one of them evaluates to exactly 0."""
+    reach = fwhm * np.sqrt(-_EXPONENT_FLOOR / (2.0 * LN2))
+    start = math.floor((first - reach - grid.t0) / grid.dt)
+    stop = math.ceil((last + reach - grid.t0) / grid.dt) + 1
+    return max(start, 0), min(stop, grid.n_samples)
+
+
 def gaussian_pulse(
     grid: TimeGrid,
     fwhm: float,
@@ -198,7 +217,10 @@ def gaussian_pulse(
 ) -> SampledEnvelope:
     """Gaussian envelope amplitude * exp(-2*ln2*((t-center)/fwhm)^2).
 
-    ``fwhm`` is the intensity full width at half maximum in ps.
+    ``fwhm`` is the intensity full width at half maximum in ps.  Samples
+    beyond about 23.2 FWHM of ``center``, where the formula underflows to
+    zero, are not evaluated and hold exact +0; with Re(amplitude) < 0 the
+    formula itself would give -0 there.
 
     Raises:
         WindowOverflowError: if the 4*fwhm extent around ``center`` does not
@@ -214,9 +236,11 @@ def gaussian_pulse(
             f"{grid.t0 + (grid.n_samples - 1) * grid.dt}] ps"
         )
     _check_spectral_edge(grid, fwhm, f"gaussian pulse (fwhm={fwhm} ps)")
-    t = grid.times
-    samples = amplitude * np.exp(-2.0 * LN2 * ((t - center) / fwhm) ** 2)
-    return SampledEnvelope(grid, samples, carrier_wavelength_nm)
+    samples = np.zeros(grid.n_samples, dtype=np.complex128)
+    for span, k in grid._blocks(*_gaussian_support(grid, center, center, fwhm)):
+        t = grid.t0 + grid.dt * k
+        samples[span] = amplitude * np.exp(-2.0 * LN2 * ((t - center) / fwhm) ** 2)
+    return _adopt(SampledEnvelope, grid, samples, carrier_wavelength_nm)
 
 
 def time_bin_pulse(
@@ -232,7 +256,9 @@ def time_bin_pulse(
     g(t - separation/2) with g a unit-peak Gaussian of intensity FWHM
     ``bin_fwhm``.  ``separation`` is the early-to-late peak distance in ps;
     the total pattern width between outermost half-maximum crossings is
-    separation + bin_fwhm.  Raises as :func:`gaussian_pulse` does.
+    separation + bin_fwhm.  As in :func:`gaussian_pulse`, samples where both
+    bins underflow to zero are not evaluated; they hold exact +0, as the
+    formula does.  Raises as :func:`gaussian_pulse` does.
     """
     if not (bin_fwhm > 0.0 and np.isfinite(bin_fwhm)):
         raise ValueError(f"bin_fwhm must be positive, got {bin_fwhm!r}")
@@ -245,8 +271,8 @@ def time_bin_pulse(
             "ps) exceeds the grid window"
         )
     _check_spectral_edge(grid, bin_fwhm, f"time-bin pulse (bin_fwhm={bin_fwhm} ps)")
-    samples = np.empty(grid.n_samples, dtype=np.complex128)
-    for span, k in grid._blocks():
+    samples = np.zeros(grid.n_samples, dtype=np.complex128)
+    for span, k in grid._blocks(*_gaussian_support(grid, -half, half, bin_fwhm)):
         t = grid.t0 + grid.dt * k
         early = np.exp(-2.0 * LN2 * ((t + half) / bin_fwhm) ** 2)
         late = np.exp(-2.0 * LN2 * ((t - half) / bin_fwhm) ** 2)
@@ -491,7 +517,9 @@ def magnified_copy(env: SampledEnvelope, magnification: float) -> SampledEnvelop
     B-spline interpolation (Unser, IEEE SPM 16(6), 1999) with zero samples
     beyond the window, as the boundary-leakage invariant assumes; this differs
     from a not-a-knot cubic spline only within ~30 samples of an edge.  Points
-    mapping outside the original window are zero.
+    mapping outside the original window are zero, and so are blocks whose
+    interpolation stencils read only zero samples: those are not evaluated
+    and hold exact +0.
     """
     if magnification == 0.0 or not np.isfinite(magnification):
         raise ValueError(f"magnification must be nonzero, got {magnification!r}")
@@ -499,8 +527,16 @@ def magnified_copy(env: SampledEnvelope, magnification: float) -> SampledEnvelop
     n = grid.n_samples
     scale = np.sqrt(abs(magnification))
     values = np.zeros(n, dtype=np.complex128)
+    # first and last nonzero input samples (an all-zero input skips nothing)
+    nonzero = env.samples != 0.0
+    first = int(np.argmax(nonzero))
+    last = n - 1 - int(np.argmax(nonzero[::-1]))
+    del nonzero
     for span, k in grid._blocks():
         x = ((grid.t0 + grid.dt * k) / magnification - grid.t0) / grid.dt
+        # the stencil at x reads samples floor(x) - 33 .. floor(x) + 34
+        if np.floor(x.max()) + 34 < first or np.floor(x.min()) - 33 > last:
+            continue
         inside = (x >= 0.0) & (x <= n - 1)
         if inside.any():
             x = x[inside]

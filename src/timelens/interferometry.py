@@ -8,12 +8,15 @@ figure of merit for phase-preserving imaging.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .envelope import SampledEnvelope, _adopt, shifted
 from .errors import DegenerateInputError, PeakDetectionError, WindowOverflowError
+from .grid import TimeGrid
 
 #: Local maxima below this fraction of the global intensity peak are ignored
 #: when locating the outer peaks of the interference profile.
@@ -80,7 +83,9 @@ class InterferenceResult:
     outer_peaks: tuple[float, float]  # detected outer peak positions, ps
 
 
-def _outer_peaks(intensity: np.ndarray, times: np.ndarray) -> tuple[float, float]:
+def _outer_peaks(intensity: np.ndarray) -> tuple[int, int]:
+    """Indices of the first and last of at least three local maxima above
+    :data:`PEAK_HEIGHT_FLOOR` of the global peak."""
     peak = float(intensity.max())
     if peak == 0.0:
         raise DegenerateInputError("peak detection on a zero-energy envelope")
@@ -97,15 +102,22 @@ def _outer_peaks(intensity: np.ndarray, times: np.ndarray) -> tuple[float, float
             "peak(s); is the input a two-bin waveform recombined at its bin "
             "separation?"
         )
-    return float(times[indices[0]]), float(times[indices[-1]])
+    return int(indices[0]), int(indices[-1])
+
+
+def _time(grid: TimeGrid, k: int) -> float:
+    """Time of sample ``k``, bitwise equal to ``grid.times[k]``."""
+    return float(grid.t0 + grid.dt * k)
 
 
 def _window_energy(
     env: SampledEnvelope, window: tuple[float, float], metric: str
 ) -> float:
-    t = env.times
-    mask = (t >= window[0]) & (t <= window[1])
-    intensity = np.abs(env.samples[mask]) ** 2
+    # times rise with k, so the samples in the closed window are one run
+    time = partial(_time, env.grid)
+    k = range(env.grid.n_samples)
+    run = slice(bisect_left(k, window[0], key=time), bisect_right(k, window[1], key=time))
+    intensity = np.abs(env.samples[run]) ** 2
     if metric == "energy":
         return float(intensity.sum() * env.grid.dt)
     if metric == "peak":
@@ -152,7 +164,7 @@ def visibility_experiment(
     constructive = analyzer_port(image, delayed, relative_phase)
     destructive = analyzer_port(image, delayed, relative_phase + np.pi)
     combined = constructive.intensity + destructive.intensity
-    lo_peak, hi_peak = _outer_peaks(combined, image.times)
+    lo_peak, hi_peak = (_time(image.grid, k) for k in _outer_peaks(combined))
     center = 0.5 * (lo_peak + hi_peak)
     window = (center - 0.5 * bin_separation, center + 0.5 * bin_separation)
     e_con = _window_energy(constructive, window, metric)

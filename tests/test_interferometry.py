@@ -18,7 +18,7 @@ from timelens import (
     time_bin_pulse,
     visibility_experiment,
 )
-from timelens.interferometry import PEAK_HEIGHT_FLOOR, _outer_peaks
+from timelens.interferometry import PEAK_HEIGHT_FLOOR, _outer_peaks, _window_energy
 
 
 @pytest.fixture
@@ -190,10 +190,25 @@ class TestOuterPeaks:
             intensity = np.repeat(values, rng.integers(1, 5, size=values.size))
             if intensity.max() == 0.0:
                 continue
-            times = 0.25 * np.arange(intensity.size) - 3.0
             ref, _ = find_peaks(intensity, height=PEAK_HEIGHT_FLOOR * intensity.max())
             if len(ref) < 3:
                 with pytest.raises(PeakDetectionError):
-                    _outer_peaks(intensity, times)
+                    _outer_peaks(intensity)
             else:
-                assert _outer_peaks(intensity, times) == (times[ref[0]], times[ref[-1]])
+                assert _outer_peaks(intensity) == (ref[0], ref[-1])
+
+
+class TestWindowEnergy:
+    @pytest.mark.parametrize("t0", [-51.2, 3.7])
+    def test_matches_the_time_mask(self, t0):
+        grid = TimeGrid(n_samples=256, dt=0.4, t0=t0)
+        rng = np.random.default_rng(7)
+        env = SampledEnvelope(grid, rng.normal(size=256) + 1j * rng.normal(size=256))
+        t = grid.times
+        # ends on sample times (the window is closed), between them and beyond
+        for lo, hi in [(t[10], t[50]), (t[10] + 0.1, t[50] - 0.1),
+                       (t[0] - 5.0, t[-1] + 5.0), (t[20] + 0.1, t[20] + 0.2)]:
+            intensity = np.abs(env.samples[(t >= lo) & (t <= hi)]) ** 2
+            assert _window_energy(env, (lo, hi), "energy") == intensity.sum() * grid.dt
+            if intensity.size:
+                assert _window_energy(env, (lo, hi), "peak") == intensity.max()
