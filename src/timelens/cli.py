@@ -211,6 +211,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # a failed .npy save; write_artifacts removed its files
+        print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_UNEXPECTED
 
     if args.command == "simulate":
         _print_simulate_summary(report, out_dir)

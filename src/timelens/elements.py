@@ -32,10 +32,16 @@ from .envelope import (
     LN2,
     SampledEnvelope,
     _adopt,
+    _band_edge_leakage,
     _filter,
     boundary_leakage,
 )
-from .errors import CarrierMismatchError, DesignError, WindowOverflowError
+from .errors import (
+    CarrierMismatchError,
+    DesignError,
+    UndersampledError,
+    WindowOverflowError,
+)
 from .grid import TimeGrid
 
 #: Default carriers, nm: a 710 nm signal converted by a 1550 nm pump.
@@ -182,18 +188,32 @@ def apply_dispersion(
     the spectral magnitude is unchanged.
 
     Raises:
+        UndersampledError: the dispersed waveform reaches the window boundary
+            above the leakage tolerance, and the input's spectrum reaches the
+            outer 1/64 of the band above it too: the samples alias, and a
+            larger window at the same dt would not help.
         WindowOverflowError: the dispersed waveform reaches the window
             boundary above the leakage tolerance (wrap-around would corrupt
-            the samples).
+            the samples) from a well-sampled input.
     """
     if element.gdd == 0.0 and element.tod == 0.0 and element.transmission == 1.0:
         return env
     out = _filter(env, _dispersion_kernel(element, env.grid))
     if boundary_leakage(out) > BOUNDARY_TOLERANCE:
-        raise WindowOverflowError(
+        what = (
             f"{element.label}: dispersion gdd={element.gdd} ps^2, "
-            f"tod={element.tod} ps^3 stretches the waveform across the window "
-            "boundary; enlarge the grid window"
+            f"tod={element.tod} ps^3"
+        )
+        edge = _band_edge_leakage(env)
+        if edge > BOUNDARY_TOLERANCE:
+            raise UndersampledError(
+                f"{what} receives a spectrum with {edge:.3g} of its peak at the "
+                f"band edge of dt={env.grid.dt} ps, so the waveform aliases; use "
+                f"more than n_samples={env.grid.n_samples} for this window"
+            )
+        raise WindowOverflowError(
+            f"{what} stretches the waveform across the window boundary; "
+            "enlarge the grid window"
         )
     return out
 

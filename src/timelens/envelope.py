@@ -280,10 +280,9 @@ def time_bin_pulse(
     return _adopt(SampledEnvelope, grid, samples, carrier_wavelength_nm)
 
 
-def _axis_and_step(env: AnyEnvelope) -> tuple[np.ndarray, float]:
-    if isinstance(env, SampledEnvelope):
-        return env.times, env.grid.dt
-    return env.omegas, env.grid.domega
+def _step(env: AnyEnvelope) -> float:
+    """Sample spacing of ``env``'s domain: dt in time, domega in frequency."""
+    return env.grid.dt if isinstance(env, SampledEnvelope) else env.grid.domega
 
 
 def fwhm(env: AnyEnvelope) -> float:
@@ -297,7 +296,7 @@ def fwhm(env: AnyEnvelope) -> float:
         DegenerateInputError: all-zero envelope or no half-maximum crossing
             inside the window.
     """
-    axis, _ = _axis_and_step(env)
+    axis = env.times if isinstance(env, SampledEnvelope) else env.omegas
     intensity = env.intensity
     peak_index = int(np.argmax(intensity))
     peak = intensity[peak_index]
@@ -323,8 +322,7 @@ def fwhm(env: AnyEnvelope) -> float:
 
 def energy(env: AnyEnvelope) -> float:
     """L2 norm: sum(|a|^2) * step (dimensionless for time-domain envelopes)."""
-    _, step = _axis_and_step(env)
-    return float(np.sum(env.intensity) * step)
+    return float(np.sum(env.intensity) * _step(env))
 
 
 def overlap(a: AnyEnvelope, b: AnyEnvelope) -> complex:
@@ -338,12 +336,11 @@ def overlap(a: AnyEnvelope, b: AnyEnvelope) -> complex:
     """
     if type(a) is not type(b) or a.grid != b.grid:
         raise ValueError("overlap requires two envelopes on the same grid and domain")
-    _, step = _axis_and_step(a)
     ea = energy(a)
     eb = energy(b)
     if ea == 0.0 or eb == 0.0:
         raise DegenerateInputError("overlap with a zero-energy envelope is undefined")
-    inner = np.sum(np.conjugate(a.samples) * b.samples) * step
+    inner = np.sum(np.conjugate(a.samples) * b.samples) * _step(a)
     return complex(inner / np.sqrt(ea * eb))
 
 
@@ -454,6 +451,19 @@ def boundary_leakage(env: AnyEnvelope) -> float:
     if peak == 0.0:
         return 0.0
     return float(max(mags[0], mags[-1]) / peak)
+
+
+def _band_edge_leakage(env: SampledEnvelope) -> float:
+    """Largest spectral amplitude of ``env`` over the outer 1/64 of the band,
+    |w| >= (63/64)*pi/dt, relative to its peak; zero for an all-zero
+    envelope.  The sampled twin of :func:`_check_spectral_edge`, at the cost
+    of one transform."""
+    spectrum = np.abs(to_frequency(env).samples)
+    peak = float(spectrum.max())
+    if peak == 0.0:
+        return 0.0
+    edge = np.abs(env.grid.omegas) >= (63.0 / 64.0) * np.pi / env.grid.dt
+    return float(spectrum[edge].max() / peak)
 
 
 def _filter(env: SampledEnvelope, kernel: np.ndarray) -> SampledEnvelope:

@@ -89,13 +89,20 @@ def _outer_peaks(intensity: np.ndarray) -> tuple[int, int]:
     peak = float(intensity.max())
     if peak == 0.0:
         raise DegenerateInputError("peak detection on a zero-energy envelope")
+    floor = PEAK_HEIGHT_FLOOR * peak
+    # Every counted maximum, with the rise before it and the fall after it,
+    # lies within one sample of the samples at or above the floor, so only
+    # that span is scanned.
+    above = intensity >= floor
+    start = max(int(above.argmax()) - 1, 0)
+    span = intensity[start : len(intensity) + 1 - int(above[::-1].argmax())]
     # local maxima: a rise, then a fall after any flat run; a flat top counts
     # once, at its middle index rounded left, and end samples never count
-    steps = np.flatnonzero(np.diff(intensity))
-    rising = intensity[steps + 1] > intensity[steps]
+    steps = np.flatnonzero(np.diff(span))
+    rising = span[steps + 1] > span[steps]
     tops = np.flatnonzero(rising[:-1] & ~rising[1:])
     indices = (steps[tops] + 1 + steps[tops + 1]) // 2
-    indices = indices[intensity[indices] >= PEAK_HEIGHT_FLOOR * peak]
+    indices = start + indices[span[indices] >= floor]
     if len(indices) < 3:
         raise PeakDetectionError(
             f"expected a three-peak interference profile, found {len(indices)} "
@@ -163,8 +170,10 @@ def visibility_experiment(
         raise WindowOverflowError(f"analyzer delay {bin_separation} ps: {exc}") from exc
     constructive = analyzer_port(image, delayed, relative_phase)
     destructive = analyzer_port(image, delayed, relative_phase + np.pi)
-    combined = constructive.intensity + destructive.intensity
+    combined = constructive.intensity
+    combined += destructive.intensity
     lo_peak, hi_peak = (_time(image.grid, k) for k in _outer_peaks(combined))
+    del combined
     center = 0.5 * (lo_peak + hi_peak)
     window = (center - 0.5 * bin_separation, center + 0.5 * bin_separation)
     e_con = _window_energy(constructive, window, metric)

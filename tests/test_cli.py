@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +153,7 @@ class TestSimulate:
                 interference[f"{port}_energy"]
             )
 
-    def test_off_center_input_is_imaged_or_rejected(self, tmp_path):
+    def test_off_center_input_is_imaged_or_rejected(self, tmp_path, capsys):
         # A 5 ps Gaussian at +100 ps images to -2000 ps at M = -20; the
         # planned window must hold it rather than wrap it.
         text = (SCENARIO_DIR / "ideal_magnifier.scn").read_text(encoding="utf-8")
@@ -170,10 +171,17 @@ class TestSimulate:
         image = read_waveform_npy((out / "stage_04_field_lens.npy").read_bytes(), grid)
         assert abs(image.times[np.argmax(image.intensity)] + 2000.0) <= grid.dt
         assert report["image"]["fidelity_to_ideal"] >= 0.999999
-        # 16384 samples sample that window too coarsely: the run stops with
-        # an error instead of returning a wrapped image
+        # 16384 samples sample that window too coarsely: the main lens chirps
+        # the input to about 20 rad/ps, far past the band edge pi/dt of
+        # 2.9 rad/ps, so stage 3 wraps because its input aliased.  The run
+        # stops instead of returning a wrapped image, and asks for samples,
+        # not for a larger window, which would make it worse.
+        capsys.readouterr()
         assert main(["simulate", str(coarse), "--out", str(tmp_path / "c")]) == (
             EXIT_PHYSICS
+        )
+        assert capsys.readouterr().err.startswith(
+            "error: UndersampledError: stage 3 (output_gdd): "
         )
 
     def test_far_field_check_present_for_lens_systems(self, fast_scenario, tmp_path):
@@ -221,7 +229,9 @@ class TestSimulate:
         result = _fresh_python(code)
         assert result.returncode == 0, result.stderr
 
-    def test_npys_equal_waveform_npy_of_their_envelopes(self):
+    def test_npys_equal_waveform_npy_of_their_envelopes(self, tmp_path):
+        # simulate hands write_artifacts the envelopes' own samples; the
+        # files it saves must hold the bytes of the public format helper
         scenario = parse_scenario(FAST_TIME_BIN)
         _, files = run_simulate(scenario)
         run = timelens.runner._compute(scenario)
@@ -232,21 +242,60 @@ class TestSimulate:
         expected["analyzer_destructive.npy"] = run.interference.destructive
         assert list(files) == [*expected, "report.json"]
         assert len(expected) == 7
+        write_artifacts(tmp_path, files)
         for name, env in expected.items():
-            assert files[name] == waveform_npy(env), name
+            assert (tmp_path / name).read_bytes() == waveform_npy(env), name
+
+    def test_rendering_holds_no_second_copy_of_the_waveforms(self):
+        # Every .npy artifact is its envelope's own samples, so run_simulate
+        # peaks less than one waveform above the computation it wraps.  Each
+        # call runs once untraced first, so numpy's FFT plans are not charged.
+        scenario = parse_scenario(
+            (SCENARIO_DIR / "visibility_telescope.scn").read_text(encoding="utf-8")
+        )
+
+        def traced_peak(call):
+            call(scenario)
+            tracemalloc.start()
+            try:
+                call(scenario)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        waveform = run_simulate(scenario)[1]["stage_00_input.npy"].nbytes
+        rendering = traced_peak(run_simulate) - traced_peak(timelens.runner._compute)
+        assert rendering < waveform
 
     def test_render_error_exits_unexpected_and_writes_nothing(
         self, monkeypatch, tmp_path
     ):
-        def broken(env):
-            raise ValueError("render failed")
+        # The .npy files are rendered while they are written: a save that
+        # fails on the second array, after writing part of it, must leave
+        # no file behind.
+        save = np.save
+        calls = []
 
-        monkeypatch.setattr(timelens.runner, "waveform_npy", broken)
+        def broken(file, array, **kwargs):
+            calls.append(file)
+            if len(calls) == 2:
+                file.write(b"\x93NUMPY")
+                raise ValueError("render failed")
+            save(file, array, **kwargs)
+
+        monkeypatch.setattr(np, "save", broken)
+        _, files = run_simulate(parse_scenario(FAST_TIME_BIN))
+        direct = tmp_path / "direct"
+        with pytest.raises(ValueError, match="render failed"):
+            write_artifacts(direct, files)
+        assert len(calls) == 2 and list(direct.iterdir()) == []
+
+        calls.clear()
         scenario = tmp_path / "time_bin.scn"
         scenario.write_text(FAST_TIME_BIN, encoding="utf-8")
         out = tmp_path / "o"
         assert main(["simulate", str(scenario), "--out", str(out)]) == EXIT_UNEXPECTED
-        assert not out.exists()
+        assert len(calls) == 2 and list(out.iterdir()) == []
 
 
 class TestWaveformFiles:

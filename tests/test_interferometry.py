@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,8 +179,69 @@ class TestVisibilityExperiment:
         with pytest.raises(WindowOverflowError, match=r"^analyzer delay 390\.0 ps: "):
             visibility_experiment(two_bin, bin_separation=390.0)
 
+    def test_peak_memory_is_bounded_by_the_image(self):
+        # The delayed copy and both ports are full-size outputs; the summed
+        # intensity is built in place and peak detection scans only the
+        # span above its floor, so about four images' worth is held at once.
+        # One untraced run first, so numpy's FFT plan is not charged.
+        grid = TimeGrid.centered(window=400.0, n_samples=2**16)
+        image = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0)
+        visibility_experiment(image, 15.0)
+        tracemalloc.start()
+        try:
+            visibility_experiment(image, 15.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * image.samples.nbytes
+
+
+def _full_array_outer_peaks(intensity: np.ndarray) -> np.ndarray:
+    """Every counted maximum, by the formula ``_outer_peaks`` applies only to
+    the span around the samples at or above its floor, here over the whole
+    array."""
+    steps = np.flatnonzero(np.diff(intensity))
+    rising = intensity[steps + 1] > intensity[steps]
+    tops = np.flatnonzero(rising[:-1] & ~rising[1:])
+    indices = (steps[tops] + 1 + steps[tops + 1]) // 2
+    return indices[intensity[indices] >= PEAK_HEIGHT_FLOOR * intensity.max()]
+
 
 class TestOuterPeaks:
+    @staticmethod
+    def _check_against_the_full_array(intensity):
+        ref = _full_array_outer_peaks(intensity)
+        if len(ref) < 3:
+            with pytest.raises(PeakDetectionError):
+                _outer_peaks(intensity)
+        else:
+            assert _outer_peaks(intensity) == (ref[0], ref[-1])
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [250, 0, 250, 0, 250, 0, 250, 0, 250],  # above the floor at 0 and n - 1
+            [0, 250, 0, 100, 0, 250, 0],  # peaks next to either end
+            [250, 250, 3, 100, 100, 100, 3, 250, 3, 100, 100, 3, 100, 100],  # plateaus
+            [0, 1, 1, 250, 1, 250, 1, 250, 1, 0, 0],  # peaks next to the span's ends
+            [2, 1, 2, 250, 2, 1, 2, 250, 2, 250, 2, 1, 2],  # maxima below the floor
+            [250, 100, 250, 100, 250],  # one interior maximum
+        ],
+    )
+    def test_matches_the_full_array_formula_at_the_edges(self, values):
+        self._check_against_the_full_array(np.array(values, dtype=float))
+
+    def test_matches_the_full_array_formula_on_random_profiles(self):
+        rng = np.random.default_rng(715)
+        levels = [0.0, 1.0, 2.0, 3.0, 100.0, 250.0]
+        for _ in range(2000):
+            values = rng.choice(levels, size=rng.integers(1, 30))
+            intensity = np.repeat(values, rng.integers(1, 5, size=values.size))
+            if intensity.max() > 0.0:
+                self._check_against_the_full_array(intensity)
+            smooth = rng.random(rng.integers(3, 60)) ** rng.integers(1, 12)
+            self._check_against_the_full_array(smooth)
+
     def test_matches_find_peaks_on_plateaus(self):
         from scipy.signal import find_peaks
 
