@@ -155,29 +155,6 @@ class TimeLens:
         )
 
 
-def _dispersion_kernel(element: DispersiveElement, grid: TimeGrid) -> np.ndarray:
-    """New array transmission * exp(i*(gdd/2)*w^2 + i*(tod/6)*w^3) on the
-    grid's angular frequencies, evaluated in blocks.
-
-    Without TOD the kernel is even in w, and omegas[n/2 + j] ==
-    -omegas[n/2 - j] exactly, so only w <= 0 is evaluated and then mirrored.
-    """
-    half = grid.n_samples // 2
-    kernel = np.empty(grid.n_samples, dtype=np.complex128)
-    stop = grid.n_samples if element.tod != 0.0 else half + 1
-    for span, k in grid._blocks(0, stop):
-        w = (k - half) * grid.domega
-        phase = 0.5 * element.gdd * w**2
-        if element.tod != 0.0:
-            phase = phase + (element.tod / 6.0) * w**3
-        np.exp(1j * phase, out=kernel[span])
-        if element.transmission != 1.0:
-            kernel[span] *= element.transmission
-    if element.tod == 0.0:
-        kernel[half + 1 :] = kernel[half - 1 : 0 : -1]
-    return kernel
-
-
 def apply_dispersion(
     env: SampledEnvelope, element: DispersiveElement
 ) -> SampledEnvelope:
@@ -198,7 +175,18 @@ def apply_dispersion(
     """
     if element.gdd == 0.0 and element.tod == 0.0 and element.transmission == 1.0:
         return env
-    out = _filter(env, _dispersion_kernel(element, env.grid))
+
+    def kernel(w: np.ndarray) -> np.ndarray:
+        phase = 0.5 * element.gdd * w**2
+        if element.tod != 0.0:
+            phase = phase + (element.tod / 6.0) * w**3
+        values = np.exp(1j * phase)
+        if element.transmission != 1.0:
+            values *= element.transmission
+        return values
+
+    # without TOD the kernel is even in w
+    out = _filter(env, kernel, np.copy if element.tod == 0.0 else None)
     if boundary_leakage(out) > BOUNDARY_TOLERANCE:
         what = (
             f"{element.label}: dispersion gdd={element.gdd} ps^2, "

@@ -11,12 +11,14 @@ Conventions:
       Parseval holds exactly in the discrete approximation:
       sum(|a|^2) dt == sum(|A|^2) dw.  ``_filter`` is their one caller: every
       spectral stage (dispersion, time shift) is that pair around one
-      spectrum-first multiply by its kernel.
+      spectrum-first multiply by its kernel, block by block in the forward
+      transform's work array, which the inverse then transforms in place.
     * Envelopes own read-only samples.  The public constructors (and
       ``SampledEnvelope.with_samples``) copy what they are given, so the
       caller's array may change afterwards; arrays the library has just built
       are adopted by ``_adopt`` without a copy, after the same shape and
-      finiteness checks.
+      finiteness checks.  Only ``_filter`` makes a spectrum with writeable
+      samples: scratch that ``to_time`` inverts in place (it copies others).
 """
 
 from __future__ import annotations
@@ -157,9 +159,9 @@ def to_frequency(env: SampledEnvelope) -> SpectralEnvelope:
 
 def to_time(spec: SpectralEnvelope) -> SampledEnvelope:
     """Inverse of :func:`to_frequency` (exact round trip): the conjugate
-    factors around one inverse FFT, in place on one copy of the spectrum."""
+    factors around one inverse FFT, in place on a scratch spectrum or a copy."""
     grid = spec.grid
-    work = spec.samples.copy()
+    work = spec.samples if spec.samples.flags.writeable else spec.samples.copy()
     _recenter(work, grid, -1.0)
     np.fft.ifft(work, out=work)
     work[1::2] *= -1.0
@@ -175,9 +177,29 @@ def _recenter(spectrum: np.ndarray, grid: TimeGrid, sign: float) -> None:
     """
     half = grid.n_samples // 2
     spectrum[(half + 1) % 2 :: 2] *= -1.0
-    t_c = grid.t0 + grid.dt * half
-    if t_c != 0.0:
-        spectrum *= grid._phase_ramp(sign * t_c)
+    tau = sign * (grid.t0 + grid.dt * half)
+    if tau != 0.0:
+        _multiply_blocks(spectrum, grid, lambda w: np.exp(-1j * w * tau), np.conjugate)
+
+
+def _multiply_blocks(spectrum: np.ndarray, grid: TimeGrid, kernel, mirror=None) -> None:
+    """Multiply ``spectrum`` in place, spectrum first, by ``kernel(w)``, a new
+    array for each block of the grid's omegas.  With ``mirror``, only w <= 0
+    is evaluated, as omegas[n/2 + j] == -omegas[n/2 - j] exactly: ``mirror``
+    (``np.copy`` if the kernel is even, ``np.conjugate`` if it is conjugate-
+    symmetric) of a block's values, reversed, is the kernel on the mirror
+    block, and contiguous, which keeps the product on numpy's contiguous loop."""
+    n, half = grid.n_samples, grid.n_samples // 2
+    # At n = 4 the mirror is one sample, and a one-sample product can round
+    # unlike the same sample in a longer array, so such grids run whole.
+    whole = mirror is None or half <= 2
+    for span, k in grid._blocks(0, n if whole else half + 1):
+        values = kernel((k - half) * grid.domega)
+        spectrum[span] *= values
+        lo, hi = max(span.start, 1), min(span.stop, half)
+        if not whole and lo < hi:
+            twin = values[lo - span.start : hi - span.start][::-1]
+            spectrum[n - hi + 1 : n - lo + 1] *= mirror(twin)
 
 
 def _check_spectral_edge(grid: TimeGrid, fwhm: float, what: str) -> None:
@@ -444,13 +466,17 @@ def phase_rms(env: SampledEnvelope, window_fwhm_fraction: float = 1.0) -> float:
     return float(np.sqrt(np.mean((phases - fit) ** 2)))
 
 
+def _peak_magnitude(env: AnyEnvelope) -> float:
+    """max|a|, one block at a time."""
+    return max(float(np.abs(env.samples[s]).max()) for s, _ in env.grid._blocks())
+
+
 def boundary_leakage(env: AnyEnvelope) -> float:
     """max(|a[0]|, |a[-1]|) / max|a|; zero for an all-zero envelope."""
-    mags = np.abs(env.samples)
-    peak = float(mags.max())
+    peak = _peak_magnitude(env)
     if peak == 0.0:
         return 0.0
-    return float(max(mags[0], mags[-1]) / peak)
+    return float(np.abs(env.samples[[0, -1]]).max() / peak)
 
 
 def _band_edge_leakage(env: SampledEnvelope) -> float:
@@ -466,23 +492,31 @@ def _band_edge_leakage(env: SampledEnvelope) -> float:
     return float(spectrum[edge].max() / peak)
 
 
-def _filter(env: SampledEnvelope, kernel: np.ndarray) -> SampledEnvelope:
-    """``env`` with its spectrum times ``kernel``, a new array on the grid's
-    omegas that receives the product: spectrum first, so every spectral stage
-    rounds alike, and the spectrum is freed before the inverse transform."""
-    np.multiply(to_frequency(env).samples, kernel, out=kernel)
-    return to_time(_adopt(SpectralEnvelope, env.grid, kernel, env.carrier_wavelength_nm))
+def _filter(env: SampledEnvelope, kernel, mirror=None) -> SampledEnvelope:
+    """``env`` with its spectrum times ``kernel(w)`` (:func:`_multiply_blocks`)
+    in the forward transform's work array, which is then inverted in place."""
+    spec = to_frequency(env)
+    spec.samples.setflags(write=True)  # scratch: nothing else refers to it
+    _multiply_blocks(spec.samples, env.grid, kernel, mirror)
+    return to_time(spec)
 
 
 def _support(env: SampledEnvelope) -> np.ndarray | None:
     """Times of the first and last samples above :data:`BOUNDARY_TOLERANCE`
-    of the peak magnitude; None for an all-zero envelope."""
-    mags = np.abs(env.samples)
-    peak = float(mags.max())
+    of the peak magnitude, sought in blocks from each end; None if all zero."""
+    peak = _peak_magnitude(env)
     if peak == 0.0:
         return None
-    significant = np.nonzero(mags > BOUNDARY_TOLERANCE * peak)[0]
-    return env.grid.t0 + env.grid.dt * significant[[0, -1]]
+
+    def significant(spans):
+        for span in spans:
+            hits = np.flatnonzero(np.abs(env.samples[span]) > BOUNDARY_TOLERANCE * peak)
+            if hits.size:
+                return span.start + hits
+
+    spans = [span for span, _ in env.grid._blocks()]
+    ends = [significant(spans)[0], significant(reversed(spans))[-1]]
+    return env.grid.t0 + env.grid.dt * np.array(ends)
 
 
 def shifted(env: SampledEnvelope, delay: float) -> SampledEnvelope:
@@ -505,7 +539,7 @@ def shifted(env: SampledEnvelope, delay: float) -> SampledEnvelope:
                 f"time shift by {delay} ps pushes the waveform support "
                 f"[{lo:.6g}, {hi:.6g}] ps outside the window"
             )
-    out = _filter(env, env.grid._phase_ramp(delay))
+    out = _filter(env, lambda w: np.exp(-1j * w * delay), np.conjugate)
     if boundary_leakage(out) > BOUNDARY_TOLERANCE:
         raise WindowOverflowError(
             f"time shift by {delay} ps pushes the waveform across the window "

@@ -5,7 +5,7 @@ starting at ``t0``, and the conjugate angular-frequency axis centered on zero
 carrier offset with spacing ``2*pi/(n_samples*dt)`` (rad/ps).
 
 The per-sample kernels of the propagation path are evaluated in blocks of
-:data:`BLOCK` samples, each written into one preallocated output.
+:data:`BLOCK` samples, each written or multiplied into one full-size array.
 """
 
 from __future__ import annotations
@@ -99,19 +99,6 @@ class TimeGrid:
         for lo in range(start, stop, BLOCK):
             hi = min(lo + BLOCK, stop)
             yield slice(lo, hi), np.arange(lo, hi)
-
-    def _phase_ramp(self, tau: float) -> np.ndarray:
-        """New array exp(-i*omegas*tau), evaluated in blocks for omegas <= 0.
-
-        omegas[n/2 + j] == -omegas[n/2 - j] exactly, so the rest of the axis
-        is the conjugate of its mirror image.
-        """
-        half = self.n_samples // 2
-        ramp = np.empty(self.n_samples, dtype=np.complex128)
-        for span, k in self._blocks(0, half + 1):
-            np.exp(-1j * ((k - half) * self.domega) * tau, out=ramp[span])
-        np.conjugate(ramp[half - 1 : 0 : -1], out=ramp[half + 1 :])
-        return ramp
 
     def contains(self, t_lo: float, t_hi: float) -> bool:
         """Whether the closed interval [t_lo, t_hi] lies inside the window."""

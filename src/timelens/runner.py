@@ -484,11 +484,13 @@ def run_sweep(
 def write_artifacts(
     out_dir: Path, files: dict[str, str | bytes | np.ndarray]
 ) -> list[Path]:
-    """Write every artifact, removing all of them if any write fails.
+    """Write every artifact, removing all of them, and the directories this
+    call made, if any write fails.
 
     Text and bytes are written as they are; an array is saved in ``.npy``
     format straight from its memory, the bytes :func:`waveform_npy` gives.
     """
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
@@ -505,5 +507,7 @@ def write_artifacts(
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
+        for path in made:
+            path.rmdir()
         raise
     return written

@@ -272,7 +272,7 @@ class TestSimulate:
     ):
         # The .npy files are rendered while they are written: a save that
         # fails on the second array, after writing part of it, must leave
-        # no file behind.
+        # no file behind, nor the directory the write made.
         save = np.save
         calls = []
 
@@ -288,14 +288,14 @@ class TestSimulate:
         direct = tmp_path / "direct"
         with pytest.raises(ValueError, match="render failed"):
             write_artifacts(direct, files)
-        assert len(calls) == 2 and list(direct.iterdir()) == []
+        assert len(calls) == 2 and not direct.exists()
 
         calls.clear()
         scenario = tmp_path / "time_bin.scn"
         scenario.write_text(FAST_TIME_BIN, encoding="utf-8")
         out = tmp_path / "o"
         assert main(["simulate", str(scenario), "--out", str(out)]) == EXIT_UNEXPECTED
-        assert len(calls) == 2 and list(out.iterdir()) == []
+        assert len(calls) == 2 and not out.exists()
 
 
 class TestWaveformFiles:
@@ -726,3 +726,21 @@ class TestWriteArtifacts:
         with pytest.raises(OSError):
             write_artifacts(out, files)
         assert not (out / "first.csv").exists()
+
+    def test_failed_write_removes_the_directories_it_made(self, tmp_path):
+        out = tmp_path / "a" / "b" / "c"
+        with pytest.raises(OSError):
+            write_artifacts(out, {"first.csv": "ok\n", "missing/second.csv": "x\n"})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_directories_that_existed(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "keep.txt").write_text("mine\n")
+        out = tmp_path / "a" / "b"
+        with pytest.raises(OSError):
+            write_artifacts(out, {"first.csv": "ok\n", "missing/second.csv": "x\n"})
+        assert not out.exists()
+        assert [path.name for path in (tmp_path / "a").iterdir()] == ["keep.txt"]
+        with pytest.raises(OSError):
+            write_artifacts(tmp_path / "a", {"missing/second.csv": "x\n"})
+        assert [path.name for path in (tmp_path / "a").iterdir()] == ["keep.txt"]

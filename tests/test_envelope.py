@@ -11,6 +11,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+import timelens.elements as elements_module
+import timelens.envelope as envelope_module
 from timelens import (
     ConversionDirection,
     DegenerateInputError,
@@ -37,6 +39,7 @@ from timelens import (
     time_bin_pulse,
     to_frequency,
     to_time,
+    visibility_experiment,
 )
 
 LN2 = math.log(2.0)
@@ -230,6 +233,94 @@ class TestTransformBitIdentity:
         assert _bits_equal(out.samples, _reference_time_bin_pulse(grid, 5.0, 15.0, 0.4))
 
 
+# The kernels are evaluated on w <= 0, indices 0 .. n/2, in blocks of
+# grid.BLOCK and mirrored: n = 2 has no mirrored sample, n = 4 would mirror
+# one and is evaluated whole, and at 2**14 the range ends in a one-sample
+# block holding w = 0 alone.
+@pytest.mark.parametrize("n_samples", [2, 4, 2**12, 2**14, 2**15])
+@pytest.mark.parametrize("centered", [True, False])
+class TestFilterBitIdentity:
+    """Every spectral stage matches the plain full-axis formulas bit for bit on
+    random samples, whose spectra reach every kernel value, and leaves its
+    input unchanged."""
+
+    @pytest.fixture(autouse=True)
+    def unguarded(self, monkeypatch):
+        # random samples fill the window, which the wrap checks would reject
+        monkeypatch.setattr(envelope_module, "_support", lambda env: None)
+        for module in (envelope_module, elements_module):
+            monkeypatch.setattr(module, "boundary_leakage", lambda env: 0.0)
+
+    @staticmethod
+    def _random(n_samples: int, centered: bool) -> SampledEnvelope:
+        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        if not centered:  # t_c != 0, so the transforms apply phase ramps too
+            grid = TimeGrid(n_samples, grid.dt, grid.t0 + 0.37 * grid.dt + 1.5)
+        rng = np.random.default_rng(n_samples)
+        samples = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
+        return SampledEnvelope(grid, samples)
+
+    @pytest.mark.parametrize(
+        "element",
+        [
+            DispersiveElement(gdd=7.0, tod=1.5, transmission=0.8),
+            DispersiveElement(gdd=-12.0),
+            DispersiveElement(gdd=3.0, transmission=0.6),
+            DispersiveElement(gdd=0.0, tod=-2.0),
+        ],
+    )
+    def test_dispersion(self, n_samples, centered, element):
+        env = self._random(n_samples, centered)
+        before = env.samples.copy()
+        out = apply_dispersion(env, element)
+        reference = _reference_dispersion(env.samples, env.grid, element)
+        assert _bits_equal(out.samples, reference)
+        assert _bits_equal(env.samples, before)
+
+    @pytest.mark.parametrize("delay", [37.3, -0.61])
+    def test_shift(self, n_samples, centered, delay):
+        env = self._random(n_samples, centered)
+        before = env.samples.copy()
+        out = shifted(env, delay)
+        assert _bits_equal(out.samples, _reference_shift(env.samples, env.grid, delay))
+        assert _bits_equal(env.samples, before)
+
+
+class TestBlockedMagnitudes:
+    """boundary_leakage and the shift's support check read |a| block by block
+    and give the full-array formulas' results bit for bit."""
+
+    GRID = TimeGrid.centered(window=400.0, n_samples=2**15)
+
+    @staticmethod
+    def _full_support(env: SampledEnvelope) -> np.ndarray:
+        mags = np.abs(env.samples)
+        floor = envelope_module.BOUNDARY_TOLERANCE * mags.max()
+        significant = np.nonzero(mags > floor)[0]
+        return env.grid.t0 + env.grid.dt * significant[[0, -1]]
+
+    # samples on either side of each block edge, and the grid's two ends
+    @pytest.mark.parametrize(
+        "first, last",
+        [(0, 2**15 - 1), (8191, 8192), (8192, 24575), (5, 5), (16383, 24576)],
+    )
+    def test_support_and_leakage(self, first, last):
+        rng = np.random.default_rng(first + last)
+        samples = 1e-9 * (rng.normal(size=2**15) + 1j * rng.normal(size=2**15))
+        samples[first] = samples[last] = 0.3 - 0.2j
+        samples[(first + last) // 2] = 1.7 + 0.4j
+        env = SampledEnvelope(self.GRID, samples)
+        assert _bits_equal(envelope_module._support(env), self._full_support(env))
+        mags = np.abs(env.samples)
+        full = float(max(mags[0], mags[-1]) / mags.max())
+        assert boundary_leakage(env) == full
+
+    def test_all_zero(self):
+        env = SampledEnvelope(self.GRID, np.zeros(2**15))
+        assert envelope_module._support(env) is None
+        assert boundary_leakage(env) == 0.0
+
+
 class TestCompactBitIdentity:
     """Compact waveforms on a window that is mostly zeros: the constructors and
     magnified_copy skip the samples that can only be zero, bit for bit."""
@@ -325,6 +416,9 @@ class TestOwnership:
             to_time(to_frequency(pulse)),
             apply_time_lens(pulse, lens),
             magnified_copy(pulse, -3.0),
+            apply_dispersion(pulse, DispersiveElement(gdd=7.0)),
+            apply_dispersion(pulse, DispersiveElement(gdd=7.0, tod=0.5)),
+            shifted(pulse, 12.5),
         ]
         for env in built:
             assert not env.samples.flags.writeable
@@ -341,38 +435,68 @@ class TestOwnership:
 class TestPeakMemory:
     """Kernels allocate little beyond their output (tracemalloc counts numpy's
     buffers); full-size intermediates would take several times it.  A
-    spectral filter holds its kernel and one in-place transform's work array.
-    Each operation runs once untraced first, so numpy's FFT plan for the size
-    is not charged to it."""
+    spectral stage holds one full-size array, the transform's work array,
+    plus the temporaries of one kernel block at a time.  Each operation runs
+    once untraced first, so numpy's FFT plan for the size is not charged to
+    it."""
 
-    @pytest.mark.parametrize(
-        "operation, bound",
-        [("magnified_copy", 2.0), ("pumped_lens", 2.0), ("shifted", 2.25),
-         ("dispersion", 2.25), ("gaussian_pulse", 2.0), ("time_bin_pulse", 2.0)],
-    )
-    def test_peak_is_bounded_by_the_output(self, operation, bound):
-        grid = TimeGrid.centered(window=400.0, n_samples=2**16)
+    @staticmethod
+    def _operations(n_samples: int):
+        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
         pulse = time_bin_pulse(
             grid, bin_fwhm=5.0, separation=15.0, carrier_wavelength_nm=710.0
         )
         lens = TimeLens(ConversionDirection.DOWN, focal_gdd=7.0, pump_seed_fwhm=2.5)
         element = DispersiveElement(gdd=7.0, transmission=0.9)
-        run = {
+        off_center = SampledEnvelope(
+            TimeGrid(n_samples, grid.dt, grid.t0 + 0.3), pulse.samples
+        )
+        operations = {
             "magnified_copy": lambda: magnified_copy(pulse, -17.0),
             "pumped_lens": lambda: apply_time_lens(pulse, lens),
             "shifted": lambda: shifted(pulse, 37.3),
             "dispersion": lambda: apply_dispersion(pulse, element),
+            "tod_dispersion": lambda: apply_dispersion(
+                pulse, DispersiveElement(gdd=7.0, tod=0.5)
+            ),
+            "off_center_dispersion": lambda: apply_dispersion(off_center, element),
             "gaussian_pulse": lambda: gaussian_pulse(grid, fwhm=5.0),
             "time_bin_pulse": lambda: time_bin_pulse(grid, 5.0, 15.0),
-        }[operation]
+            "visibility_experiment": lambda: visibility_experiment(pulse, 15.0),
+        }
+        return operations, pulse.samples.nbytes
+
+    @staticmethod
+    def _traced_peak(run) -> int:
         run()
         tracemalloc.start()
         try:
-            out = run()
-            peak = tracemalloc.get_traced_memory()[1]
+            run()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * out.samples.nbytes
+
+    @pytest.mark.parametrize(
+        "operation, bound",
+        [("magnified_copy", 2.0), ("pumped_lens", 2.0), ("shifted", 1.75),
+         ("dispersion", 1.75), ("gaussian_pulse", 2.0), ("time_bin_pulse", 2.0),
+         ("visibility_experiment", 3.9)],
+    )
+    def test_peak_is_bounded_by_the_output(self, operation, bound):
+        # every output, and the interference experiment's image, is one
+        # waveform on the grid
+        operations, waveform = self._operations(2**16)
+        assert self._traced_peak(operations[operation]) <= bound * waveform
+
+    # At 2**18 samples a kernel block's temporaries are a few percent of the
+    # output: a second full-size array would take the peak past 2.
+    @pytest.mark.parametrize(
+        "operation",
+        ["shifted", "dispersion", "tod_dispersion", "off_center_dispersion"],
+    )
+    def test_spectral_stage_holds_one_array(self, operation):
+        operations, waveform = self._operations(2**18)
+        assert self._traced_peak(operations[operation]) <= 1.25 * waveform
 
 
 class TestTransforms:
