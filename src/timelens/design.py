@@ -10,6 +10,13 @@ the three ways of obtaining a faithful (flat-phase) magnified image:
 * telescope: two lenses, residual phase cancels by construction;
 * field-lens: one relay plus an image-plane corrector lens.
 
+The telescope and field-lens rows are the stages of the inverted (-M)
+system that ``imaging`` builds, sized so that the first lens's pump chirp
+is t_i/dnu: ``[system] topology = telescope``, ``magnification = -20``,
+``input_gdd = 5`` realizes the M = 20, t_i = 5 ps, dnu = 1 rad/ps design
+row for row, with the paper's (M+1)*t_i/dnu = 105 ps^2 relay.  The upright
+(+M) telescope has a (M-1)*D1 relay instead.
+
 All dispersion bounds are magnitudes (ps^2); sign assignment belongs to the
 topology solvers.
 """
@@ -23,6 +30,7 @@ import numpy as np
 
 from .envelope import LN2
 from .errors import DesignError
+from .imaging import _LAYOUTS, TopologyKind, _stage_values
 
 #: Default numeric stand-in for "much greater than" in far-field bounds.
 DEFAULT_FAR_FIELD_MULTIPLIER = 10.0
@@ -30,6 +38,12 @@ DEFAULT_FAR_FIELD_MULTIPLIER = 10.0
 #: A request is outside the small-dispersion derivation regime when the D1
 #: bound reaches this fraction of t_i^2.
 SMALL_DISPERSION_FRACTION = 0.1
+
+#: Design row names of the layout-sized configurations, in layout order.
+_ROW_NAMES = {
+    TopologyKind.FIELD_LENS: ("D1", "Df", "D2", "Dr"),
+    TopologyKind.TELESCOPE: ("D1", "Df1", "D2", "Df2", "D3"),
+}
 
 
 class DesignConfiguration(enum.Enum):
@@ -115,69 +129,51 @@ def requirements(
     output_bw = 4.0 * LN2 / (m * t_i)
     footnotes: list[str] = []
 
-    def hard(element: str, bound: float, bw: float, bw_kind: str) -> BoundEntry:
-        return BoundEntry(
-            element=element,
-            bound_kind=">=",
-            dispersion_bound_ps2=bound,
-            recommended_ps2=bound,
-            bandwidth_rad_per_ps=bw,
-            bandwidth_kind=bw_kind,
-        )
-
-    def far(element: str, bound: float, bw: float, bw_kind: str) -> BoundEntry:
-        return BoundEntry(
-            element=element,
-            bound_kind=">>",
-            dispersion_bound_ps2=bound,
-            recommended_ps2=far_field_multiplier * bound,
-            bandwidth_rad_per_ps=bw,
-            bandwidth_kind=bw_kind,
-        )
-
     config = request.configuration
-    if config is DesignConfiguration.FIELD_LENS:
-        entries = (
-            hard("D1", (m + 1.0) * t_i / (m * dnu), input_bw, ">="),
-            hard("Df", t_i / dnu, dnu, "="),
-            hard("D2", (m + 1.0) * t_i / dnu, dnu, "="),
-            hard("Dr", m * t_i / dnu, dnu, "="),
+    if config is DesignConfiguration.FAR_FIELD:
+        bounds = (
+            ("D1", np.pi * (m + 1.0) * t_i**2 / 8.0, input_bw),
+            ("Df", np.pi * m * t_i**2 / 8.0, input_bw),
+            ("D2", np.pi * m**2 * t_i**2 / 8.0, output_bw),
         )
-        d1_bound = entries[0].dispersion_bound_ps2
-    elif config is DesignConfiguration.TELESCOPE:
-        entries = (
-            hard("D1", t_i / dnu, input_bw, ">="),
-            hard("Df1", t_i / dnu, dnu, "="),
-            hard("D2", (m + 1.0) * t_i / dnu, dnu, "="),
-            hard("Df2", m * t_i / dnu, dnu, "="),
-            hard("D3", m * t_i / dnu, output_bw, ">="),
+        entries = tuple(
+            BoundEntry(name, ">>", bound, far_field_multiplier * bound, bw, ">=")
+            for name, bound, bw in bounds
         )
-        d1_bound = entries[0].dispersion_bound_ps2
-        footnotes.append(
-            "telescope D2 bandwidth is listed as the pump bandwidth while the "
-            "magnified signal at D3 only needs 4*ln2/(M*t_i); the stricter "
-            "listed value is reproduced as-is"
-        )
-    elif config is DesignConfiguration.FAR_FIELD:
-        entries = (
-            far("D1", np.pi * (m + 1.0) * t_i**2 / 8.0, input_bw, ">="),
-            far("Df", np.pi * m * t_i**2 / 8.0, input_bw, ">="),
-            far("D2", np.pi * m**2 * t_i**2 / 8.0, output_bw, ">="),
-        )
-        d1_bound = entries[0].dispersion_bound_ps2
         footnotes.append(
             f'">>" bounds are reported with a x{far_field_multiplier:g} '
             "recommendation; adjust the multiplier to taste"
         )
-    else:  # pragma: no cover - enum is exhaustive
-        raise DesignError(f"unknown configuration {config!r}")
-
-    if d1_bound >= SMALL_DISPERSION_FRACTION * t_i**2:
-        footnotes.append(
-            f"D1 bound {d1_bound:g} ps^2 is not small against t_i^2 = "
-            f"{t_i**2:g} ps^2; the bound derivation assumes |D1| << t_i^2, "
-            "treat the numbers as approximate"
-        )
+    else:
+        # Dispersion before the first lens passes the input, after the last
+        # lens the image; every other stage needs the pump bandwidth.
+        kind = TopologyKind(config.value)
+        layout = _LAYOUTS[kind]
+        lens_at = [i for i, (_, lens) in enumerate(layout) if lens is not None]
+        values = _stage_values(kind, -m, t_i / dnu)
+        rows = []
+        for i, (name, value) in enumerate(zip(_ROW_NAMES[kind], values)):
+            if i < lens_at[0]:
+                bw, bw_kind = input_bw, ">="
+            elif i > lens_at[-1]:
+                bw, bw_kind = output_bw, ">="
+            else:
+                bw, bw_kind = dnu, "="
+            rows.append(BoundEntry(name, ">=", abs(value), abs(value), bw, bw_kind))
+        entries = tuple(rows)
+        if kind is TopologyKind.TELESCOPE:
+            footnotes.append(
+                "telescope D2 bandwidth is listed as the pump bandwidth while the "
+                "magnified signal at D3 only needs 4*ln2/(M*t_i); the stricter "
+                "listed value is reproduced as-is"
+            )
+        d1_bound = entries[0].dispersion_bound_ps2
+        if d1_bound >= SMALL_DISPERSION_FRACTION * t_i**2:
+            footnotes.append(
+                f"D1 bound {d1_bound:g} ps^2 is not small against t_i^2 = "
+                f"{t_i**2:g} ps^2; the bound derivation assumes |D1| << t_i^2, "
+                "treat the numbers as approximate"
+            )
     if m < 1.0:
         footnotes.append(
             f"magnification {m:g} < 1: the system compresses; bounds follow "

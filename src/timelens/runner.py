@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import DesignRequest, pump_bandwidth, requirements
+from .design import DesignRequest, requirements
 from .elements import stretched_pump_fwhm
 from .envelope import (
     LN2,
@@ -386,9 +386,7 @@ def run_design(scenario: Scenario) -> tuple[dict, dict[str, str]]:
         "bandwidth_rad_per_ps": float(spec.bandwidth),
         "magnification": float(spec.magnification),
         "far_field_multiplier": float(spec.far_field_multiplier),
-        "pump_bandwidth_rad_per_ps": float(
-            pump_bandwidth(spec.input_fwhm, spec.input_fwhm / spec.bandwidth)
-        ),
+        "pump_bandwidth_rad_per_ps": float(spec.bandwidth),
         "entries": entries,
         "footnotes": list(result.footnotes),
         "artifacts": ["report.json", "design.csv"],

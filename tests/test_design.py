@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from timelens import (
     DesignConfiguration,
     DesignError,
     DesignRequest,
+    DispersiveElement,
+    TopologyKind,
     pump_bandwidth,
     requirements,
     solve_field_lens,
 )
+from timelens.runner import build_topology
+from timelens.scenario import SystemSpec
 
 LN2 = math.log(2.0)
 
@@ -32,11 +37,23 @@ class TestFieldLensBounds:
         assert report.entry("D2").dispersion_bound_ps2 == pytest.approx(105.0, rel=1e-12)
         assert report.entry("Dr").dispersion_bound_ps2 == pytest.approx(100.0, rel=1e-12)
 
-    def test_magnifier_example_bandwidths(self):
-        report = _field_lens_report()
+    @pytest.mark.parametrize("config, pump_rows, output_rows", [
+        (DesignConfiguration.FIELD_LENS, ("Df", "D2", "Dr"), ()),
+        (DesignConfiguration.TELESCOPE, ("Df1", "D2", "Df2"), ("D3",)),
+    ], ids=["field-lens", "telescope"])
+    def test_magnifier_example_bandwidths(self, config, pump_rows, output_rows):
+        report = requirements(DesignRequest(5.0, 1.0, 20.0, config))
         assert report.entry("D1").bandwidth_rad_per_ps == pytest.approx(4 * LN2 / 5)
-        for name in ("Df", "D2", "Dr"):
+        assert report.entry("D1").bandwidth_kind == ">="
+        for name in pump_rows:
             assert report.entry(name).bandwidth_rad_per_ps == pytest.approx(1.0)
+            assert report.entry(name).bandwidth_kind == "="
+        for name in output_rows:
+            assert report.entry(name).bandwidth_rad_per_ps == pytest.approx(
+                4 * LN2 / (20 * 5)
+            )
+            assert report.entry(name).bandwidth_kind == ">="
+        assert len(report.entries) == 1 + len(pump_rows) + len(output_rows)
 
     def test_hard_bounds_have_no_multiplier(self):
         report = _field_lens_report()
@@ -84,7 +101,39 @@ class TestTelescopeBounds:
         assert any("D2 bandwidth" in note for note in report.footnotes)
 
 
+class TestRowsMatchTheSimulatedChain:
+    @pytest.mark.parametrize("config", [
+        DesignConfiguration.FIELD_LENS,
+        DesignConfiguration.TELESCOPE,
+    ])
+    def test_rows_are_the_inverted_system_stages(self, config):
+        """Each row is |GDD| or |pump chirp| of the matching stage of the
+        -M system that simulate builds at sizing t_i/dnu."""
+        rng = np.random.default_rng(17)
+        kind = TopologyKind(config.value)
+        sizing_key = "input_gdd" if kind is TopologyKind.TELESCOPE else "focal_gdd"
+        for _ in range(200):
+            t_i, dnu, m = np.exp(rng.uniform(np.log([0.1, 0.05, 0.05]),
+                                             np.log([50.0, 50.0, 200.0])))
+            report = requirements(DesignRequest(t_i, dnu, m, config))
+            system = build_topology(SystemSpec(kind, -m, **{sizing_key: t_i / dnu}))
+            assert len(report.entries) == len(system.stages)
+            for entry, stage in zip(report.entries, system.stages):
+                is_gdd = isinstance(stage, DispersiveElement)
+                value = abs(stage.gdd if is_gdd else stage.focal_gdd)
+                assert entry.dispersion_bound_ps2 == pytest.approx(value, rel=1e-15)
+
+
 class TestFarFieldBounds:
+    @pytest.mark.parametrize("t_i, dnu, m", [
+        (5.0, 1.0, 20.0), (0.1, 50.0, 0.05), (50.0, 0.05, 200.0), (1.0, 1.0, 1.0),
+    ])
+    def test_no_small_dispersion_footnote(self, t_i, dnu, m):
+        """Far-field bounds require D >> pi*t_i^2/8; the |D1| << t_i^2 caveat
+        of the corrected configurations does not apply to them."""
+        report = requirements(DesignRequest(t_i, dnu, m, DesignConfiguration.FAR_FIELD))
+        assert not any("|D1| << t_i^2" in note for note in report.footnotes)
+
     def test_magnifier_example_values(self):
         report = requirements(
             DesignRequest(5.0, 1.0, 20.0, DesignConfiguration.FAR_FIELD)

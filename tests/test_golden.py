@@ -10,6 +10,7 @@ A change that moves the numbers on purpose regenerates the file with::
 
     PYTHONPATH=src python tests/test_golden.py
 
+which prints every path that moves beyond the tolerances before it writes,
 and states the drift it accepts.
 """
 
@@ -66,9 +67,10 @@ def _mismatches(got, want, path: str = "$") -> list[str]:
     if type(got) is not type(want):
         return [f"{path}: {got!r} is not a {type(want).__name__} like {want!r}"]
     if isinstance(want, dict):
-        if got.keys() != want.keys():
-            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
-        return [m for k in want for m in _mismatches(got[k], want[k], f"{path}.{k}")]
+        keys = [] if got.keys() == want.keys() else [
+            f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return keys + [m for k in want if k in got
+                       for m in _mismatches(got[k], want[k], f"{path}.{k}")]
     if isinstance(want, list):
         if len(got) != len(want):
             return [f"{path}: length {len(got)} != {len(want)}"]
@@ -107,9 +109,16 @@ def test_mismatches_apply_the_tolerances():
     assert _mismatches(3, 3.0) != []
     assert _mismatches(True, 1) != []
     assert _mismatches("x", "y") != []
+    # a key set change still reports the drift under the shared keys
+    assert _mismatches({"a": 1.0, "b": 1}, {"a": 2.0}) == [
+        "$: keys ['a', 'b'] != ['a']", "$.a: 1.0 != 2.0"]
 
 
 if __name__ == "__main__":
+    new = json.loads(json.dumps(compute()))
+    if GOLDEN.exists():
+        for line in _mismatches(new, json.loads(GOLDEN.read_text())):
+            print(line)
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(compute(), indent=1) + "\n")
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
