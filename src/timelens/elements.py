@@ -34,6 +34,7 @@ from .envelope import (
     _adopt,
     _band_edge_leakage,
     _filter,
+    _multiply_blocks,
     boundary_leakage,
 )
 from .errors import (
@@ -161,8 +162,9 @@ def apply_dispersion(
     """Propagate through a dispersive element.
 
     Filters the spectrum with the kernel transmission * exp(i*(gdd/2)*w^2 +
-    i*(tod/6)*w^3) (:func:`timelens.envelope._filter`); with transmission = 1
-    the spectral magnitude is unchanged.
+    i*(tod/6)*w^3) (:func:`timelens.envelope._filter`): a chirp in
+    m = w/domega times, with TOD, the cubic factor; with transmission = 1 the
+    spectral magnitude is unchanged.
 
     Raises:
         UndersampledError: the dispersed waveform reaches the window boundary
@@ -176,17 +178,7 @@ def apply_dispersion(
     if element.gdd == 0.0 and element.tod == 0.0 and element.transmission == 1.0:
         return env
 
-    def kernel(w: np.ndarray) -> np.ndarray:
-        phase = 0.5 * element.gdd * w**2
-        if element.tod != 0.0:
-            phase = phase + (element.tod / 6.0) * w**3
-        values = np.exp(1j * phase)
-        if element.transmission != 1.0:
-            values *= element.transmission
-        return values
-
-    # without TOD the kernel is even in w
-    out = _filter(env, kernel, np.copy if element.tod == 0.0 else None)
+    out = _filter(env, **_dispersion_kernel(element, env.grid))
     if boundary_leakage(out) > BOUNDARY_TOLERANCE:
         what = (
             f"{element.label}: dispersion gdd={element.gdd} ps^2, "
@@ -204,6 +196,25 @@ def apply_dispersion(
             "enlarge the grid window"
         )
     return out
+
+
+def _dispersion_kernel(element: DispersiveElement, grid: TimeGrid) -> dict:
+    """The element's spectral kernel as the
+    :func:`timelens.envelope._multiply_blocks` kernel of m = w/domega: the
+    chirp (gdd/2)*domega^2*m^2 times, with TOD, the cubic factor."""
+    domega = grid.domega
+    cubic = None
+    if element.tod != 0.0:
+
+        def cubic(lo: int, hi: int) -> np.ndarray:
+            return np.exp(1j * (element.tod / 6.0) * (np.arange(lo, hi) * domega) ** 3)
+
+    return dict(
+        a=0.5 * element.gdd * domega**2,
+        scale=element.transmission,
+        extra=cubic,
+        mirror=np.copy if cubic is None else None,  # even in w without TOD
+    )
 
 
 def stretched_pump_fwhm(seed_fwhm: float, chirp_gdd: float) -> float:
@@ -236,17 +247,21 @@ def synthesize_pump(
     FWHM :func:`stretched_pump_fwhm` with phase
     :func:`pump_phase_curvature` * t^2 + arctan(2*p*chirp_gdd)/2.
     """
-    return _pump(grid.times, seed_fwhm, chirp_gdd)
+    t = grid.times
+    phase = pump_phase_curvature(seed_fwhm, chirp_gdd) * t**2
+    phase += _pump_offset(seed_fwhm, chirp_gdd)
+    return _pump_magnitude(t, seed_fwhm, chirp_gdd), phase
 
 
-def _pump(
-    t: np.ndarray, seed_fwhm: float, chirp_gdd: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`synthesize_pump` at the times ``t``."""
+def _pump_magnitude(t: np.ndarray, seed_fwhm: float, chirp_gdd: float) -> np.ndarray:
+    """The peak-normalized pump magnitude at the times ``t``."""
+    return np.exp(-2.0 * LN2 * (t / stretched_pump_fwhm(seed_fwhm, chirp_gdd)) ** 2)
+
+
+def _pump_offset(seed_fwhm: float, chirp_gdd: float) -> float:
+    """The pump's constant phase arctan(2*p*chirp_gdd)/2."""
     p = 2.0 * LN2 / seed_fwhm**2
-    magnitude = np.exp(-2.0 * LN2 * (t / stretched_pump_fwhm(seed_fwhm, chirp_gdd)) ** 2)
-    offset = 0.5 * np.arctan(2.0 * p * chirp_gdd)
-    return magnitude, pump_phase_curvature(seed_fwhm, chirp_gdd) * t**2 + offset
+    return 0.5 * np.arctan(2.0 * p * chirp_gdd)
 
 
 def apply_time_lens(env: SampledEnvelope, lens: TimeLens) -> SampledEnvelope:
@@ -274,20 +289,40 @@ def apply_time_lens(env: SampledEnvelope, lens: TimeLens) -> SampledEnvelope:
             )
     grid = env.grid
     samples = np.empty(grid.n_samples, dtype=np.complex128)
-    for span, k in grid._blocks():
-        t = grid.t0 + grid.dt * k
-        np.multiply(env.samples[span], _lens_factor(lens, t), out=samples[span])
+    _multiply_blocks(samples, env.samples, grid, **_lens_factor(lens, grid))
     carrier = (
         lens.output_carrier_nm if env.carrier_wavelength_nm is not None else None
     )
     return _adopt(SampledEnvelope, grid, samples, carrier)
 
 
-def _lens_factor(lens: TimeLens, t: np.ndarray) -> np.ndarray:
-    """The lens multiplier i*eta(t)*exp(s*i*phi_p(t)) at the times ``t``."""
-    sign = lens.direction.phase_sign
+def _lens_factor(lens: TimeLens, grid: TimeGrid) -> dict:
+    """The lens multiplier i*eta(t)*exp(s*i*phi_p(t)) as the
+    :func:`timelens.envelope._multiply_blocks` kernel of m on ``grid``.
+
+    With phi_p = alpha*t^2 + offset and t = t_c + dt*m, s*phi_p is the chirp
+    a*m^2 + b*m + c; eta is the ``extra`` factor of a pumped lens.  On a
+    centered grid t_c = 0 and the multiplier is even in m.
+    """
+    seed = lens.pump_seed_fwhm
+    t_c = grid.t0 + grid.dt * (grid.n_samples // 2)
     if lens.is_ideal:
-        phi = -(t**2) / (2.0 * lens.focal_gdd)
-        return 1j * np.exp(1j * sign * phi)
-    magnitude, phase = _pump(t, lens.pump_seed_fwhm, lens.focal_gdd)
-    return 1j * np.sin(0.5 * np.pi * magnitude) * np.exp(1j * sign * phase)
+        alpha, offset, extra = -1.0 / (2.0 * lens.focal_gdd), 0.0, None
+    else:
+        alpha = pump_phase_curvature(seed, lens.focal_gdd)
+        offset = _pump_offset(seed, lens.focal_gdd)
+
+        def extra(lo: int, hi: int) -> np.ndarray:
+            t = t_c + grid.dt * np.arange(lo, hi)
+            return np.sin(0.5 * np.pi * _pump_magnitude(t, seed, lens.focal_gdd))
+
+    alpha *= lens.direction.phase_sign
+    offset *= lens.direction.phase_sign
+    return dict(
+        a=alpha * grid.dt**2,
+        b=2.0 * alpha * t_c * grid.dt,
+        c=alpha * t_c**2 + offset,
+        scale=1j,
+        extra=extra,
+        mirror=np.copy if t_c == 0.0 else None,
+    )

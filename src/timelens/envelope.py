@@ -11,8 +11,9 @@ Conventions:
       Parseval holds exactly in the discrete approximation:
       sum(|a|^2) dt == sum(|A|^2) dw.  ``_filter`` is their one caller: every
       spectral stage (dispersion, time shift) is that pair around one
-      spectrum-first multiply by its kernel, block by block in the forward
-      transform's work array, which the inverse then transforms in place.
+      spectrum-first multiply by its chirp kernel (:func:`_multiply_blocks`),
+      block by block in the forward transform's work array, which the
+      inverse then transforms in place.
     * Envelopes own read-only samples.  The public constructors (and
       ``SampledEnvelope.with_samples``) copy what they are given, so the
       caller's array may change afterwards; arrays the library has just built
@@ -35,7 +36,7 @@ from .errors import (
     UndersampledError,
     WindowOverflowError,
 )
-from .grid import TimeGrid
+from .grid import TimeGrid, _chirp
 
 LN2 = float(np.log(2.0))
 
@@ -179,27 +180,51 @@ def _recenter(spectrum: np.ndarray, grid: TimeGrid, sign: float) -> None:
     spectrum[(half + 1) % 2 :: 2] *= -1.0
     tau = sign * (grid.t0 + grid.dt * half)
     if tau != 0.0:
-        _multiply_blocks(spectrum, grid, lambda w: np.exp(-1j * w * tau), np.conjugate)
+        _multiply_blocks(spectrum, spectrum, grid, **_ramp(grid, tau))
 
 
-def _multiply_blocks(spectrum: np.ndarray, grid: TimeGrid, kernel, mirror=None) -> None:
-    """Multiply ``spectrum`` in place, spectrum first, by ``kernel(w)``, a new
-    array for each block of the grid's omegas.  With ``mirror``, only w <= 0
-    is evaluated, as omegas[n/2 + j] == -omegas[n/2 - j] exactly: ``mirror``
-    (``np.copy`` if the kernel is even, ``np.conjugate`` if it is conjugate-
-    symmetric) of a block's values, reversed, is the kernel on the mirror
-    block, and contiguous, which keeps the product on numpy's contiguous loop."""
+def _ramp(grid: TimeGrid, tau: float) -> dict:
+    """The :func:`_multiply_blocks` kernel exp(-i*w*tau), w = m*domega."""
+    return dict(b=-tau * grid.domega, mirror=np.conjugate)
+
+
+def _multiply_blocks(
+    out: np.ndarray,
+    src: np.ndarray,
+    grid: TimeGrid,
+    *,
+    a: float = 0.0,
+    b: float = 0.0,
+    c: float = 0.0,
+    scale: complex = 1.0,
+    extra=None,
+    mirror=None,
+) -> None:
+    """``out = src * kernel``, ``src`` first, one block at a time (``out`` may
+    be ``src``), with the kernel scale*exp(i*(a*m^2 + b*m + c)) of
+    m = k - n//2 from :func:`timelens.grid._chirp`, times ``extra(lo, hi)``
+    for m in [lo, hi) if given.  m*domega is exactly the grid's omegas, and
+    t_c + dt*m its times with t_c = t0 + dt*(n//2).
+
+    With ``mirror``, only m <= 0 is evaluated: ``mirror`` (``np.copy`` if the
+    kernel is even in m, ``np.conjugate`` if it is conjugate-symmetric) of a
+    block's values, reversed, is the kernel on the mirror block, and
+    contiguous, which keeps the product on numpy's contiguous loop."""
     n, half = grid.n_samples, grid.n_samples // 2
     # At n = 4 the mirror is one sample, and a one-sample product can round
     # unlike the same sample in a longer array, so such grids run whole.
     whole = mirror is None or half <= 2
-    for span, k in grid._blocks(0, n if whole else half + 1):
-        values = kernel((k - half) * grid.domega)
-        spectrum[span] *= values
+    stop = n if whole else half + 1
+    kernel = _chirp(a, b, c, -half, stop - half, scale)
+    for span, values in zip(grid._blocks(0, stop), kernel):
+        if extra is not None:
+            values *= extra(span.start - half, span.stop - half)
+        np.multiply(src[span], values, out=out[span])
         lo, hi = max(span.start, 1), min(span.stop, half)
         if not whole and lo < hi:
-            twin = values[lo - span.start : hi - span.start][::-1]
-            spectrum[n - hi + 1 : n - lo + 1] *= mirror(twin)
+            twin = mirror(values[lo - span.start : hi - span.start][::-1])
+            other = slice(n - hi + 1, n - lo + 1)
+            np.multiply(src[other], twin, out=out[other])
 
 
 def _check_spectral_edge(grid: TimeGrid, fwhm: float, what: str) -> None:
@@ -259,8 +284,8 @@ def gaussian_pulse(
         )
     _check_spectral_edge(grid, fwhm, f"gaussian pulse (fwhm={fwhm} ps)")
     samples = np.zeros(grid.n_samples, dtype=np.complex128)
-    for span, k in grid._blocks(*_gaussian_support(grid, center, center, fwhm)):
-        t = grid.t0 + grid.dt * k
+    for span in grid._blocks(*_gaussian_support(grid, center, center, fwhm)):
+        t = grid.t0 + grid.dt * np.arange(span.start, span.stop)
         samples[span] = amplitude * np.exp(-2.0 * LN2 * ((t - center) / fwhm) ** 2)
     return _adopt(SampledEnvelope, grid, samples, carrier_wavelength_nm)
 
@@ -294,8 +319,8 @@ def time_bin_pulse(
         )
     _check_spectral_edge(grid, bin_fwhm, f"time-bin pulse (bin_fwhm={bin_fwhm} ps)")
     samples = np.zeros(grid.n_samples, dtype=np.complex128)
-    for span, k in grid._blocks(*_gaussian_support(grid, -half, half, bin_fwhm)):
-        t = grid.t0 + grid.dt * k
+    for span in grid._blocks(*_gaussian_support(grid, -half, half, bin_fwhm)):
+        t = grid.t0 + grid.dt * np.arange(span.start, span.stop)
         early = np.exp(-2.0 * LN2 * ((t + half) / bin_fwhm) ** 2)
         late = np.exp(-2.0 * LN2 * ((t - half) / bin_fwhm) ** 2)
         samples[span] = 0.5 * early + 0.5 * np.exp(1j * relative_phase) * late
@@ -468,7 +493,7 @@ def phase_rms(env: SampledEnvelope, window_fwhm_fraction: float = 1.0) -> float:
 
 def _peak_magnitude(env: AnyEnvelope) -> float:
     """max|a|, one block at a time."""
-    return max(float(np.abs(env.samples[s]).max()) for s, _ in env.grid._blocks())
+    return max(float(np.abs(env.samples[s]).max()) for s in env.grid._blocks())
 
 
 def boundary_leakage(env: AnyEnvelope) -> float:
@@ -492,12 +517,13 @@ def _band_edge_leakage(env: SampledEnvelope) -> float:
     return float(spectrum[edge].max() / peak)
 
 
-def _filter(env: SampledEnvelope, kernel, mirror=None) -> SampledEnvelope:
-    """``env`` with its spectrum times ``kernel(w)`` (:func:`_multiply_blocks`)
-    in the forward transform's work array, which is then inverted in place."""
+def _filter(env: SampledEnvelope, **kernel) -> SampledEnvelope:
+    """``env`` with its spectrum times the :func:`_multiply_blocks` ``kernel``
+    of m = w/domega, in the forward transform's work array, which is then
+    inverted in place."""
     spec = to_frequency(env)
     spec.samples.setflags(write=True)  # scratch: nothing else refers to it
-    _multiply_blocks(spec.samples, env.grid, kernel, mirror)
+    _multiply_blocks(spec.samples, spec.samples, env.grid, **kernel)
     return to_time(spec)
 
 
@@ -514,7 +540,7 @@ def _support(env: SampledEnvelope) -> np.ndarray | None:
             if hits.size:
                 return span.start + hits
 
-    spans = [span for span, _ in env.grid._blocks()]
+    spans = list(env.grid._blocks())
     ends = [significant(spans)[0], significant(reversed(spans))[-1]]
     return env.grid.t0 + env.grid.dt * np.array(ends)
 
@@ -539,7 +565,7 @@ def shifted(env: SampledEnvelope, delay: float) -> SampledEnvelope:
                 f"time shift by {delay} ps pushes the waveform support "
                 f"[{lo:.6g}, {hi:.6g}] ps outside the window"
             )
-    out = _filter(env, lambda w: np.exp(-1j * w * delay), np.conjugate)
+    out = _filter(env, **_ramp(env.grid, delay))
     if boundary_leakage(out) > BOUNDARY_TOLERANCE:
         raise WindowOverflowError(
             f"time shift by {delay} ps pushes the waveform across the window "
@@ -576,8 +602,9 @@ def magnified_copy(env: SampledEnvelope, magnification: float) -> SampledEnvelop
     first = int(np.argmax(nonzero))
     last = n - 1 - int(np.argmax(nonzero[::-1]))
     del nonzero
-    for span, k in grid._blocks():
-        x = ((grid.t0 + grid.dt * k) / magnification - grid.t0) / grid.dt
+    for span in grid._blocks():
+        t = grid.t0 + grid.dt * np.arange(span.start, span.stop)
+        x = (t / magnification - grid.t0) / grid.dt
         # the stencil at x reads samples floor(x) - 33 .. floor(x) + 34
         if np.floor(x.max()) + 34 < first or np.floor(x.min()) - 33 > last:
             continue

@@ -171,7 +171,7 @@ def visibility_experiment(
     constructive = analyzer_port(image, delayed, relative_phase)
     destructive = analyzer_port(image, delayed, relative_phase + np.pi)
     combined = np.empty(image.grid.n_samples)
-    for span, _ in image.grid._blocks():
+    for span in image.grid._blocks():
         combined[span] = np.abs(constructive.samples[span]) ** 2
         combined[span] += np.abs(destructive.samples[span]) ** 2
     lo_peak, hi_peak = (_time(image.grid, k) for k in _outer_peaks(combined))

@@ -7,10 +7,12 @@ run so the verdicts are visible regardless of pytest's capture settings.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from timelens import TimeGrid
+from timelens.grid import _chirp
 
 settings.register_profile(
     "ci",
@@ -48,3 +50,39 @@ def small_grid() -> TimeGrid:
 def fine_grid() -> TimeGrid:
     """A longer window for spectral-width measurements (fine dω)."""
     return TimeGrid.centered(window=2000.0, n_samples=2**14)
+
+
+def _full_kernel(
+    grid: TimeGrid, *, a=0.0, b=0.0, c=0.0, scale=1.0, extra=None, mirror=None
+) -> np.ndarray:
+    """A ``timelens.envelope._multiply_blocks`` kernel over the whole axis as
+    one array: the same chirp helper over the same index range, the same
+    ``extra`` factor and, where the kernel is mirrored, the same mirror."""
+    n, half = grid.n_samples, grid.n_samples // 2
+    whole = mirror is None or half <= 2
+    stop = n if whole else half + 1
+    values = np.concatenate([v.copy() for v in _chirp(a, b, c, -half, stop - half, scale)])
+    if extra is not None:
+        values *= extra(-half, stop - half)
+    if whole:
+        return values
+    return np.concatenate([values, mirror(values[1:half][::-1])])
+
+
+@pytest.fixture
+def full_kernel():
+    """:func:`_full_kernel`, the full-axis reference of a blocked kernel."""
+    return _full_kernel
+
+
+@pytest.fixture
+def within_rounding():
+    """Check a kernel against its plain per-sample formula: they may differ by
+    8*eps*(1 + max|phase|), the rounding of a phase as large as the
+    formula's."""
+
+    def check(kernel: np.ndarray, plain: np.ndarray, phase: np.ndarray) -> None:
+        bound = 8.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(phase))))
+        assert float(np.max(np.abs(kernel - plain))) <= bound
+
+    return check

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import timelens.elements as elements_module
 from timelens import (
     CarrierMismatchError,
     ConversionDirection,
@@ -283,7 +284,7 @@ class TestTimeLensApplication:
     @pytest.mark.parametrize("pump_seed_fwhm", [None, 2.5])
     @pytest.mark.parametrize("direction", list(ConversionDirection))
     def test_output_bits_match_two_step_construction(
-        self, n_samples, pump_seed_fwhm, direction
+        self, n_samples, pump_seed_fwhm, direction, full_kernel
     ):
         grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
         env = gaussian_pulse(grid, fwhm=5.0, center=-3.0, carrier_wavelength_nm=710.0)
@@ -292,16 +293,11 @@ class TestTimeLensApplication:
         )
         out = apply_time_lens(env, lens)
 
-        # The lens factor and the product as formed before the output was
-        # built in one step: a new envelope with the product, then another
-        # with the output carrier.
-        sign = lens.direction.phase_sign
-        if pump_seed_fwhm is None:
-            phi = -(env.times**2) / (2.0 * lens.focal_gdd)
-            factor = 1j * np.exp(1j * sign * phi)
-        else:
-            magnitude, phase = synthesize_pump(grid, pump_seed_fwhm, lens.focal_gdd)
-            factor = 1j * np.sin(0.5 * np.pi * magnitude) * np.exp(1j * sign * phase)
+        # The lens factor over the whole axis, built by the same chirp helper
+        # (TestLensKernel checks it against the plain formula), and the
+        # product as formed before the output was built in one step: a new
+        # envelope with the product, then another with the output carrier.
+        factor = full_kernel(grid, **elements_module._lens_factor(lens, grid))
         product = env.with_samples(env.samples * factor)
         reference = SampledEnvelope(grid, product.samples, lens.output_carrier_nm)
         assert out.grid == reference.grid
@@ -309,3 +305,62 @@ class TestTimeLensApplication:
         assert np.array_equal(
             out.samples.view(np.uint64), reference.samples.view(np.uint64)
         )
+
+
+@pytest.mark.parametrize("n_samples", [2, 4, 2**12, 2**15])
+@pytest.mark.parametrize("pump_seed_fwhm", [None, 2.5])
+@pytest.mark.parametrize("direction", list(ConversionDirection))
+@pytest.mark.parametrize("offset", [0.0, 1.5])
+def test_lens_kernel_matches_the_plain_formula(
+    n_samples, pump_seed_fwhm, direction, offset, full_kernel, within_rounding
+):
+    """The lens factor, a chirp evaluated in blocks from exactly reduced
+    phases (mirrored on a centered grid), agrees with the plain per-sample
+    formula it replaces within that formula's own rounding; so does its
+    pump amplitude, on centered and off-center grids."""
+    grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+    grid = TimeGrid(n_samples, grid.dt, grid.t0 + offset)
+    lens = TimeLens(direction=direction, focal_gdd=7.0, pump_seed_fwhm=pump_seed_fwhm)
+    sign = lens.direction.phase_sign
+    if pump_seed_fwhm is None:
+        phase = sign * -(grid.times**2) / (2.0 * lens.focal_gdd)
+        plain = 1j * np.exp(1j * phase)
+    else:
+        magnitude, pump_phase = synthesize_pump(grid, pump_seed_fwhm, lens.focal_gdd)
+        phase = sign * pump_phase
+        plain = 1j * np.sin(0.5 * np.pi * magnitude) * np.exp(1j * phase)
+    kernel = full_kernel(grid, **elements_module._lens_factor(lens, grid))
+    within_rounding(kernel, plain, phase)
+
+
+class TestExpCount:
+    """The phase kernels evaluate a complex exponential per table entry, not
+    per sample: at most n/8 values at 2**16 samples, where a per-sample
+    kernel takes n/2 + 1 (mirrored dispersion) or n (lens)."""
+
+    N = 2**16
+
+    @pytest.fixture
+    def exp_values(self, monkeypatch):
+        counted = []
+        exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                counted.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        return counted
+
+    def test_dispersion(self, exp_values):
+        env = gaussian_pulse(TimeGrid.centered(window=4000.0, n_samples=self.N), fwhm=5.0)
+        apply_dispersion(env, DispersiveElement(gdd=50.0))
+        assert 0 < sum(exp_values) <= self.N // 8
+
+    def test_pumped_lens(self, exp_values):
+        grid = TimeGrid.centered(window=4000.0, n_samples=self.N)
+        env = gaussian_pulse(grid, fwhm=5.0, carrier_wavelength_nm=710.0)
+        lens = TimeLens(ConversionDirection.DOWN, focal_gdd=50.0, pump_seed_fwhm=2.5)
+        apply_time_lens(env, lens)
+        assert 0 < sum(exp_values) <= self.N // 8

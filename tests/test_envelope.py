@@ -111,44 +111,55 @@ class TestTransformSideEffects:
         assert _bits_equal(spec.samples, spec_before)
 
 
-def _reference_to_frequency(samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
+# The references below take their phase kernels from ``full_kernel``: the
+# library's chirp helper over the whole axis in one array.  TestPlainKernels
+# checks those kernels against the plain per-sample formulas.
+
+
+def _center_time(grid: TimeGrid) -> float:
+    return grid.t0 + grid.dt * (grid.n_samples // 2)
+
+
+def _reference_to_frequency(samples: np.ndarray, grid: TimeGrid, full_kernel) -> np.ndarray:
     n = grid.n_samples
     spectrum = np.fft.fft(samples * (-1.0) ** np.arange(n))
     spectrum *= grid.dt / np.sqrt(2.0 * np.pi)
     spectrum *= (-1.0) ** (np.arange(n) - n // 2)
-    t_c = grid.t0 + grid.dt * (n // 2)
+    t_c = _center_time(grid)
     if t_c != 0.0:
-        spectrum *= np.exp(-1j * grid.omegas * t_c)
+        spectrum *= full_kernel(grid, **envelope_module._ramp(grid, t_c))
     return spectrum
 
 
-def _reference_to_time(spectrum: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _reference_to_time(spectrum: np.ndarray, grid: TimeGrid, full_kernel) -> np.ndarray:
     n = grid.n_samples
-    t_c = grid.t0 + grid.dt * (n // 2)
+    t_c = _center_time(grid)
     work = spectrum * (-1.0) ** (np.arange(n) - n // 2)
     if t_c != 0.0:
-        work *= np.exp(1j * grid.omegas * t_c)
+        work *= full_kernel(grid, **envelope_module._ramp(grid, -t_c))
     samples = np.fft.ifft(work) * (-1.0) ** np.arange(n)
     samples *= n * grid.domega / np.sqrt(2.0 * np.pi)
     return samples
 
 
+def _reference_filter(samples: np.ndarray, grid: TimeGrid, kernel, full_kernel) -> np.ndarray:
+    spec = _reference_to_frequency(samples, grid, full_kernel)
+    product = np.multiply(spec, full_kernel(grid, **kernel))
+    return _reference_to_time(product, grid, full_kernel)
+
+
 def _reference_dispersion(
-    samples: np.ndarray, grid: TimeGrid, element: DispersiveElement
+    samples: np.ndarray, grid: TimeGrid, element: DispersiveElement, full_kernel
 ) -> np.ndarray:
-    spec = _reference_to_frequency(samples, grid)
-    w = grid.omegas
-    phase = 0.5 * element.gdd * w**2
-    if element.tod != 0.0:
-        phase = phase + (element.tod / 6.0) * w**3
-    kernel = element.transmission * np.exp(1j * phase)
-    return _reference_to_time(np.multiply(spec, kernel), grid)
+    kernel = elements_module._dispersion_kernel(element, grid)
+    return _reference_filter(samples, grid, kernel, full_kernel)
 
 
-def _reference_shift(samples: np.ndarray, grid: TimeGrid, delay: float) -> np.ndarray:
-    spec = _reference_to_frequency(samples, grid)
-    kernel = np.exp(-1j * grid.omegas * delay)
-    return _reference_to_time(np.multiply(spec, kernel), grid)
+def _reference_shift(
+    samples: np.ndarray, grid: TimeGrid, delay: float, full_kernel
+) -> np.ndarray:
+    kernel = envelope_module._ramp(grid, delay)
+    return _reference_filter(samples, grid, kernel, full_kernel)
 
 
 def _reference_magnified_copy(env: SampledEnvelope, magnification: float) -> np.ndarray:
@@ -182,7 +193,8 @@ def _reference_time_bin_pulse(
 # product and so change its rounding.
 @pytest.mark.parametrize("n_samples", [2**12, 2**15])
 class TestTransformBitIdentity:
-    """The transform path matches the plain closed-form expressions bit for bit."""
+    """The transform path matches the plain closed-form expressions, with
+    their phase kernels built by the same chirp helper, bit for bit."""
 
     @staticmethod
     def _random(grid: TimeGrid) -> SampledEnvelope:
@@ -191,15 +203,17 @@ class TestTransformBitIdentity:
         return SampledEnvelope(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
 
     @pytest.mark.parametrize("t0", [None, -123.4])
-    def test_round_trip(self, n_samples, t0):
+    def test_round_trip(self, n_samples, t0, full_kernel):
         grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
         if t0 is not None:  # a grid that does not start at -N/2*dt
             grid = TimeGrid(n_samples=n_samples, dt=grid.dt, t0=t0)
         env = self._random(grid)
         spec = to_frequency(env)
-        assert _bits_equal(spec.samples, _reference_to_frequency(env.samples, grid))
         assert _bits_equal(
-            to_time(spec).samples, _reference_to_time(spec.samples, grid)
+            spec.samples, _reference_to_frequency(env.samples, grid, full_kernel)
+        )
+        assert _bits_equal(
+            to_time(spec).samples, _reference_to_time(spec.samples, grid, full_kernel)
         )
 
     @pytest.mark.parametrize(
@@ -209,17 +223,19 @@ class TestTransformBitIdentity:
             DispersiveElement(gdd=-12.0),
         ],
     )
-    def test_dispersion(self, n_samples, element):
+    def test_dispersion(self, n_samples, element, full_kernel):
         grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
         env = gaussian_pulse(grid, fwhm=5.0, center=-20.0, amplitude=0.7 + 0.2j)
         out = apply_dispersion(env, element)
-        assert _bits_equal(out.samples, _reference_dispersion(env.samples, grid, element))
+        reference = _reference_dispersion(env.samples, grid, element, full_kernel)
+        assert _bits_equal(out.samples, reference)
 
-    def test_shift(self, n_samples):
+    def test_shift(self, n_samples, full_kernel):
         grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
         env = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0, relative_phase=0.4)
         out = shifted(env, 37.3)
-        assert _bits_equal(out.samples, _reference_shift(env.samples, grid, 37.3))
+        reference = _reference_shift(env.samples, grid, 37.3, full_kernel)
+        assert _bits_equal(out.samples, reference)
 
     @pytest.mark.parametrize("magnification", [-20.0, 13.7, 1.0, -0.5])
     def test_magnified_copy(self, n_samples, magnification):
@@ -240,9 +256,9 @@ class TestTransformBitIdentity:
 @pytest.mark.parametrize("n_samples", [2, 4, 2**12, 2**14, 2**15])
 @pytest.mark.parametrize("centered", [True, False])
 class TestFilterBitIdentity:
-    """Every spectral stage matches the plain full-axis formulas bit for bit on
-    random samples, whose spectra reach every kernel value, and leaves its
-    input unchanged."""
+    """Every spectral stage matches the full-axis formulas, with kernels built
+    by the same chirp helper, bit for bit on random samples, whose spectra
+    reach every kernel value, and leaves its input unchanged."""
 
     @pytest.fixture(autouse=True)
     def unguarded(self, monkeypatch):
@@ -269,21 +285,66 @@ class TestFilterBitIdentity:
             DispersiveElement(gdd=0.0, tod=-2.0),
         ],
     )
-    def test_dispersion(self, n_samples, centered, element):
+    def test_dispersion(self, n_samples, centered, element, full_kernel):
         env = self._random(n_samples, centered)
         before = env.samples.copy()
         out = apply_dispersion(env, element)
-        reference = _reference_dispersion(env.samples, env.grid, element)
+        reference = _reference_dispersion(env.samples, env.grid, element, full_kernel)
         assert _bits_equal(out.samples, reference)
         assert _bits_equal(env.samples, before)
 
     @pytest.mark.parametrize("delay", [37.3, -0.61])
-    def test_shift(self, n_samples, centered, delay):
+    def test_shift(self, n_samples, centered, delay, full_kernel):
         env = self._random(n_samples, centered)
         before = env.samples.copy()
         out = shifted(env, delay)
-        assert _bits_equal(out.samples, _reference_shift(env.samples, env.grid, delay))
+        reference = _reference_shift(env.samples, env.grid, delay, full_kernel)
+        assert _bits_equal(out.samples, reference)
         assert _bits_equal(env.samples, before)
+
+
+@pytest.mark.parametrize("n_samples", [2, 4, 2**12, 2**15])
+@pytest.mark.parametrize("centered", [True, False])
+class TestPlainKernels:
+    """The spectral kernels, chirps evaluated in blocks from exactly reduced
+    phases, agree with the plain per-sample formulas they replace within
+    those formulas' own rounding."""
+
+    @staticmethod
+    def _grid(n_samples: int, centered: bool) -> TimeGrid:
+        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        if centered:
+            return grid
+        return TimeGrid(n_samples, grid.dt, grid.t0 + 0.37 * grid.dt + 1.5)
+
+    @pytest.mark.parametrize(
+        "element",
+        [
+            DispersiveElement(gdd=7.0, tod=1.5, transmission=0.8),
+            DispersiveElement(gdd=-12.0),
+            DispersiveElement(gdd=1000.0, transmission=0.6),
+            DispersiveElement(gdd=0.0, tod=-2.0),
+        ],
+    )
+    def test_dispersion(self, n_samples, centered, element, full_kernel, within_rounding):
+        grid = self._grid(n_samples, centered)
+        w = grid.omegas
+        phase = 0.5 * element.gdd * w**2 + (element.tod / 6.0) * w**3
+        kernel = full_kernel(grid, **elements_module._dispersion_kernel(element, grid))
+        within_rounding(kernel, element.transmission * np.exp(1j * phase), phase)
+
+    @pytest.mark.parametrize("delay", [37.3, -0.61])
+    def test_shift(self, n_samples, centered, delay, full_kernel, within_rounding):
+        grid = self._grid(n_samples, centered)
+        phase = -grid.omegas * delay
+        kernel = full_kernel(grid, **envelope_module._ramp(grid, delay))
+        within_rounding(kernel, np.exp(1j * phase), phase)
+
+    def test_recentering_ramp(self, n_samples, centered, full_kernel, within_rounding):
+        grid = self._grid(n_samples, centered)
+        phase = -grid.omegas * _center_time(grid)
+        kernel = full_kernel(grid, **envelope_module._ramp(grid, _center_time(grid)))
+        within_rounding(kernel, np.exp(1j * phase), phase)
 
 
 class TestBlockedMagnitudes:

@@ -10,8 +10,9 @@ A change that moves the numbers on purpose regenerates the file with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints every path that moves beyond the tolerances before it writes,
-and states the drift it accepts.
+which prints every path that moves beyond the tolerances and writes the new
+value only there: every float within the tolerances keeps its stored value
+(:func:`_merge`), so the file's diff shows just the drift it accepts.
 """
 
 from __future__ import annotations
@@ -83,6 +84,18 @@ def _mismatches(got, want, path: str = "$") -> list[str]:
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
 
 
+def _merge(got, want):
+    """``got``, with every float within the tolerances of ``want``'s value at
+    the same path replaced by ``want``'s, which is thereby kept as stored."""
+    if type(got) is not type(want):
+        return got
+    if isinstance(want, dict):
+        return {k: _merge(v, want[k]) if k in want else v for k, v in got.items()}
+    if isinstance(want, list) and len(got) == len(want):
+        return [_merge(g, w) for g, w in zip(got, want)]
+    return want if not _mismatches(got, want) else got
+
+
 @pytest.fixture(scope="module")
 def computed() -> dict:
     # a JSON round trip gives both sides the same types (tuples become lists)
@@ -114,11 +127,24 @@ def test_mismatches_apply_the_tolerances():
         "$: keys ['a', 'b'] != ['a']", "$.a: 1.0 != 2.0"]
 
 
+def test_merge_keeps_stored_values_within_the_tolerances():
+    stored = {"x": [1.0, 2.0, "s"], "y": {"z": 1e-16, "w": 3.0}, "gone": 1.0}
+    new = {"x": [1.0 + 5e-13, 2.0 + 1e-9, "t"], "y": {"z": 4e-16, "w": 3}, "v": [5.0]}
+    merged = _merge(new, stored)
+    assert merged == {"x": [1.0, 2.0 + 1e-9, "t"], "y": {"z": 1e-16, "w": 3}, "v": [5.0]}
+    assert type(merged["y"]["w"]) is int
+    assert _mismatches(merged, new) == []
+    # lists whose length changed are taken whole
+    assert _merge([1.0, 2.0], [1.0]) == [1.0, 2.0]
+
+
 if __name__ == "__main__":
     new = json.loads(json.dumps(compute()))
     if GOLDEN.exists():
-        for line in _mismatches(new, json.loads(GOLDEN.read_text())):
+        stored = json.loads(GOLDEN.read_text())
+        for line in _mismatches(new, stored):
             print(line)
+        new = _merge(new, stored)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
