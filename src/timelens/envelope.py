@@ -13,7 +13,8 @@ Conventions:
       spectral stage (dispersion, time shift) is that pair around one
       spectrum-first multiply by its chirp kernel (:func:`_multiply_blocks`),
       block by block in the forward transform's work array, which the
-      inverse then transforms in place.
+      inverse then transforms in place.  Large transforms run that same FFT
+      call on one helper thread (:func:`_transform`).
     * Envelopes own read-only samples.  The public constructors (and
       ``SampledEnvelope.with_samples``) copy what they are given, so the
       caller's array may change afterwards; arrays the library has just built
@@ -24,7 +25,11 @@ Conventions:
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -117,10 +122,20 @@ def _own(env: AnyEnvelope, samples: np.ndarray) -> None:
             f"samples shape {samples.shape} does not match grid "
             f"({env.grid.n_samples},)"
         )
-    if isinstance(env, SampledEnvelope) and not np.all(np.isfinite(samples)):
+    if isinstance(env, SampledEnvelope) and not _all_finite(samples):
         raise ValueError("samples must be finite")
     samples.setflags(write=False)
     object.__setattr__(env, "samples", samples)
+
+
+def _all_finite(samples: np.ndarray) -> bool:
+    """Whether every part of the contiguous ``samples`` is finite.  A finite
+    sum of the parts proves it without a full-size mask; only a sum that is
+    not finite (a NaN or infinity, or an overflow of finite parts) is
+    checked element by element."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = samples.view(np.float64).sum()
+    return bool(np.isfinite(total) or np.isfinite(samples).all())
 
 
 def _adopt(
@@ -152,7 +167,7 @@ def to_frequency(env: SampledEnvelope) -> SpectralEnvelope:
     grid = env.grid
     work = env.samples.copy()
     work[1::2] *= -1.0
-    np.fft.fft(work, out=work)
+    _transform(np.fft.fft, work)
     work *= grid.dt / np.sqrt(2.0 * np.pi)
     _recenter(work, grid, 1.0)
     return _adopt(SpectralEnvelope, grid, work, env.carrier_wavelength_nm)
@@ -164,10 +179,84 @@ def to_time(spec: SpectralEnvelope) -> SampledEnvelope:
     grid = spec.grid
     work = spec.samples if spec.samples.flags.writeable else spec.samples.copy()
     _recenter(work, grid, -1.0)
-    np.fft.ifft(work, out=work)
+    _transform(np.fft.ifft, work)
     work[1::2] *= -1.0
     work *= grid.n_samples * grid.domega / np.sqrt(2.0 * np.pi)
     return _adopt(SampledEnvelope, grid, work, spec.carrier_wavelength_nm)
+
+
+#: Transforms of at least this many samples run on the helper thread.  The
+#: shipped scenarios' 2**14-2**15 grids stay below it: for them a thread's
+#: arena would only hold scratch that the main arena reuses anyway.
+_HELPER_MIN_SAMPLES = 2**17
+
+
+class _Helper:
+    """One daemon thread that runs large in-place FFTs for this process.
+
+    glibc gives the thread its own malloc arena, so the FFT's internal
+    scratch (twice the array) stays mapped from one call to the next instead
+    of being faulted in afresh after the caller's arrays took its pages.
+    The thread starts on first use."""
+
+    def __init__(self) -> None:
+        # held from a job's hand-over until the thread has finished it
+        self._busy = threading.Lock()
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+
+    def try_run(self, fft, work: np.ndarray) -> bool:
+        """``fft(work, out=work)`` on the thread, under the caller's context
+        (so ``np.errstate`` applies), re-raising its error; False at once,
+        with nothing run, if the thread is busy with another caller's job."""
+        if not self._busy.acquire(blocking=False):
+            return False
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._serve, name="timelens-fft", daemon=True
+            )
+            self._thread.start()
+        done: queue.SimpleQueue = queue.SimpleQueue()
+        self._jobs.put((contextvars.copy_context(), fft, work, done))
+        error = done.get()
+        if error is not None:
+            raise error
+        return True
+
+    def _serve(self) -> None:
+        while True:
+            context, fft, work, done = self._jobs.get()
+            try:
+                context.run(fft, work, out=work)
+                error = None
+            except BaseException as exc:  # re-raised by the caller
+                error = exc
+            del context, fft, work
+            # released before the result is posted, so the caller's next
+            # transform finds the thread free
+            self._busy.release()
+            done.put(error)
+            # an error's traceback holds the work array: keep neither
+            del done, error
+
+
+#: The helper of each process id, so a forked child starts its own.
+_helpers: dict[int, _Helper] = {}
+
+
+def _transform(fft, work: np.ndarray) -> None:
+    """``fft(work, out=work)``: on the helper thread when ``work`` has at
+    least :data:`_HELPER_MIN_SAMPLES` samples and the helper is free, inline
+    otherwise (small grids, and callers that would have to wait for another
+    thread's transform).  Same function, same input: the output is the
+    same bits either way."""
+    if work.size >= _HELPER_MIN_SAMPLES:
+        pid = os.getpid()
+        # setdefault is atomic: threads that race here share one helper
+        helper = _helpers.get(pid) or _helpers.setdefault(pid, _Helper())
+        if helper.try_run(fft, work):
+            return
+    fft(work, out=work)
 
 
 def _recenter(spectrum: np.ndarray, grid: TimeGrid, sign: float) -> None:

@@ -27,8 +27,18 @@ def analyzer_port(
     env: SampledEnvelope, delayed: SampledEnvelope, phase: float
 ) -> SampledEnvelope:
     """Output port (1/2) * [a(t) + e^{i*phase} * a(t - delay)] of ``env`` and
-    its already delayed copy ``delayed`` = a(t - delay); no transform."""
-    samples = 0.5 * (env.samples + np.exp(1j * phase) * delayed.samples)
+    its already delayed copy ``delayed`` = a(t - delay); no transform.
+
+    Formed one block at a time in the output, with the operations and
+    operand orders of 0.5 * (a + e^{i*phase} * delayed) over the whole axis
+    (a sum and a halving round alike in either order), so the same bits."""
+    factor = np.exp(1j * phase)
+    samples = np.empty_like(env.samples)
+    for span in env.grid._blocks():
+        block = samples[span]
+        np.multiply(factor, delayed.samples[span], out=block)
+        np.add(env.samples[span], block, out=block)
+        np.multiply(0.5, block, out=block)
     return _adopt(SampledEnvelope, env.grid, samples, env.carrier_wavelength_nm)
 
 
@@ -83,10 +93,16 @@ class InterferenceResult:
     outer_peaks: tuple[float, float]  # detected outer peak positions, ps
 
 
-def _outer_peaks(intensity: np.ndarray) -> tuple[int, int]:
+def _outer_peaks(intensity: np.ndarray, peak: float | None = None) -> tuple[int, int]:
     """Indices of the first and last of at least three local maxima above
-    :data:`PEAK_HEIGHT_FLOOR` of the global peak."""
-    peak = float(intensity.max())
+    :data:`PEAK_HEIGHT_FLOOR` of the global peak.
+
+    ``intensity`` may be a run of a longer profile whose global peak is
+    ``peak``, if the run holds every sample at or above the floor and one
+    more on each side where the profile has one: the indices are then the
+    profile's, less the run's start."""
+    if peak is None:
+        peak = float(intensity.max())
     if peak == 0.0:
         raise DegenerateInputError("peak detection on a zero-energy envelope")
     floor = PEAK_HEIGHT_FLOOR * peak
@@ -170,11 +186,25 @@ def visibility_experiment(
         raise WindowOverflowError(f"analyzer delay {bin_separation} ps: {exc}") from exc
     constructive = analyzer_port(image, delayed, relative_phase)
     destructive = analyzer_port(image, delayed, relative_phase + np.pi)
-    combined = np.empty(image.grid.n_samples)
-    for span in image.grid._blocks():
-        combined[span] = np.abs(constructive.samples[span]) ** 2
-        combined[span] += np.abs(destructive.samples[span]) ** 2
-    lo_peak, hi_peak = (_time(image.grid, k) for k in _outer_peaks(combined))
+    grid = image.grid
+
+    def summed(span: slice) -> np.ndarray:
+        values = np.abs(constructive.samples[span]) ** 2
+        values += np.abs(destructive.samples[span]) ** 2
+        return values
+
+    # The summed intensity is held only over the blocks that reach the peak
+    # floor, and one sample beyond them on each side.
+    spans = list(grid._blocks())
+    maxima = [float(summed(span).max()) for span in spans]
+    peak = max(maxima)
+    reached = [i for i, top in enumerate(maxima) if top >= PEAK_HEIGHT_FLOOR * peak]
+    lo = max(spans[reached[0]].start - 1, 0)
+    hi = min(spans[reached[-1]].stop + 1, grid.n_samples)
+    combined = np.empty(hi - lo)
+    for span in grid._blocks(lo, hi):
+        combined[span.start - lo : span.stop - lo] = summed(span)
+    lo_peak, hi_peak = (_time(grid, lo + k) for k in _outer_peaks(combined, peak))
     del combined
     center = 0.5 * (lo_peak + hi_peak)
     window = (center - 0.5 * bin_separation, center + 0.5 * bin_separation)

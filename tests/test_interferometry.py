@@ -180,9 +180,9 @@ class TestVisibilityExperiment:
             visibility_experiment(two_bin, bin_separation=390.0)
 
     def test_peak_memory_is_bounded_by_the_image(self):
-        # The delayed copy and both ports are full-size outputs; the summed
-        # intensity is built in place and peak detection scans only the
-        # span above its floor, so about four images' worth is held at once.
+        # The delayed copy and both ports are full-size outputs, each formed
+        # in place; the summed intensity is held only over the blocks that
+        # reach the peak floor, so about 3.3 images' worth is held at once.
         # One untraced run first, so numpy's FFT plan is not charged.
         grid = TimeGrid.centered(window=400.0, n_samples=2**16)
         image = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0)
@@ -193,7 +193,7 @@ class TestVisibilityExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.25 * image.samples.nbytes
+        assert peak <= 3.4 * image.samples.nbytes
 
 
 def _full_array_outer_peaks(intensity: np.ndarray) -> np.ndarray:
@@ -259,6 +259,40 @@ class TestOuterPeaks:
                     _outer_peaks(intensity)
             else:
                 assert _outer_peaks(intensity) == (ref[0], ref[-1])
+
+
+    def test_a_run_around_the_floor_gives_the_profile_indices(self):
+        # the run holds the samples at or above the floor and one more on
+        # each side, as visibility_experiment passes it
+        rng = np.random.default_rng(716)
+        for _ in range(2000):
+            intensity = rng.random(rng.integers(3, 60)) ** rng.integers(1, 12)
+            above = np.flatnonzero(intensity >= PEAK_HEIGHT_FLOOR * intensity.max())
+            lo = max(int(above[0]) - 1, 0)
+            hi = min(int(above[-1]) + 2, intensity.size)
+            run = intensity[lo:hi].copy()
+            try:
+                expected = _outer_peaks(intensity)
+            except PeakDetectionError:
+                with pytest.raises(PeakDetectionError):
+                    _outer_peaks(run, float(intensity.max()))
+            else:
+                first, last = _outer_peaks(run, float(intensity.max()))
+                assert (lo + first, lo + last) == expected
+
+    @pytest.mark.parametrize("start", [8191, 8192, 8193])
+    def test_visibility_finds_the_full_array_peaks_at_block_edges(self, start):
+        # a profile whose first sample above the floor lies at or next to a
+        # block boundary: the run must keep the sample before it
+        grid = TimeGrid(n_samples=2**15, dt=0.01, t0=0.0)
+        samples = np.zeros(grid.n_samples, dtype=np.complex128)
+        samples[start : start + 9] = [1.0, 0.2, 3.0, 0.2, 1.0, 0.2, 3.0, 0.2, 1.0]
+        image = SampledEnvelope(grid, samples)
+        result = visibility_experiment(image, bin_separation=0.02)
+        combined = (np.abs(result.constructive.samples) ** 2
+                    + np.abs(result.destructive.samples) ** 2)
+        lo, hi = _outer_peaks(combined)
+        assert result.outer_peaks == (grid.times[lo], grid.times[hi])
 
 
 class TestWindowEnergy:
