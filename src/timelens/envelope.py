@@ -14,7 +14,7 @@ Conventions:
       spectrum-first multiply by its chirp kernel (:func:`_multiply_blocks`),
       block by block in the forward transform's work array, which the
       inverse then transforms in place.  Large transforms run that same FFT
-      call on one helper thread (:func:`_transform`).
+      call on a one-worker thread pool (:func:`_transform`).
     * Envelopes own read-only samples.  The public constructors (and
       ``SampledEnvelope.with_samples``) copy what they are given, so the
       caller's array may change afterwards; arrays the library has just built
@@ -28,8 +28,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import queue
-import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -190,71 +188,36 @@ def to_time(spec: SpectralEnvelope) -> SampledEnvelope:
 #: arena would only hold scratch that the main arena reuses anyway.
 _HELPER_MIN_SAMPLES = 2**17
 
-
-class _Helper:
-    """One daemon thread that runs large in-place FFTs for this process.
-
-    glibc gives the thread its own malloc arena, so the FFT's internal
-    scratch (twice the array) stays mapped from one call to the next instead
-    of being faulted in afresh after the caller's arrays took its pages.
-    The thread starts on first use."""
-
-    def __init__(self) -> None:
-        # held from a job's hand-over until the thread has finished it
-        self._busy = threading.Lock()
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread: threading.Thread | None = None
-
-    def try_run(self, fft, work: np.ndarray) -> bool:
-        """``fft(work, out=work)`` on the thread, under the caller's context
-        (so ``np.errstate`` applies), re-raising its error; False at once,
-        with nothing run, if the thread is busy with another caller's job."""
-        if not self._busy.acquire(blocking=False):
-            return False
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._serve, name="timelens-fft", daemon=True
-            )
-            self._thread.start()
-        done: queue.SimpleQueue = queue.SimpleQueue()
-        self._jobs.put((contextvars.copy_context(), fft, work, done))
-        error = done.get()
-        if error is not None:
-            raise error
-        return True
-
-    def _serve(self) -> None:
-        while True:
-            context, fft, work, done = self._jobs.get()
-            try:
-                context.run(fft, work, out=work)
-                error = None
-            except BaseException as exc:  # re-raised by the caller
-                error = exc
-            del context, fft, work
-            # released before the result is posted, so the caller's next
-            # transform finds the thread free
-            self._busy.release()
-            done.put(error)
-            # an error's traceback holds the work array: keep neither
-            del done, error
-
-
-#: The helper of each process id, so a forked child starts its own.
-_helpers: dict[int, _Helper] = {}
+#: One single-worker executor per process id, started on first use, so a
+#: forked child starts its own.  glibc gives the worker thread its own malloc arena, so the FFT's
+#: internal scratch (twice the array) stays mapped from one call to the next
+#: instead of being faulted in afresh after the caller's arrays took its pages.
+_helpers: dict = {}
 
 
 def _transform(fft, work: np.ndarray) -> None:
-    """``fft(work, out=work)``: on the helper thread when ``work`` has at
-    least :data:`_HELPER_MIN_SAMPLES` samples and the helper is free, inline
-    otherwise (small grids, and callers that would have to wait for another
-    thread's transform).  Same function, same input: the output is the
-    same bits either way."""
+    """``fft(work, out=work)``: on the helper thread, under the caller's
+    context (so ``np.errstate`` applies), when ``work`` has at least
+    :data:`_HELPER_MIN_SAMPLES` samples; inline otherwise, and at interpreter
+    exit once the thread pool's exit hook has run.  Concurrent callers queue
+    on the one thread.  Same function, same input: the same bits."""
     if work.size >= _HELPER_MIN_SAMPLES:
-        pid = os.getpid()
-        # setdefault is atomic: threads that race here share one helper
-        helper = _helpers.get(pid) or _helpers.setdefault(pid, _Helper())
-        if helper.try_run(fft, work):
+        try:
+            # imported here, so that importing timelens loads no
+            # concurrent.futures; once the pool's exit hook has run, a
+            # first import of it or a submit raises RuntimeError
+            from concurrent.futures import ThreadPoolExecutor
+
+            pid = os.getpid()
+            # setdefault is atomic: threads that race here share one executor
+            helper = _helpers.get(pid) or _helpers.setdefault(
+                pid, ThreadPoolExecutor(1, "timelens-fft")
+            )
+            job = helper.submit(contextvars.copy_context().run, fft, work, out=work)
+        except RuntimeError:
+            pass
+        else:
+            job.result()
             return
     fft(work, out=work)
 

@@ -27,18 +27,8 @@ def analyzer_port(
     env: SampledEnvelope, delayed: SampledEnvelope, phase: float
 ) -> SampledEnvelope:
     """Output port (1/2) * [a(t) + e^{i*phase} * a(t - delay)] of ``env`` and
-    its already delayed copy ``delayed`` = a(t - delay); no transform.
-
-    Formed one block at a time in the output, with the operations and
-    operand orders of 0.5 * (a + e^{i*phase} * delayed) over the whole axis
-    (a sum and a halving round alike in either order), so the same bits."""
-    factor = np.exp(1j * phase)
-    samples = np.empty_like(env.samples)
-    for span in env.grid._blocks():
-        block = samples[span]
-        np.multiply(factor, delayed.samples[span], out=block)
-        np.add(env.samples[span], block, out=block)
-        np.multiply(0.5, block, out=block)
+    its already delayed copy ``delayed`` = a(t - delay); no transform."""
+    samples = 0.5 * (env.samples + np.exp(1j * phase) * delayed.samples)
     return _adopt(SampledEnvelope, env.grid, samples, env.carrier_wavelength_nm)
 
 

@@ -523,9 +523,10 @@ class TestOwnership:
 
 
 class TestTransformHelper:
-    """Transforms of at least ``_HELPER_MIN_SAMPLES`` samples run on one
-    helper thread; smaller ones, and callers that find it busy, run inline.
-    The FFT function and its input are the same either way."""
+    """Transforms of at least ``_HELPER_MIN_SAMPLES`` samples run on the one
+    worker thread of a thread pool, on which concurrent callers queue;
+    smaller ones, and any at interpreter exit after the pool has shut down,
+    run inline.  The FFT function and its input are the same either way."""
 
     @staticmethod
     def _random(n_samples: int, seed: int = 7) -> SampledEnvelope:
@@ -534,14 +535,14 @@ class TestTransformHelper:
         return SampledEnvelope(grid, rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples))
 
     @staticmethod
-    def _recording_threads(monkeypatch) -> list[int]:
-        """Thread idents of every np.fft.fft/ifft call from now on."""
+    def _recording_threads(monkeypatch) -> list[threading.Thread]:
+        """The thread of every np.fft.fft/ifft call from now on."""
         threads = []
         for name in ("fft", "ifft"):
             fft = getattr(np.fft, name)
 
             def recording(a, *args, _fft=fft, **kwargs):
-                threads.append(threading.get_ident())
+                threads.append(threading.current_thread())
                 return _fft(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, recording)
@@ -563,13 +564,13 @@ class TestTransformHelper:
         assert _bits_equal(back.samples, self._inline(to_time, spec, monkeypatch))
         threads = self._recording_threads(monkeypatch)
         to_time(to_frequency(env))
-        assert len(threads) == 2 and threading.get_ident() not in threads
+        assert len(threads) == 2 and threading.current_thread() not in threads
 
     def test_small_grids_transform_inline(self, monkeypatch):
         env = self._random(envelope_module._HELPER_MIN_SAMPLES // 2)
         threads = self._recording_threads(monkeypatch)
         to_time(to_frequency(env))
-        assert threads == [threading.get_ident()] * 2
+        assert threads == [threading.current_thread()] * 2
 
     def test_errstate_applies_on_the_helper(self):
         env = self._random(2**17)
@@ -596,7 +597,7 @@ class TestTransformHelper:
                 to_frequency(env)
         threads = self._recording_threads(monkeypatch)
         assert _bits_equal(to_frequency(env).samples, expected)
-        assert threads and threading.get_ident() not in threads
+        assert threads and threading.current_thread() not in threads
 
     def test_a_forked_child_transforms_correctly(self):
         # the parent starts its helper before forking; the child's transform
@@ -627,9 +628,45 @@ class TestTransformHelper:
         )
         assert result.returncode == 0, result.stderr
 
+    def test_every_large_transform_runs_on_one_helper_thread(self, monkeypatch):
+        env = self._random(2**17)
+        before = threading.active_count()
+        threads = self._recording_threads(monkeypatch)
+        for _ in range(3):
+            to_time(to_frequency(env))
+            assert threading.active_count() <= before + 1
+        assert len(threads) == 6 and len(set(threads)) == 1
+        assert threads[0].name.startswith("timelens-fft")
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["started", "unstarted"])
+    def test_a_transform_at_interpreter_exit_matches_the_inline_one(self, warm):
+        # an atexit callback runs after the thread pool's own exit hook, so
+        # its large transform runs inline, whether or not the helper had
+        # started before (a process that hangs is ended by the timeout)
+        code = (
+            "import atexit, math, numpy as np\n"
+            "import timelens.envelope as e\n"
+            "from timelens import SampledEnvelope, TimeGrid\n"
+            "rng = np.random.default_rng(5)\n"
+            "grid = TimeGrid.centered(window=400.0, n_samples=2**17)\n"
+            "env = SampledEnvelope(grid, rng.normal(size=2**17) + 0j)\n"
+            f"if {warm}:\n"
+            "    e.to_frequency(env)\n"
+            "def at_exit():\n"
+            "    at_exit_bits = e.to_frequency(env).samples\n"
+            "    e._HELPER_MIN_SAMPLES = math.inf\n"
+            "    print(np.array_equal(e.to_frequency(env).samples, at_exit_bits))\n"
+            "atexit.register(at_exit)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0 and not result.stderr, result.stderr
+        assert result.stdout == "True\n"
+
     def test_concurrent_callers_all_get_correct_results(self, monkeypatch):
         # more threads than this suite's 2-core hosts have, switching often:
-        # each must get its own transform's bits, from the helper or inline
+        # each must get its own transform's bits, queued on the one helper
         envs = [self._random(2**17, seed) for seed in range(4)]
         expected = [self._inline(to_frequency, env, monkeypatch) for env in envs]
         start = threading.Barrier(len(envs))
