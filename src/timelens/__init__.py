@@ -28,7 +28,6 @@ from .design import (
     DesignConfiguration,
     DesignReport,
     DesignRequest,
-    pump_bandwidth,
     requirements,
 )
 from .elements import (
@@ -81,14 +80,10 @@ from .imaging import (
     check_far_field,
     field_lens_system,
     plan_grid,
-    residual_phase,
-    residual_span,
     run_system,
     single_lens_system,
-    solve_field_lens,
-    solve_single_lens,
-    solve_telescope,
     telescope_system,
+    transfer_matrix,
     verify_topology,
 )
 from .interferometry import (
@@ -171,28 +166,23 @@ __all__ = [
     "phase_fit_quadratic",
     "phase_rms",
     "plan_grid",
-    "pump_bandwidth",
     "pump_phase_curvature",
     "read_waveform_npy",
     "recombine",
     "requirements",
-    "residual_phase",
-    "residual_span",
     "run_design",
     "run_simulate",
     "run_sweep",
     "run_system",
     "shifted",
     "single_lens_system",
-    "solve_field_lens",
-    "solve_single_lens",
-    "solve_telescope",
     "stretched_pump_fwhm",
     "synthesize_pump",
     "telescope_system",
     "time_bin_pulse",
     "to_frequency",
     "to_time",
+    "transfer_matrix",
     "verify_topology",
     "visibility_experiment",
     "waveform_csv",

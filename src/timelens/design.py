@@ -18,7 +18,7 @@ row for row, with the paper's (M+1)*t_i/dnu = 105 ps^2 relay.  The upright
 (+M) telescope has a (M-1)*D1 relay instead.
 
 All dispersion bounds are magnitudes (ps^2); sign assignment belongs to the
-topology solvers.
+``imaging`` layouts.
 """
 
 from __future__ import annotations
@@ -186,11 +186,3 @@ def requirements(
         footnotes=tuple(footnotes),
     )
 
-
-def pump_bandwidth(input_fwhm: float, focal_gdd: float) -> float:
-    """Required pump angular bandwidth t_i / Df in rad/ps."""
-    if focal_gdd == 0.0:
-        raise DesignError("focal_gdd must be nonzero")
-    if not (input_fwhm > 0.0):
-        raise DesignError(f"input_fwhm must be positive, got {input_fwhm!r}")
-    return input_fwhm / focal_gdd

@@ -1,31 +1,35 @@
-"""Imaging-system topologies: solvers, assembly, grid planning, execution.
+"""Imaging-system topologies: layouts, ray-transfer matrix, grid planning, execution.
+
+By space-time duality every TOD-free stage is a 2x2 ray-transfer matrix on
+(t, omega): a dispersion of GDD D is [[1, -D], [0, 1]], and a lens that
+imprints exp(+i*t^2/(2F)) is [[1, 0], [1/F, 1]].  A chain's product
+[[A, B], [C, D]] images when B = 0; its magnification is A, and the image
+carries the quadratic phase C/(2A)*t^2.
 
 Three configurations are supported, all built from dispersive elements and
 time lenses:
 
-* single-lens: input GDD D1, one lens, output GDD D2.  Imaging requires
-  1/D1 + 1/D2 = 1/Df with magnification M = -D2/D1 (negative for
-  all-positive dispersion chains); the image then carries a residual
-  quadratic phase t^2/(2*M*Df).
-* field-lens: the single-lens chain plus a corrector lens at the image plane
-  whose phase -t^2/(2*M*Df) cancels the residual phase.  Its pump chirp is
-  Dr = M*Df (an up-conversion lens).
-* telescope: two lenses with an intermediate GDD; the design rule used here
-  is D1 paired with lens chirp D1 (down-conversion), D2 = D1*(1-M), lens
-  chirp M*D1 (up-conversion), D3 = -M*D1.  In the conventional focal-GDD
-  labels this is Df1 = -D1 and Df2 = M*D1 = -D3; both the residual phase and
-  the net chirp cancel, giving a flat-phase image with magnification +M.
+* single-lens: input GDD D1, one lens of focal GDD Df, output GDD D2, with
+  D1 = Df*(M-1)/M and D2 = -M*D1 (B = 0, A = M; M < 0 for all-positive
+  dispersion chains).  The image carries t^2/(2*M*Df), as C = 1/Df.
+* field-lens: the single-lens chain plus an image-plane up-conversion
+  corrector of pump chirp M*Df, whose phase -t^2/(2*M*Df) sets C = 0.
+* telescope: D1, a down-conversion lens of chirp D1, a relay D1 + D3, an
+  up-conversion lens of chirp M*D1, and D3 = -M*D1.  B = C = 0 and A = +M:
+  a flat-phase image.
 
 One layout table lists each configuration's stages in order, as (label,
-lens direction or None for a dispersive element), and one helper gives each
-stage's GDD or pump chirp from the solvers for a magnification and a sizing
-value (the main-lens focal GDD, or a telescope's input GDD).  The builders,
-``verify_topology`` and ``sizing_divisor`` all read that table.
+lens direction or None for a dispersive element), and ``_stage_values``
+gives each stage's GDD or pump chirp for a magnification and a sizing value
+(the first lens's pump chirp).  The builders, ``verify_topology`` and
+``sizing_divisor`` all read that table; ``verify_topology`` and
+``check_far_field`` read the chain's matrix.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -60,74 +64,24 @@ class TopologyKind(enum.Enum):
     TELESCOPE = "telescope"
 
 
-# ---------------------------------------------------------------------------
-# closed-form condition solvers
-# ---------------------------------------------------------------------------
+def _imprint_focal(direction: ConversionDirection, chirp: float) -> float:
+    """GDD F such that a lens with this pump chirp multiplies the signal by
+    exp(+i*t^2/(2F)): down-conversion imprints +t^2/(2*chirp), up-conversion
+    the opposite sign."""
+    return chirp if direction is ConversionDirection.DOWN else -chirp
 
 
-def solve_single_lens(magnification: float, focal_gdd: float) -> tuple[float, float]:
-    """Input/output GDD pair (D1, D2) imaging at the given magnification.
-
-    D1 = Df*(M-1)/M and D2 = -M*D1, which satisfy 1/D1 + 1/D2 = 1/Df and
-    M = -D2/D1 identically.  M in {0, 1} is degenerate (M = 1 forces D1 = 0,
-    no imaging).
-    """
-    if magnification in (0.0, 1.0):
-        raise DesignError(
-            f"magnification {magnification} is degenerate: no single-lens "
-            "imaging solution exists"
-        )
-    if focal_gdd == 0.0:
-        raise DesignError("focal_gdd must be nonzero")
-    d1 = focal_gdd * (magnification - 1.0) / magnification
-    d2 = -magnification * d1
-    return d1, d2
-
-
-def solve_field_lens(
-    magnification: float, focal_gdd: float
-) -> tuple[float, float, float]:
-    """(D1, D2, Dr) for the field-lens configuration; Dr = M*Df is the pump
-    chirp of the image-plane corrector lens."""
-    d1, d2 = solve_single_lens(magnification, focal_gdd)
-    return d1, d2, magnification * focal_gdd
-
-
-def solve_telescope(
-    magnification: float, input_gdd: float
-) -> tuple[float, float, float, float]:
-    """(Df1, D2, Df2, D3) for a telescope with input GDD D1.
-
-    Df1 = -D1, D3 = -M*D1, Df2 = M*D1 = -D3, D2 = D1 + D3 = D1*(1-M).
-    M = 1 is degenerate (D2 = 0, back-to-back conjugate lenses) but still
-    executable; D1 = 0 has no solution.
-    """
-    if magnification == 0.0:
-        raise DesignError("telescope magnification must be nonzero")
-    if input_gdd == 0.0:
-        raise DesignError("telescope input_gdd must be nonzero")
-    df1 = -input_gdd
-    d3 = -magnification * input_gdd
-    df2 = magnification * input_gdd
-    d2 = input_gdd + d3
-    return df1, d2, df2, d3
-
-
-def residual_phase(magnification: float, focal_gdd: float, t: float) -> float:
-    """Quadratic phase t^2/(2*M*Df) (rad) left on a single-lens image at
-    time offset t from the image center."""
-    if magnification == 0.0 or focal_gdd == 0.0:
-        raise DesignError("magnification and focal_gdd must be nonzero")
-    return t**2 / (2.0 * magnification * focal_gdd)
-
-
-def residual_span(magnification: float, input_fwhm: float, focal_gdd: float) -> float:
-    """Residual-phase variation M*t_i^2/(8*Df) (rad) across an input of
-    width t_i; equals residual_phase evaluated at the image half-extent
-    M*t_i/2."""
-    if magnification == 0.0 or focal_gdd == 0.0:
-        raise DesignError("magnification and focal_gdd must be nonzero")
-    return magnification * input_fwhm**2 / (8.0 * focal_gdd)
+def transfer_matrix(stages: Sequence[Element]) -> tuple[float, float, float, float]:
+    """Ray-transfer matrix (A, B, C, D) on (t, omega) of a stage chain, first
+    stage applied first; TOD is ignored."""
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for stage in stages:
+        if isinstance(stage, DispersiveElement):
+            a, b = a - stage.gdd * c, b - stage.gdd * d
+        else:
+            power = 1.0 / _imprint_focal(stage.direction, stage.focal_gdd)
+            c, d = c + power * a, d + power * b
+    return a, b, c, d
 
 
 @dataclass(frozen=True)
@@ -140,14 +94,19 @@ class FarFieldCheck:
 
 
 def check_far_field(
-    magnification: float,
+    topology: SystemTopology,
     input_fwhm: float,
-    focal_gdd: float,
     threshold_ratio: float = FAR_FIELD_THRESHOLD_RATIO,
 ) -> FarFieldCheck:
-    """Whether the residual phase span is negligible: |span| <= ratio*pi."""
-    span = residual_span(magnification, input_fwhm, focal_gdd)
-    margin = abs(span) / np.pi
+    """Whether the phase on the uncorrected image is negligible over an input
+    of width t_i: its span A*C*t_i^2/8, the phase C/(2A)*t^2 at the image
+    half-extent A*t_i/2, must satisfy |span| <= ratio*pi.  The chain is read
+    up to its last dispersive stage, the image plane before any field lens.
+    """
+    stages = topology.stages
+    last = max(i for i, e in enumerate(stages) if isinstance(e, DispersiveElement))
+    a, _, c, _ = transfer_matrix(stages[: last + 1])
+    margin = abs(a * c * input_fwhm**2 / 8.0) / np.pi
     return FarFieldCheck(
         passed=bool(margin <= threshold_ratio),
         margin=float(margin),
@@ -166,8 +125,8 @@ class SystemTopology:
 
     Attributes:
         kind: which configuration the chain realizes.
-        magnification: signed image magnification M = -D2/D1 (single/field)
-            or +M (telescope).
+        magnification: signed image magnification M, the A element of the
+            chain's transfer matrix.
         stages: the ordered elements (DispersiveElement / TimeLens).
     """
 
@@ -222,13 +181,25 @@ def _stage_values(
     kind: TopologyKind, magnification: float, sizing: float
 ) -> tuple[float, ...]:
     """Each stage's GDD, or pump chirp for a lens, in layout order.  The
-    sizing value is the first lens's pump chirp."""
+    sizing value is the first lens's pump chirp; M = 0, sizing 0, and M = 1
+    outside the telescope have no imaging solution."""
+    m = magnification
+    if m == 0.0 or sizing == 0.0:
+        raise DesignError(
+            f"{kind.value} needs a nonzero magnification and sizing value, got "
+            f"M = {m}, sizing {sizing}"
+        )
     if kind is TopologyKind.TELESCOPE:
-        df1, d2, df2, d3 = solve_telescope(magnification, sizing)
-        return sizing, -df1, d2, df2, d3
-    d1, d2, dr = solve_field_lens(magnification, sizing)
+        d3 = -m * sizing
+        return sizing, sizing, sizing + d3, m * sizing, d3
+    if m == 1.0:
+        raise DesignError(
+            f"magnification 1 is degenerate: no {kind.value} imaging solution exists"
+        )
+    d1 = sizing * (m - 1.0) / m
+    d2 = -m * d1
     if kind is TopologyKind.FIELD_LENS:
-        return d1, sizing, d2, dr
+        return d1, sizing, d2, m * sizing
     return d1, sizing, d2
 
 
@@ -298,24 +269,18 @@ def telescope_system(
     return assemble_system(TopologyKind.TELESCOPE, magnification, input_gdd, **options)
 
 
-def _imprint_focal(direction: ConversionDirection, chirp: float) -> float:
-    """GDD F such that a lens with this pump chirp multiplies the signal by
-    exp(+i*t^2/(2F)): down-conversion imprints +t^2/(2*chirp), up-conversion
-    the opposite sign."""
-    return chirp if direction is ConversionDirection.DOWN else -chirp
-
-
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= DESIGN_RTOL * max(1.0, abs(a), abs(b))
 
 
 def verify_topology(topology: SystemTopology) -> None:
-    """Re-check a chain against its kind's layout; raises DesignError.
+    """Check that a chain images flat at its magnification; raises DesignError.
 
-    The stage count and element types must match the layout.  Every GDD and
-    lens imprint focal must then equal the value the solvers give for the
-    stored magnification and the chain's own sizing value, which is the
-    first lens's imprint focal.
+    The stage count and element types must match the kind's layout.  The
+    chain's transfer matrix must then have B = 0 and A = M, and C = 0 unless
+    the kind is single-lens.  B and C are made dimensionless by the largest
+    |GDD| or |imprint focal| of the chain, and C also divided by
+    max(|A|, |D|), the size its rounding error scales with.
     """
     layout = _LAYOUTS[topology.kind]
     stages = topology.stages
@@ -324,19 +289,18 @@ def verify_topology(topology: SystemTopology) -> None:
         for stage, (_, direction) in zip(stages, layout)
     ):
         raise DesignError(f"malformed {topology.kind.value} stage chain")
-    first = topology.lenses()[0]
-    sizing = _imprint_focal(first.direction, first.focal_gdd)
-    values = _stage_values(topology.kind, topology.magnification, sizing)
-    for stage, (label, direction), value in zip(stages, layout, values):
-        if direction is None:
-            got, want = stage.gdd, value
-        else:
-            got = _imprint_focal(stage.direction, stage.focal_gdd)
-            want = _imprint_focal(direction, value)
+    a, b, c, d = transfer_matrix(stages)
+    scale = max(
+        abs(e.gdd if isinstance(e, DispersiveElement) else e.focal_gdd) for e in stages
+    )
+    checks = [("B/scale", b / scale, 0.0), ("A", a, topology.magnification)]
+    if topology.kind is not TopologyKind.SINGLE_LENS:
+        checks.append(("C*scale/max(|A|,|D|)", c * scale / max(abs(a), abs(d)), 0.0))
+    for name, got, want in checks:
         if not _close(got, want):
             raise DesignError(
-                f"{topology.kind.value} stage {label} violates the design at M = "
-                f"{topology.magnification}, sizing {sizing}: got {got}, want {want}"
+                f"{topology.kind.value} chain does not image at M = "
+                f"{topology.magnification}: {name} = {got}, want {want}"
             )
 
 

@@ -298,11 +298,10 @@ def _compute(scenario: Scenario) -> _Run:
         "image": _image_metrics(trace, stages[-1], scenario.analysis.phase_fit_window),
     }
     if topology.kind is not TopologyKind.TELESCOPE:
-        main = topology.lenses()[0]
         t_i = spec.fwhm if spec.kind == "gaussian" else (
             spec.bin_separation + spec.bin_fwhm
         )
-        ff = check_far_field(system.magnification, t_i, main.focal_gdd)
+        ff = check_far_field(topology, t_i)
         report["far_field"] = {
             "input_duration_ps": float(t_i),
             "margin": ff.margin,

@@ -13,9 +13,7 @@ from timelens import (
     DesignRequest,
     DispersiveElement,
     TopologyKind,
-    pump_bandwidth,
     requirements,
-    solve_field_lens,
 )
 from timelens.runner import build_topology
 from timelens.scenario import SystemSpec
@@ -69,12 +67,13 @@ class TestFieldLensBounds:
         assert report.entry("Df").dispersion_bound_ps2 == pytest.approx(5.0)
 
     def test_bounds_at_equality_close_with_the_solver(self):
-        t_i, dnu, m = 5.0, 1.0, 20.0
-        report = _field_lens_report(t_i, dnu, m)
-        d1, d2, dr = solve_field_lens(-m, t_i / dnu)
-        assert abs(d1) == pytest.approx(report.entry("D1").dispersion_bound_ps2, rel=1e-12)
-        assert abs(d2) == pytest.approx(report.entry("D2").dispersion_bound_ps2, rel=1e-12)
-        assert abs(dr) == pytest.approx(report.entry("Dr").dispersion_bound_ps2, rel=1e-12)
+        # t_i/dnu = 4 ps^2 at M = 8: the rows meet the imaging conditions
+        # 1/D1 + 1/D2 = 1/Df and D2/D1 = M, and the corrector is M*Df.
+        report = _field_lens_report(2.0, 0.5, 8.0)
+        bounds = {e.element: e.dispersion_bound_ps2 for e in report.entries}
+        assert bounds == pytest.approx({"D1": 4.5, "Df": 4.0, "D2": 36.0, "Dr": 32.0})
+        assert 1.0 / bounds["D1"] + 1.0 / bounds["D2"] == pytest.approx(1.0 / 4.0)
+        assert bounds["D2"] / bounds["D1"] == pytest.approx(8.0)
 
     def test_small_dispersion_regime_flagged(self):
         report = _field_lens_report()  # D1 bound 5.25 vs t_i^2/10 = 2.5
@@ -227,17 +226,3 @@ class TestCompressionAndValidation:
         with pytest.raises(DesignError):
             DesignRequest(configuration=DesignConfiguration.FIELD_LENS, **base)
 
-
-class TestPumpBandwidth:
-    def test_example_values(self):
-        assert pump_bandwidth(5.0, 5.0) == pytest.approx(1.0, rel=1e-12)
-        assert pump_bandwidth(5.0, 1000.0) == pytest.approx(0.005, rel=1e-12)
-
-    def test_inverse_proportionality(self):
-        assert pump_bandwidth(5.0, 2.5) == pytest.approx(
-            2.0 * pump_bandwidth(5.0, 5.0), rel=1e-12
-        )
-
-    def test_zero_focal_gdd_rejected(self):
-        with pytest.raises(DesignError):
-            pump_bandwidth(5.0, 0.0)

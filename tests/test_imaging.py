@@ -1,4 +1,5 @@
-"""Topology solvers, residual-phase tools, and end-to-end system runs."""
+"""Topology layouts, transfer matrices, the far-field check, and end-to-end
+system runs."""
 
 from __future__ import annotations
 
@@ -30,15 +31,11 @@ from timelens import (
     phase_fit_quadratic,
     phase_rms,
     plan_grid,
-    residual_phase,
-    residual_span,
     run_system,
     single_lens_system,
-    solve_field_lens,
-    solve_single_lens,
-    solve_telescope,
     synthesize_pump,
     telescope_system,
+    transfer_matrix,
     verify_topology,
 )
 
@@ -71,88 +68,103 @@ def _run(system, input_fwhm=5.0, n_samples=2**13):
 
 
 class TestSolvers:
+    """The closed-form layouts, read from the built chains."""
+
     def test_single_lens_magnifier_values(self):
-        d1, d2 = solve_single_lens(-20.0, 5.0)
-        assert d1 == pytest.approx(5.25, rel=1e-12)
-        assert d2 == pytest.approx(105.0, rel=1e-12)
+        d1, _, d2 = single_lens_system(-20.0, 5.0).stages
+        assert d1.gdd == pytest.approx(5.25, rel=1e-12)
+        assert d2.gdd == pytest.approx(105.0, rel=1e-12)
 
     def test_single_lens_unit_inverse_magnification(self):
-        d1, d2 = solve_single_lens(-1.0, 5.0)
-        assert d1 == pytest.approx(10.0, rel=1e-12)
-        assert d2 == pytest.approx(10.0, rel=1e-12)
+        d1, _, d2 = single_lens_system(-1.0, 5.0).stages
+        assert d1.gdd == pytest.approx(10.0, rel=1e-12)
+        assert d2.gdd == pytest.approx(10.0, rel=1e-12)
 
     @pytest.mark.parametrize("m,f", [(-20.0, 5.0), (3.0, -2.0), (-1.0, 7.5)])
     def test_single_lens_imaging_identity(self, m, f):
-        d1, d2 = solve_single_lens(m, f)
-        assert abs(1.0 / d1 + 1.0 / d2 - 1.0 / f) < 1e-12
-        assert -d2 / d1 == pytest.approx(m, rel=1e-12)
+        d1, _, d2 = single_lens_system(m, f).stages
+        assert abs(1.0 / d1.gdd + 1.0 / d2.gdd - 1.0 / f) < 1e-12
+        assert -d2.gdd / d1.gdd == pytest.approx(m, rel=1e-12)
 
     @pytest.mark.parametrize("m", [0.0, 1.0])
     def test_single_lens_degenerate_magnifications(self, m):
-        with pytest.raises(DesignError):
-            solve_single_lens(m, 5.0)
+        for build in (single_lens_system, field_lens_system):
+            with pytest.raises(DesignError):
+                build(m, 5.0)
 
     def test_field_lens_corrector_values(self):
-        d1, d2, dr = solve_field_lens(-20.0, 5.0)
-        assert (d1, d2) == (solve_single_lens(-20.0, 5.0))
-        assert dr == pytest.approx(-100.0, rel=1e-12)
+        system = field_lens_system(-20.0, 5.0)
+        assert system.stages[:3] == single_lens_system(-20.0, 5.0).stages
+        assert system.stages[3].focal_gdd == pytest.approx(-100.0, rel=1e-12)
 
     def test_field_lens_unit_inverse(self):
-        _, _, dr = solve_field_lens(-1.0, 5.0)
-        assert dr == pytest.approx(-5.0, rel=1e-12)
+        corrector = field_lens_system(-1.0, 5.0).stages[3]
+        assert corrector.focal_gdd == pytest.approx(-5.0, rel=1e-12)
 
     def test_telescope_values(self):
-        df1, d2, df2, d3 = solve_telescope(20.0, 5.0)
-        assert df1 == pytest.approx(-5.0, rel=1e-12)
-        assert d2 == pytest.approx(-95.0, rel=1e-12)
-        assert df2 == pytest.approx(100.0, rel=1e-12)
-        assert d3 == pytest.approx(-100.0, rel=1e-12)
+        d1, lens_1, d2, lens_2, d3 = telescope_system(20.0, 5.0).stages
+        assert (d1.gdd, lens_1.focal_gdd) == (5.0, 5.0)
+        assert d2.gdd == pytest.approx(-95.0, rel=1e-12)
+        assert lens_2.focal_gdd == pytest.approx(100.0, rel=1e-12)
+        assert d3.gdd == pytest.approx(-100.0, rel=1e-12)
 
     def test_telescope_defining_identities(self):
-        df1, d2, df2, d3 = solve_telescope(-7.0, 3.0)
-        assert df1 == -3.0
-        assert d3 == pytest.approx(-(-7.0) * 3.0, rel=1e-12)
-        assert df2 == pytest.approx(-d3, rel=1e-12)
-        assert d2 == pytest.approx(3.0 + d3, rel=1e-12)
+        d1, lens_1, d2, lens_2, d3 = telescope_system(-7.0, 3.0).stages
+        assert (d1.gdd, lens_1.focal_gdd) == (3.0, 3.0)
+        assert d3.gdd == pytest.approx(-(-7.0) * 3.0, rel=1e-12)
+        assert lens_2.focal_gdd == pytest.approx(-d3.gdd, rel=1e-12)
+        assert d2.gdd == pytest.approx(3.0 + d3.gdd, rel=1e-12)
 
     def test_telescope_unit_magnification_collapses_relay(self):
-        _, d2, _, _ = solve_telescope(1.0, 5.0)
-        assert d2 == 0.0
+        assert telescope_system(1.0, 5.0).stages[2].gdd == 0.0
 
     def test_telescope_zero_input_dispersion_rejected(self):
         with pytest.raises(DesignError):
-            solve_telescope(20.0, 0.0)
+            telescope_system(20.0, 0.0)
 
 
 class TestResidualPhase:
-    def test_zero_at_center(self):
-        assert residual_phase(20.0, 5.0, 0.0) == 0.0
+    """The single-lens image phase C/(2A)*t^2 and the far-field check."""
 
     def test_formula_value(self):
-        assert residual_phase(20.0, 5.0, 10.0) == pytest.approx(0.5, rel=1e-12)
+        a, _, c, _ = transfer_matrix(single_lens_system(20.0, 5.0).stages)
+        assert c / (2.0 * a) * 10.0**2 == pytest.approx(0.5, rel=1e-12)
 
     def test_span_value(self):
-        assert residual_span(20.0, 5.0, 5.0) == pytest.approx(12.5, rel=1e-12)
+        check = check_far_field(single_lens_system(20.0, 5.0), 5.0)
+        assert check.margin * math.pi == pytest.approx(12.5, rel=1e-12)
 
     @pytest.mark.parametrize("m,t_i,f", [(20.0, 5.0, 5.0), (-20.0, 5.0, 47.6), (8.0, 2.0, 30.0)])
     def test_span_equals_phase_at_image_half_width(self, m, t_i, f):
-        assert residual_phase(m, f, m * t_i / 2.0) == pytest.approx(
-            residual_span(m, t_i, f), rel=1e-12
+        system = single_lens_system(m, f)
+        a, _, c, _ = transfer_matrix(system.stages)
+        phase = c / (2.0 * a) * (a * t_i / 2.0) ** 2
+        assert abs(phase) / math.pi == pytest.approx(
+            check_far_field(system, t_i).margin, rel=1e-12
         )
 
     def test_far_field_pass_and_margin(self):
-        check = check_far_field(20.0, 5.0, 1000.0)
-        assert check.passed
-        assert check.margin == pytest.approx(0.0625 / math.pi, rel=1e-12)
+        single, field = (
+            check_far_field(build(20.0, 1000.0), 5.0)
+            for build in (single_lens_system, field_lens_system)
+        )
+        assert single.passed
+        assert single.margin == pytest.approx(0.0625 / math.pi, rel=1e-12)
+        assert field == single
+        assert check_far_field(telescope_system(20.0, 5.0), 5.0).margin < 1e-12
 
     def test_far_field_fail_for_small_focal_gdd(self):
-        check = check_far_field(20.0, 5.0, 5.0)
-        assert not check.passed
-        assert check.margin == pytest.approx(12.5 / math.pi, rel=1e-12)
+        single, field = (
+            check_far_field(build(20.0, 5.0), 5.0)
+            for build in (single_lens_system, field_lens_system)
+        )
+        assert not single.passed
+        assert single.margin == pytest.approx(12.5 / math.pi, rel=1e-12)
+        assert field == single
 
     def test_far_field_threshold_is_tunable(self):
-        lax = check_far_field(20.0, 5.0, 5.0, threshold_ratio=5.0)
-        assert lax.passed
+        for build in (single_lens_system, field_lens_system):
+            assert check_far_field(build(20.0, 5.0), 5.0, threshold_ratio=5.0).passed
 
 
 def _build(kind, **options):
@@ -195,24 +207,22 @@ class TestTopologyAssembly:
             )
 
         if kind is TopologyKind.TELESCOPE:
-            df1, d2, df2, d3 = solve_telescope(20.0, 5.0)
             stages = (
                 gdd(5.0, "input_gdd"),
-                lens(down, -df1, 710.0, "lens_1"),
-                gdd(d2, "relay_gdd"),
-                lens(up, df2, idler, "lens_2"),
-                gdd(d3, "output_gdd", tod=0.7 * d3),  # |D3| = 100 > |D2| = 95
+                lens(down, 5.0, 710.0, "lens_1"),
+                gdd(-95.0, "relay_gdd"),
+                lens(up, 100.0, idler, "lens_2"),
+                gdd(-100.0, "output_gdd", tod=0.7 * -100.0),  # |D3| > |D2|
             )
             m = 20.0
         else:
-            d1, d2, dr = solve_field_lens(-20.0, 5.0)
             stages = (
-                gdd(d1, "input_gdd"),
+                gdd(5.25, "input_gdd"),
                 lens(down, 5.0, 710.0, "main_lens"),
-                gdd(d2, "output_gdd", tod=0.7 * d2),  # |D2| = 105 > |D1| = 5.25
+                gdd(105.0, "output_gdd", tod=0.7 * 105.0),  # |D2| > |D1|
             )
             if kind is TopologyKind.FIELD_LENS:
-                stages += (lens(up, dr, idler, "field_lens"),)
+                stages += (lens(up, -100.0, idler, "field_lens"),)
             m = -20.0
         assert system == SystemTopology(kind=kind, magnification=m, stages=stages)
 
@@ -275,6 +285,22 @@ class TestTopologyAssembly:
         stages = system.stages[:index] + system.stages[index + 1 :]
         with pytest.raises(DesignError):
             verify_topology(dataclasses.replace(system, stages=stages))
+
+    @pytest.mark.parametrize("kind", list(KINDS), ids=lambda kind: kind.value)
+    def test_mislabelled_magnification_rejected(self, kind):
+        system = _build(kind)
+        for wrong in (-system.magnification, 1.3 * system.magnification):
+            with pytest.raises(DesignError, match=r"A = "):
+                verify_topology(dataclasses.replace(system, magnification=wrong))
+
+    def test_telescope_object_shift_moves_the_image_by_m_squared(self):
+        # The telescope's input GDD is free: D1 + 1 images flat at M = 20 once
+        # D3 grows by -M^2 = -400 ps^2, as an object shift does in space.
+        system = telescope_system(20.0, 5.0)
+        shifted_chain = _scaled(_scaled(system, 0, 6.0 / 5.0), 4, 500.0 / 100.0)
+        verify_topology(shifted_chain)
+        with pytest.raises(DesignError):
+            verify_topology(_scaled(system, 0, 6.0 / 5.0))
 
     @pytest.mark.parametrize("kind", list(KINDS), ids=lambda kind: kind.value)
     def test_lens_in_place_of_dispersion_rejected(self, kind):

@@ -31,15 +31,14 @@ from timelens import (
     requirements,
     shifted,
     single_lens_system,
-    solve_field_lens,
-    solve_single_lens,
-    solve_telescope,
     telescope_system,
     time_bin_pulse,
     to_frequency,
     to_time,
+    transfer_matrix,
     visibility_experiment,
 )
+from timelens.imaging import assemble_system
 from timelens.runner import sizing_divisor
 
 GRID = TimeGrid.centered(400.0, 2**11)
@@ -53,6 +52,9 @@ phases = st.floats(-math.pi, math.pi, **finite)
 nonzero_scales = st.floats(0.1, 3.0, **finite)
 magnifications = st.one_of(
     st.floats(-50.0, -1.5, **finite), st.floats(1.5, 50.0, **finite)
+)
+sizings = st.one_of(
+    st.floats(-1e4, -0.01, **finite), st.floats(0.01, 1e4, **finite)
 )
 
 
@@ -183,26 +185,37 @@ class TestInterference:
         assert result.visibility > 0.999
 
 
+def _chain_matrix(kind, m, sizing):
+    """(A, C, C made dimensionless) of the built chain, after checking that it
+    images at M: B = 0, A = M and det = 1."""
+    stages = assemble_system(kind, m, sizing).stages
+    a, b, c, d = transfer_matrix(stages)
+    scale = max(
+        abs(e.gdd if isinstance(e, DispersiveElement) else e.focal_gdd) for e in stages
+    )
+    assert abs(b) <= 1e-12 * scale
+    assert a == pytest.approx(m, rel=1e-12)
+    assert a * d - b * c == pytest.approx(1.0, rel=1e-12)
+    return a, c, c * scale / max(abs(a), abs(d))
+
+
 class TestSolvers:
-    @given(magnifications, st.floats(0.5, 100.0, **finite))
+    """Every built chain images at M; only the single-lens image is curved."""
+
+    @given(magnifications, sizings)
     def test_single_lens_identities(self, m, focal):
-        d1, d2 = solve_single_lens(m, focal)
-        assert 1.0 / d1 + 1.0 / d2 == pytest.approx(1.0 / focal, rel=1e-12)
-        assert -d2 / d1 == pytest.approx(m, rel=1e-12)
+        a, c, _ = _chain_matrix(TopologyKind.SINGLE_LENS, m, focal)
+        assert c / (2.0 * a) == pytest.approx(1.0 / (2.0 * m * focal), rel=1e-12)
 
-    @given(magnifications, st.floats(0.5, 100.0, **finite))
+    @given(magnifications, sizings)
     def test_field_lens_corrector_value(self, m, focal):
-        d1, d2, dr = solve_field_lens(m, focal)
-        assert (d1, d2) == solve_single_lens(m, focal)
-        assert dr == pytest.approx(m * focal, rel=1e-12)
+        _, _, flatness = _chain_matrix(TopologyKind.FIELD_LENS, m, focal)
+        assert abs(flatness) <= 1e-12
 
-    @given(magnifications, st.floats(0.5, 100.0, **finite))
+    @given(magnifications, sizings)
     def test_telescope_identities(self, m, d1):
-        df1, d2, df2, d3 = solve_telescope(m, d1)
-        assert df1 == pytest.approx(-d1, rel=1e-12)
-        assert d3 == pytest.approx(-m * d1, rel=1e-12)
-        assert df2 == pytest.approx(-d3, rel=1e-12)
-        assert d2 == pytest.approx(d1 + d3, rel=1e-12)
+        _, _, flatness = _chain_matrix(TopologyKind.TELESCOPE, m, d1)
+        assert abs(flatness) <= 1e-12
 
 
 class TestDesignScaling:
