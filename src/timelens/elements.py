@@ -300,12 +300,10 @@ def _lens_factor(lens: TimeLens, grid: TimeGrid) -> dict:
     """The lens multiplier i*eta(t)*exp(s*i*phi_p(t)) as the
     :func:`timelens.envelope._multiply_blocks` kernel of m on ``grid``.
 
-    With phi_p = alpha*t^2 + offset and t = t_c + dt*m, s*phi_p is the chirp
-    a*m^2 + b*m + c; eta is the ``extra`` factor of a pumped lens.  On a
-    centered grid t_c = 0 and the multiplier is even in m.
+    With phi_p = alpha*t^2 + offset and t = dt*m, s*phi_p is the chirp
+    a*m^2 + c, even in m; eta is the ``extra`` factor of a pumped lens.
     """
     seed = lens.pump_seed_fwhm
-    t_c = grid.t0 + grid.dt * (grid.n_samples // 2)
     if lens.is_ideal:
         alpha, offset, extra = -1.0 / (2.0 * lens.focal_gdd), 0.0, None
     else:
@@ -313,16 +311,9 @@ def _lens_factor(lens: TimeLens, grid: TimeGrid) -> dict:
         offset = _pump_offset(seed, lens.focal_gdd)
 
         def extra(lo: int, hi: int) -> np.ndarray:
-            t = t_c + grid.dt * np.arange(lo, hi)
+            t = grid.dt * np.arange(lo, hi)
             return np.sin(0.5 * np.pi * _pump_magnitude(t, seed, lens.focal_gdd))
 
     alpha *= lens.direction.phase_sign
     offset *= lens.direction.phase_sign
-    return dict(
-        a=alpha * grid.dt**2,
-        b=2.0 * alpha * t_c * grid.dt,
-        c=alpha * t_c**2 + offset,
-        scale=1j,
-        extra=extra,
-        mirror=np.copy if t_c == 0.0 else None,
-    )
+    return dict(a=alpha * grid.dt**2, c=offset, scale=1j, extra=extra, mirror=np.copy)

@@ -9,8 +9,9 @@ Conventions:
     * ``to_frequency``/``to_time`` form a unitary pair:
       A(w) = (1/sqrt(2*pi)) * integral a(t) exp(-i w t) dt and back, so
       Parseval holds exactly in the discrete approximation:
-      sum(|a|^2) dt == sum(|A|^2) dw.  ``_filter`` is their one caller: every
-      spectral stage (dispersion, time shift) is that pair around one
+      sum(|a|^2) dt == sum(|A|^2) dw.  Every grid is centered on t = 0, so
+      each is one FFT between sign flips.  ``_filter`` is their one caller:
+      every spectral stage (dispersion, time shift) is that pair around one
       spectrum-first multiply by its chirp kernel (:func:`_multiply_blocks`),
       block by block in the forward transform's work array, which the
       inverse then transforms in place.  Large transforms run that same FFT
@@ -156,27 +157,26 @@ def to_frequency(env: SampledEnvelope) -> SpectralEnvelope:
     """Unitary transform to the carrier-relative angular-frequency domain.
 
     A(w_m) = (dt/sqrt(2*pi)) * sum_k a(t_k) exp(-i w_m t_k), evaluated via a
-    single FFT.  With h = n//2 and the center time t_c = t0 + h*dt,
-    exp(-i w_m t_k) = (-1)^k (-1)^(m-h) exp(-2*pi*i*m*k/n) exp(-i w_m t_c)
-    exactly, so the transform is a sign flip of every odd sample, the FFT and
-    :func:`_recenter`, all in place on one copy of the samples.  ``env`` is
-    left untouched.
+    single FFT.  With h = n//2, t_k = (k - h)*dt and w_m = (m - h)*domega,
+    exp(-i w_m t_k) = (-1)^k (-1)^m exp(-2*pi*i*m*k/n) exactly (h is even),
+    so the transform is a sign flip of every odd sample on each side of the
+    FFT, all in place on one copy of the samples.  ``env`` is left untouched.
     """
     grid = env.grid
     work = env.samples.copy()
     work[1::2] *= -1.0
     _transform(np.fft.fft, work)
     work *= grid.dt / np.sqrt(2.0 * np.pi)
-    _recenter(work, grid, 1.0)
+    work[1::2] *= -1.0
     return _adopt(SpectralEnvelope, grid, work, env.carrier_wavelength_nm)
 
 
 def to_time(spec: SpectralEnvelope) -> SampledEnvelope:
-    """Inverse of :func:`to_frequency` (exact round trip): the conjugate
-    factors around one inverse FFT, in place on a scratch spectrum or a copy."""
+    """Inverse of :func:`to_frequency` (exact round trip): the same sign
+    flips around one inverse FFT, in place on a scratch spectrum or a copy."""
     grid = spec.grid
     work = spec.samples if spec.samples.flags.writeable else spec.samples.copy()
-    _recenter(work, grid, -1.0)
+    work[1::2] *= -1.0
     _transform(np.fft.ifft, work)
     work[1::2] *= -1.0
     work *= grid.n_samples * grid.domega / np.sqrt(2.0 * np.pi)
@@ -222,19 +222,6 @@ def _transform(fft, work: np.ndarray) -> None:
     fft(work, out=work)
 
 
-def _recenter(spectrum: np.ndarray, grid: TimeGrid, sign: float) -> None:
-    """Multiply ``spectrum`` in place by (-1)^(m - n//2) exp(-i*sign*w_m*t_c).
-
-    t_c = t0 + dt*(n//2) is exactly 0 on a :meth:`TimeGrid.centered` grid,
-    where this is a sign flip alone; any other grid also gets a phase ramp.
-    """
-    half = grid.n_samples // 2
-    spectrum[(half + 1) % 2 :: 2] *= -1.0
-    tau = sign * (grid.t0 + grid.dt * half)
-    if tau != 0.0:
-        _multiply_blocks(spectrum, spectrum, grid, **_ramp(grid, tau))
-
-
 def _ramp(grid: TimeGrid, tau: float) -> dict:
     """The :func:`_multiply_blocks` kernel exp(-i*w*tau), w = m*domega."""
     return dict(b=-tau * grid.domega, mirror=np.conjugate)
@@ -256,16 +243,14 @@ def _multiply_blocks(
     be ``src``), with the kernel scale*exp(i*(a*m^2 + b*m + c)) of
     m = k - n//2 from :func:`timelens.grid._chirp`, times ``extra(lo, hi)``
     for m in [lo, hi) if given.  m*domega is exactly the grid's omegas, and
-    t_c + dt*m its times with t_c = t0 + dt*(n//2).
+    dt*m its times.
 
     With ``mirror``, only m <= 0 is evaluated: ``mirror`` (``np.copy`` if the
     kernel is even in m, ``np.conjugate`` if it is conjugate-symmetric) of a
     block's values, reversed, is the kernel on the mirror block, and
     contiguous, which keeps the product on numpy's contiguous loop."""
     n, half = grid.n_samples, grid.n_samples // 2
-    # At n = 4 the mirror is one sample, and a one-sample product can round
-    # unlike the same sample in a longer array, so such grids run whole.
-    whole = mirror is None or half <= 2
+    whole = mirror is None
     stop = n if whole else half + 1
     kernel = _chirp(a, b, c, -half, stop - half, scale)
     for span, values in zip(grid._blocks(0, stop), kernel):

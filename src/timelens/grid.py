@@ -1,8 +1,9 @@
 """Uniform time grid shared by sampled envelopes and their spectra.
 
 The grid fixes both domains at once: ``n_samples`` points spaced ``dt`` (ps)
-starting at ``t0``, and the conjugate angular-frequency axis centered on zero
-carrier offset with spacing ``2*pi/(n_samples*dt)`` (rad/ps).
+with t = 0 on sample ``n_samples // 2``, and the conjugate angular-frequency
+axis centered on zero carrier offset with spacing ``2*pi/(n_samples*dt)``
+(rad/ps).
 
 The per-sample kernels of the propagation path are evaluated in blocks of
 :data:`BLOCK` samples, each written or multiplied into one full-size array.
@@ -25,44 +26,46 @@ import numpy as np
 BLOCK = 2**13
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _is_grid_size(n: int) -> bool:
+    """Whether ``n`` is a power of two >= 16, the sizes a grid admits."""
+    return n >= 16 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid.
+    """Uniform sampling grid centered on t = 0.
+
+    The zero of time falls exactly on sample ``n_samples // 2``, which keeps
+    symmetric pulses numerically even on the grid and lets the transform
+    pair re-center the spectrum with sign flips alone.
 
     Attributes:
-        n_samples: number of samples; must be a power of two.
+        n_samples: number of samples; must be a power of two >= 16.
         dt: time step in ps; must be positive.
-        t0: time of the first sample in ps.
     """
 
     n_samples: int
     dt: float
-    t0: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_samples, (int, np.integer)) or not _is_power_of_two(
+        if not isinstance(self.n_samples, (int, np.integer)) or not _is_grid_size(
             int(self.n_samples)
         ):
-            raise ValueError(f"n_samples must be a power of two, got {self.n_samples!r}")
+            raise ValueError(
+                f"n_samples must be a power of two >= 16, got {self.n_samples!r}"
+            )
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ValueError(f"dt must be a positive finite number, got {self.dt!r}")
-        if not np.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite, got {self.t0!r}")
 
     @classmethod
-    def centered(cls, window: float, n_samples: int = 2**15) -> "TimeGrid":
-        """Grid of total length ``window`` (ps) centered on t = 0.
+    def centered(cls, window: float, n_samples: int) -> "TimeGrid":
+        """Grid of total length ``window`` (ps)."""
+        return cls(n_samples=n_samples, dt=window / n_samples)
 
-        The zero of time falls exactly on sample ``n_samples // 2``, which
-        keeps symmetric pulses numerically even on the grid and lets the
-        transform pair re-center the spectrum with sign flips alone.
-        """
-        dt = window / n_samples
-        return cls(n_samples=n_samples, dt=dt, t0=-dt * (n_samples // 2))
+    @property
+    def t0(self) -> float:
+        """Time of the first sample, -dt*(n_samples//2), in ps."""
+        return -self.dt * (self.n_samples // 2)
 
     @property
     def window(self) -> float:

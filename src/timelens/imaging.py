@@ -52,7 +52,7 @@ from .grid import TimeGrid
 #: Relative tolerance for the exact design identities.
 DESIGN_RTOL = 1e-12
 
-#: Default far-field threshold: |residual phase span| <= pi/10.
+#: Far-field threshold: |residual phase span| <= pi/10.
 FAR_FIELD_THRESHOLD_RATIO = 0.1
 
 Element = Union[DispersiveElement, TimeLens]
@@ -90,27 +90,21 @@ class FarFieldCheck:
 
     passed: bool
     margin: float  # |residual span| / pi
-    threshold_ratio: float
 
 
-def check_far_field(
-    topology: SystemTopology,
-    input_fwhm: float,
-    threshold_ratio: float = FAR_FIELD_THRESHOLD_RATIO,
-) -> FarFieldCheck:
+def check_far_field(topology: SystemTopology, input_fwhm: float) -> FarFieldCheck:
     """Whether the phase on the uncorrected image is negligible over an input
     of width t_i: its span A*C*t_i^2/8, the phase C/(2A)*t^2 at the image
-    half-extent A*t_i/2, must satisfy |span| <= ratio*pi.  The chain is read
-    up to its last dispersive stage, the image plane before any field lens.
+    half-extent A*t_i/2, must satisfy |span| <= ratio*pi with ratio
+    :data:`FAR_FIELD_THRESHOLD_RATIO`.  The chain is read up to its last
+    dispersive stage, the image plane before any field lens.
     """
     stages = topology.stages
     last = max(i for i, e in enumerate(stages) if isinstance(e, DispersiveElement))
     a, _, c, _ = transfer_matrix(stages[: last + 1])
     margin = abs(a * c * input_fwhm**2 / 8.0) / np.pi
     return FarFieldCheck(
-        passed=bool(margin <= threshold_ratio),
-        margin=float(margin),
-        threshold_ratio=threshold_ratio,
+        passed=bool(margin <= FAR_FIELD_THRESHOLD_RATIO), margin=float(margin)
     )
 
 

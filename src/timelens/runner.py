@@ -167,8 +167,8 @@ def read_waveform_npy(
     data: bytes, grid: TimeGrid, carrier_nm: float | None = None
 ) -> SampledEnvelope:
     """Inverse of :func:`waveform_npy`; ``grid`` is the report's ``grid`` block
-    ``g`` as ``TimeGrid(g["n_samples"], g["dt_ps"], g["t0_ps"])``.  Raises
-    ValueError when the samples do not have the grid's shape."""
+    ``g`` as ``TimeGrid(g["n_samples"], g["dt_ps"])``.  Raises ValueError when
+    the samples do not have the grid's shape."""
     samples = np.load(io.BytesIO(data), allow_pickle=False)
     return SampledEnvelope(grid, samples, carrier_nm)
 
@@ -385,7 +385,6 @@ def run_design(scenario: Scenario) -> tuple[dict, dict[str, str]]:
         "bandwidth_rad_per_ps": float(spec.bandwidth),
         "magnification": float(spec.magnification),
         "far_field_multiplier": float(spec.far_field_multiplier),
-        "pump_bandwidth_rad_per_ps": float(spec.bandwidth),
         "entries": entries,
         "footnotes": list(result.footnotes),
         "artifacts": ["report.json", "design.csv"],

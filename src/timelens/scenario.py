@@ -26,6 +26,7 @@ from typing import Callable
 from .design import DEFAULT_FAR_FIELD_MULTIPLIER, DesignConfiguration
 from .elements import DEFAULT_INPUT_CARRIER_NM, DEFAULT_PUMP_CARRIER_NM
 from .errors import ScenarioSemanticError, ScenarioSyntaxError
+from .grid import _is_grid_size
 from .imaging import DEFAULT_MARGIN, DEFAULT_N_SAMPLES, TopologyKind
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_-]+)\]$")
@@ -92,11 +93,7 @@ _SCHEMA: dict[str, dict[str, _KeySpec]] = {
     },
     "grid": {
         "n_samples": _KeySpec(
-            "int",
-            check=(
-                lambda n: n >= 16 and not n & (n - 1),
-                "must be a power of two >= 16",
-            ),
+            "int", check=(_is_grid_size, "must be a power of two >= 16")
         ),
         "margin": _KeySpec("float", check=_POSITIVE),
         "window": _KeySpec("float", unit="ps", check=_POSITIVE),

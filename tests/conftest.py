@@ -59,7 +59,7 @@ def _full_kernel(
     one array: the same chirp helper over the same index range, the same
     ``extra`` factor and, where the kernel is mirrored, the same mirror."""
     n, half = grid.n_samples, grid.n_samples // 2
-    whole = mirror is None or half <= 2
+    whole = mirror is None
     stop = n if whole else half + 1
     values = np.concatenate([v.copy() for v in _chirp(a, b, c, -half, stop - half, scale)])
     if extra is not None:

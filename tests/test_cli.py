@@ -123,7 +123,8 @@ class TestSimulate:
         assert main(["simulate", str(scenario), "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         g = report["grid"]
-        grid = TimeGrid(g["n_samples"], g["dt_ps"], g["t0_ps"])
+        grid = TimeGrid(g["n_samples"], g["dt_ps"])
+        assert grid.t0 == g["t0_ps"] and grid.window == g["window_ps"]
 
         def load(name, carrier_nm=None):
             return read_waveform_npy((out / name).read_bytes(), grid, carrier_nm)
@@ -167,7 +168,7 @@ class TestSimulate:
         assert main(["simulate", str(fine), "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         g = report["grid"]
-        grid = TimeGrid(g["n_samples"], g["dt_ps"], g["t0_ps"])
+        grid = TimeGrid(g["n_samples"], g["dt_ps"])
         image = read_waveform_npy((out / "stage_04_field_lens.npy").read_bytes(), grid)
         assert abs(image.times[np.argmax(image.intensity)] + 2000.0) <= grid.dt
         assert report["image"]["fidelity_to_ideal"] >= 0.999999
@@ -300,7 +301,7 @@ class TestSimulate:
 
 class TestWaveformFiles:
     def test_npy_round_trip_is_bitwise(self):
-        grid = TimeGrid(n_samples=256, dt=0.1234, t0=-15.5)
+        grid = TimeGrid(n_samples=256, dt=0.1234)
         rng = np.random.default_rng(7)
         samples = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         env = SampledEnvelope(grid, samples, 710.0)
@@ -314,12 +315,12 @@ class TestWaveformFiles:
         assert waveform_npy(back) == data
 
     def test_npy_shape_mismatch_raises(self):
-        env = SampledEnvelope(TimeGrid(n_samples=64, dt=0.1, t0=-3.2), np.ones(64))
+        env = SampledEnvelope(TimeGrid(n_samples=64, dt=0.1), np.ones(64))
         with pytest.raises(ValueError, match="does not match grid"):
-            read_waveform_npy(waveform_npy(env), TimeGrid(n_samples=128, dt=0.1, t0=-3.2))
+            read_waveform_npy(waveform_npy(env), TimeGrid(n_samples=128, dt=0.1))
 
     def test_waveform_csv_axis_uniform_and_increasing(self):
-        grid = TimeGrid(n_samples=128, dt=0.1, t0=-6.4)
+        grid = TimeGrid(n_samples=128, dt=0.1)
         lines = waveform_csv(SampledEnvelope(grid, np.ones(128))).splitlines()
         assert lines[0] == "t_ps,re,im,intensity"
         assert len(lines) == 1 + 128
@@ -706,7 +707,7 @@ class TestSweep:
 
 class TestStageEntry:
     def test_degenerate_width_reported_as_null(self):
-        grid = TimeGrid(n_samples=64, dt=0.1, t0=-3.2)
+        grid = TimeGrid(n_samples=64, dt=0.1)
         entry = timelens.runner._stage_entry("dark", SampledEnvelope(grid, np.zeros(64)))
         assert entry["fwhm_ps"] is None
 
@@ -715,7 +716,7 @@ class TestStageEntry:
             raise RuntimeError("bug in fwhm")
 
         monkeypatch.setattr(timelens.runner, "fwhm", broken)
-        grid = TimeGrid(n_samples=64, dt=0.1, t0=-3.2)
+        grid = TimeGrid(n_samples=64, dt=0.1)
         with pytest.raises(RuntimeError, match="bug in fwhm"):
             timelens.runner._stage_entry("lit", SampledEnvelope(grid, np.ones(64)))
 

@@ -162,10 +162,6 @@ class TestResidualPhase:
         assert single.margin == pytest.approx(12.5 / math.pi, rel=1e-12)
         assert field == single
 
-    def test_far_field_threshold_is_tunable(self):
-        for build in (single_lens_system, field_lens_system):
-            assert check_far_field(build(20.0, 5.0), 5.0, threshold_ratio=5.0).passed
-
 
 def _build(kind, **options):
     build, m, sizing = KINDS[kind]
