@@ -76,6 +76,22 @@ def full_kernel():
 
 
 @pytest.fixture
+def centered_grid():
+    """``TimeGrid.centered(window, n_samples)``, or None after checking that a
+    size below 16 is refused: the n = 2 and 4 cases of the kernel tests stand
+    for grids that can no longer be built."""
+
+    def build(window: float, n_samples: int) -> TimeGrid | None:
+        if n_samples >= 16:
+            return TimeGrid.centered(window=window, n_samples=n_samples)
+        with pytest.raises(ValueError, match="power of two >= 16"):
+            TimeGrid.centered(window=window, n_samples=n_samples)
+        return None
+
+    return build
+
+
+@pytest.fixture
 def within_rounding():
     """Check a kernel against its plain per-sample formula: they may differ by
     8*eps*(1 + max|phase|), the rounding of a phase as large as the

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import timelens.elements as elements_module
+import timelens.envelope as envelope_module
 from timelens import (
     CarrierMismatchError,
     ConversionDirection,
@@ -307,17 +308,23 @@ class TestTimeLensApplication:
         )
 
 
-@pytest.mark.parametrize("n_samples", [16, 2**12, 2**15])
+@pytest.mark.parametrize("n_samples", [2, 4, 16, 2**12, 2**15])
 @pytest.mark.parametrize("pump_seed_fwhm", [None, 2.5])
 @pytest.mark.parametrize("direction", list(ConversionDirection))
+@pytest.mark.parametrize("offset", [0.0, 1.5])
 def test_lens_kernel_matches_the_plain_formula(
-    n_samples, pump_seed_fwhm, direction, full_kernel, within_rounding
+    n_samples, pump_seed_fwhm, direction, offset, full_kernel, within_rounding,
+    centered_grid,
 ):
     """The lens factor, a chirp evaluated in blocks from exactly reduced
     phases and mirrored, agrees with the plain per-sample formula it
     replaces within that formula's own rounding; so does its pump
-    amplitude."""
-    grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+    amplitude.  With an offset, the factor as the stage multiplies it into
+    a pulse centered ``offset`` ps off t = 0 agrees with the plain formula
+    times that pulse."""
+    grid = centered_grid(400.0, n_samples)
+    if grid is None:
+        return
     lens = TimeLens(direction=direction, focal_gdd=7.0, pump_seed_fwhm=pump_seed_fwhm)
     sign = lens.direction.phase_sign
     if pump_seed_fwhm is None:
@@ -327,8 +334,14 @@ def test_lens_kernel_matches_the_plain_formula(
         magnitude, pump_phase = synthesize_pump(grid, pump_seed_fwhm, lens.focal_gdd)
         phase = sign * pump_phase
         plain = 1j * np.sin(0.5 * np.pi * magnitude) * np.exp(1j * phase)
-    kernel = full_kernel(grid, **elements_module._lens_factor(lens, grid))
-    within_rounding(kernel, plain, phase)
+    factor = elements_module._lens_factor(lens, grid)
+    if offset == 0.0:
+        within_rounding(full_kernel(grid, **factor), plain, phase)
+        return
+    pulse = np.exp(-2.0 * LN2 * ((grid.times - offset) / 50.0) ** 2) + 0j
+    out = np.empty_like(pulse)
+    envelope_module._multiply_blocks(out, pulse, grid, **factor)
+    within_rounding(out, plain * pulse, phase)
 
 
 class TestExpCount:

@@ -180,6 +180,27 @@ def _reference_time_bin_pulse(
     return 0.5 * early + 0.5 * np.exp(1j * relative_phase) * late
 
 
+# Every grid is centered on t = 0 and has at least 16 samples.  The kernel
+# tests below keep their cases for the grids that rule removed: an n = 2 or 4
+# case checks that the grid is refused (the ``centered_grid`` fixture), and
+# an off-center case runs on a waveform moved off center by a time shift
+# instead of on a grid that starts off center.
+
+
+def _off_center(grid: TimeGrid) -> float:
+    """The delay that moves a waveform off center: 1.5 ps and 0.37 samples."""
+    return 0.37 * grid.dt + 1.5
+
+
+@pytest.fixture
+def unguarded(monkeypatch):
+    """Random samples fill the window, which the wrap checks of a time shift
+    would reject: turn them off."""
+    monkeypatch.setattr(envelope_module, "_support", lambda env: None)
+    for module in (envelope_module, elements_module):
+        monkeypatch.setattr(module, "boundary_leakage", lambda env: 0.0)
+
+
 # 2**12 and 2**15 samples lie on either side of numpy's 256 KiB threshold for
 # reusing temporaries in place, which can swap the operands of a complex
 # product and so change its rounding.
@@ -194,11 +215,16 @@ class TestTransformBitIdentity:
         n = grid.n_samples
         return SampledEnvelope(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
 
-    def test_round_trip(self, n_samples):
+    @pytest.mark.parametrize("t0", [None, -123.4])
+    def test_round_trip(self, n_samples, t0, full_kernel, unguarded):
         grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
         env = self._random(grid)
+        samples = env.samples
+        if t0 is not None:  # the waveform delayed to start at t0, not at -200 ps
+            env = shifted(env, t0 - grid.t0)
+            samples = _reference_shift(samples, grid, t0 - grid.t0, full_kernel)
         spec = to_frequency(env)
-        assert _bits_equal(spec.samples, _reference_to_frequency(env.samples, grid))
+        assert _bits_equal(spec.samples, _reference_to_frequency(samples, grid))
         assert _bits_equal(to_time(spec).samples, _reference_to_time(spec.samples, grid))
 
     @pytest.mark.parametrize(
@@ -237,25 +263,27 @@ class TestTransformBitIdentity:
 # The kernels are evaluated on w <= 0, indices 0 .. n/2, in blocks of
 # grid.BLOCK and mirrored: n = 16, the smallest grid, mirrors 7 samples, and
 # at 2**14 the range ends in a one-sample block holding w = 0 alone.
-@pytest.mark.parametrize("n_samples", [16, 2**12, 2**14, 2**15])
+@pytest.mark.parametrize("n_samples", [2, 4, 16, 2**12, 2**14, 2**15])
+@pytest.mark.parametrize("centered", [True, False])
+@pytest.mark.usefixtures("unguarded")
 class TestFilterBitIdentity:
     """Every spectral stage matches the full-axis formulas, with kernels built
     by the same chirp helper, bit for bit on random samples, whose spectra
-    reach every kernel value, and leaves its input unchanged."""
-
-    @pytest.fixture(autouse=True)
-    def unguarded(self, monkeypatch):
-        # random samples fill the window, which the wrap checks would reject
-        monkeypatch.setattr(envelope_module, "_support", lambda env: None)
-        for module in (envelope_module, elements_module):
-            monkeypatch.setattr(module, "boundary_leakage", lambda env: 0.0)
+    reach every kernel value, centered or moved off center by a time shift,
+    and leaves its input unchanged."""
 
     @staticmethod
-    def _random(n_samples: int) -> SampledEnvelope:
-        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
-        rng = np.random.default_rng(n_samples)
-        samples = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
-        return SampledEnvelope(grid, samples)
+    def _random(grid: TimeGrid, centered: bool, full_kernel) -> SampledEnvelope:
+        n = grid.n_samples
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+        env = SampledEnvelope(grid, samples)
+        if centered:
+            return env
+        moved = shifted(env, _off_center(grid))
+        reference = _reference_shift(samples, grid, _off_center(grid), full_kernel)
+        assert _bits_equal(moved.samples, reference)
+        return moved
 
     @pytest.mark.parametrize(
         "element",
@@ -266,8 +294,11 @@ class TestFilterBitIdentity:
             DispersiveElement(gdd=0.0, tod=-2.0),
         ],
     )
-    def test_dispersion(self, n_samples, element, full_kernel):
-        env = self._random(n_samples)
+    def test_dispersion(self, n_samples, centered, element, full_kernel, centered_grid):
+        grid = centered_grid(400.0, n_samples)
+        if grid is None:
+            return
+        env = self._random(grid, centered, full_kernel)
         before = env.samples.copy()
         out = apply_dispersion(env, element)
         reference = _reference_dispersion(env.samples, env.grid, element, full_kernel)
@@ -275,8 +306,11 @@ class TestFilterBitIdentity:
         assert _bits_equal(env.samples, before)
 
     @pytest.mark.parametrize("delay", [37.3, -0.61])
-    def test_shift(self, n_samples, delay, full_kernel):
-        env = self._random(n_samples)
+    def test_shift(self, n_samples, centered, delay, full_kernel, centered_grid):
+        grid = centered_grid(400.0, n_samples)
+        if grid is None:
+            return
+        env = self._random(grid, centered, full_kernel)
         before = env.samples.copy()
         out = shifted(env, delay)
         reference = _reference_shift(env.samples, env.grid, delay, full_kernel)
@@ -284,11 +318,23 @@ class TestFilterBitIdentity:
         assert _bits_equal(env.samples, before)
 
 
-@pytest.mark.parametrize("n_samples", [16, 2**12, 2**15])
+@pytest.mark.parametrize("n_samples", [2, 4, 16, 2**12, 2**15])
+@pytest.mark.parametrize("centered", [True, False])
 class TestPlainKernels:
     """The spectral kernels, chirps evaluated in blocks from exactly reduced
     phases, agree with the plain per-sample formulas they replace within
-    those formulas' own rounding."""
+    those formulas' own rounding.  Off center, each kernel is checked times
+    the ramp of the time shift that moved the waveform there."""
+
+    @staticmethod
+    def _off_center_ramp(grid: TimeGrid, centered: bool, full_kernel):
+        """The kernel of the shift that moves a waveform off center and its
+        plain phase; 1 and 0 for a centered waveform."""
+        if centered:
+            return 1.0, 0.0
+        delay = _off_center(grid)
+        ramp = full_kernel(grid, **envelope_module._ramp(grid, delay))
+        return ramp, -grid.omegas * delay
 
     @pytest.mark.parametrize(
         "element",
@@ -299,19 +345,47 @@ class TestPlainKernels:
             DispersiveElement(gdd=0.0, tod=-2.0),
         ],
     )
-    def test_dispersion(self, n_samples, element, full_kernel, within_rounding):
-        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+    def test_dispersion(
+        self, n_samples, centered, element, full_kernel, within_rounding, centered_grid
+    ):
+        grid = centered_grid(400.0, n_samples)
+        if grid is None:
+            return
+        ramp, ramp_phase = self._off_center_ramp(grid, centered, full_kernel)
         w = grid.omegas
         phase = 0.5 * element.gdd * w**2 + (element.tod / 6.0) * w**3
         kernel = full_kernel(grid, **elements_module._dispersion_kernel(element, grid))
-        within_rounding(kernel, element.transmission * np.exp(1j * phase), phase)
+        plain = element.transmission * np.exp(1j * (phase + ramp_phase))
+        within_rounding(kernel * ramp, plain, np.abs(phase) + np.abs(ramp_phase))
 
     @pytest.mark.parametrize("delay", [37.3, -0.61])
-    def test_shift(self, n_samples, delay, full_kernel, within_rounding):
-        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+    def test_shift(
+        self, n_samples, centered, delay, full_kernel, within_rounding, centered_grid
+    ):
+        grid = centered_grid(400.0, n_samples)
+        if grid is None:
+            return
+        ramp, ramp_phase = self._off_center_ramp(grid, centered, full_kernel)
         phase = -grid.omegas * delay
         kernel = full_kernel(grid, **envelope_module._ramp(grid, delay))
+        plain = np.exp(1j * (phase + ramp_phase))
+        within_rounding(kernel * ramp, plain, np.abs(phase) + np.abs(ramp_phase))
+
+    def test_recentering_ramp(
+        self, n_samples, centered, full_kernel, within_rounding, centered_grid
+    ):
+        """The ramp exp(-i*w*t_c) that re-centers a waveform whose center sits
+        at t_c: exactly 1 on a grid's own center, so no transform needs one."""
+        grid = centered_grid(400.0, n_samples)
+        if grid is None:
+            return
+        center = grid.t0 + grid.dt * (grid.n_samples // 2)
+        t_c = center if centered else _off_center(grid)
+        phase = -grid.omegas * t_c
+        kernel = full_kernel(grid, **envelope_module._ramp(grid, t_c))
         within_rounding(kernel, np.exp(1j * phase), phase)
+        if centered:
+            assert t_c == 0.0 and np.all(kernel == 1.0)
 
 
 class TestBlockedMagnitudes:
@@ -385,28 +459,40 @@ class TestCompactBitIdentity:
         assert _bits_equal(out.samples, _reference_magnified_copy(env, magnification))
 
 
-@pytest.mark.parametrize("n_samples", [16, 64])
+@pytest.mark.parametrize("n_samples", [2, 4, 16, 64])
+@pytest.mark.parametrize("centered", [True, False])
+@pytest.mark.usefixtures("unguarded")
 class TestTransformConvention:
-    """The transforms equal their defining sums."""
+    """The transforms equal their defining sums, for waveforms centered and
+    moved off center: samples delayed by d have the spectrum of the sum over
+    the sample times plus d."""
 
     @staticmethod
-    def _grid_and_samples(n_samples):
-        grid = TimeGrid.centered(window=10.0, n_samples=n_samples)
+    def _grid_and_samples(n_samples, centered_grid):
+        grid = centered_grid(10.0, n_samples)
+        if grid is None:
+            return None, None
         rng = np.random.default_rng(n_samples)
         return grid, rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
 
-    def test_to_frequency_is_the_direct_sum(self, n_samples):
-        grid, samples = self._grid_and_samples(n_samples)
-        phases = np.exp(-1j * np.outer(grid.omegas, grid.times))
+    def test_to_frequency_is_the_direct_sum(self, n_samples, centered, centered_grid):
+        grid, samples = self._grid_and_samples(n_samples, centered_grid)
+        if grid is None:
+            return
+        delay = 0.0 if centered else _off_center(grid)
+        phases = np.exp(-1j * np.outer(grid.omegas, grid.times + delay))
         direct = grid.dt / np.sqrt(2.0 * np.pi) * (phases @ samples)
-        spectrum = to_frequency(SampledEnvelope(grid, samples)).samples
+        spectrum = to_frequency(shifted(SampledEnvelope(grid, samples), delay)).samples
         assert np.max(np.abs(spectrum - direct)) <= 1e-13 * np.max(np.abs(direct))
 
-    def test_to_time_is_the_direct_sum(self, n_samples):
-        grid, spectrum = self._grid_and_samples(n_samples)
-        phases = np.exp(1j * np.outer(grid.times, grid.omegas))
+    def test_to_time_is_the_direct_sum(self, n_samples, centered, centered_grid):
+        grid, spectrum = self._grid_and_samples(n_samples, centered_grid)
+        if grid is None:
+            return
+        delay = 0.0 if centered else _off_center(grid)
+        phases = np.exp(1j * np.outer(grid.times + delay, grid.omegas))
         direct = grid.domega / np.sqrt(2.0 * np.pi) * (phases @ spectrum)
-        samples = to_time(SpectralEnvelope(grid, spectrum)).samples
+        samples = shifted(to_time(SpectralEnvelope(grid, spectrum)), -delay).samples
         assert np.max(np.abs(samples - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
@@ -666,6 +752,7 @@ class TestPeakMemory:
         )
         lens = TimeLens(ConversionDirection.DOWN, focal_gdd=7.0, pump_seed_fwhm=2.5)
         element = DispersiveElement(gdd=7.0, transmission=0.9)
+        off_center = shifted(pulse, 0.3)
         operations = {
             "magnified_copy": lambda: magnified_copy(pulse, -17.0),
             "pumped_lens": lambda: apply_time_lens(pulse, lens),
@@ -674,6 +761,7 @@ class TestPeakMemory:
             "tod_dispersion": lambda: apply_dispersion(
                 pulse, DispersiveElement(gdd=7.0, tod=0.5)
             ),
+            "off_center_dispersion": lambda: apply_dispersion(off_center, element),
             "gaussian_pulse": lambda: gaussian_pulse(grid, fwhm=5.0),
             "time_bin_pulse": lambda: time_bin_pulse(grid, 5.0, 15.0),
             "visibility_experiment": lambda: visibility_experiment(pulse, 15.0),
@@ -704,7 +792,10 @@ class TestPeakMemory:
 
     # At 2**18 samples a kernel block's temporaries are a few percent of the
     # output: a second full-size array would take the peak past 2.
-    @pytest.mark.parametrize("operation", ["shifted", "dispersion", "tod_dispersion"])
+    @pytest.mark.parametrize(
+        "operation",
+        ["shifted", "dispersion", "tod_dispersion", "off_center_dispersion"],
+    )
     def test_spectral_stage_holds_one_array(self, operation):
         operations, waveform = self._operations(2**18)
         assert self._traced_peak(operations[operation]) <= 1.25 * waveform

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import timelens.imaging as imaging_module
 from timelens import (
     CarrierMismatchError,
     ConversionDirection,
@@ -161,6 +162,16 @@ class TestResidualPhase:
         assert not single.passed
         assert single.margin == pytest.approx(12.5 / math.pi, rel=1e-12)
         assert field == single
+
+    def test_far_field_threshold_is_tunable(self, monkeypatch):
+        # the verdict compares the margin with the module's threshold
+        for build in (single_lens_system, field_lens_system):
+            system = build(20.0, 5.0)
+            margin = check_far_field(system, 5.0).margin
+            monkeypatch.setattr(imaging_module, "FAR_FIELD_THRESHOLD_RATIO", margin)
+            assert check_far_field(system, 5.0).passed
+            monkeypatch.setattr(imaging_module, "FAR_FIELD_THRESHOLD_RATIO", 0.99 * margin)
+            assert not check_far_field(system, 5.0).passed
 
 
 def _build(kind, **options):

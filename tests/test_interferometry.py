@@ -296,15 +296,21 @@ class TestOuterPeaks:
 
 
 class TestWindowEnergy:
-    def test_matches_the_time_mask(self):
+    # windows laid out on the times t0 + k*dt: from the first sample time
+    # (-51.2 ps) their ends fall on sample times (the window is closed), from
+    # 3.7 ps between them
+    @pytest.mark.parametrize("t0", [-51.2, 3.7])
+    def test_matches_the_time_mask(self, t0):
         grid = TimeGrid(n_samples=256, dt=0.4)
         rng = np.random.default_rng(7)
         env = SampledEnvelope(grid, rng.normal(size=256) + 1j * rng.normal(size=256))
-        t = grid.times
-        # ends on sample times (the window is closed), between them and beyond
+        t = t0 + grid.dt * np.arange(256)
+        assert t0 != grid.t0 or np.array_equal(t, grid.times)
+        # ends on the layout's times, between them and beyond
         for lo, hi in [(t[10], t[50]), (t[10] + 0.1, t[50] - 0.1),
                        (t[0] - 5.0, t[-1] + 5.0), (t[20] + 0.1, t[20] + 0.2)]:
-            intensity = np.abs(env.samples[(t >= lo) & (t <= hi)]) ** 2
+            inside = (grid.times >= lo) & (grid.times <= hi)
+            intensity = np.abs(env.samples[inside]) ** 2
             assert _window_energy(env, (lo, hi), "energy") == intensity.sum() * grid.dt
             if intensity.size:
                 assert _window_energy(env, (lo, hi), "peak") == intensity.max()
