@@ -300,8 +300,8 @@ def _lens_factor(lens: TimeLens, grid: TimeGrid) -> dict:
     """The lens multiplier i*eta(t)*exp(s*i*phi_p(t)) as the
     :func:`timelens.envelope._multiply_blocks` kernel of m on ``grid``.
 
-    With phi_p = alpha*t^2 + offset and t = dt*m, s*phi_p is the chirp
-    a*m^2 + c, even in m; eta is the ``extra`` factor of a pumped lens.
+    With phi_p = alpha*t^2 + offset at t = dt*m, m = k - N/2, s*phi_p is the
+    chirp a*m^2 + c, even in m; eta is the ``extra`` factor of a pumped lens.
     """
     seed = lens.pump_seed_fwhm
     if lens.is_ideal:
@@ -311,7 +311,7 @@ def _lens_factor(lens: TimeLens, grid: TimeGrid) -> dict:
         offset = _pump_offset(seed, lens.focal_gdd)
 
         def extra(lo: int, hi: int) -> np.ndarray:
-            t = grid.dt * np.arange(lo, hi)
+            t = grid._times(lo + grid.n_samples // 2, hi + grid.n_samples // 2)
             return np.sin(0.5 * np.pi * _pump_magnitude(t, seed, lens.focal_gdd))
 
     alpha *= lens.direction.phase_sign

@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Union
 
@@ -280,16 +281,24 @@ def _check_spectral_edge(grid: TimeGrid, fwhm: float, what: str) -> None:
         )
 
 
-def _gaussian_support(
-    grid: TimeGrid, first: float, last: float, fwhm: float
-) -> tuple[int, int]:
-    """Sample range [start, stop) outside which unit Gaussians of FWHM
-    ``fwhm`` centered between ``first`` and ``last`` have exponents below
-    :data:`_EXPONENT_FLOOR`, so every one of them evaluates to exactly 0."""
+def _pulse_blocks(
+    grid: TimeGrid, first: float, last: float, fwhm: float, what: str
+) -> Iterator[slice]:
+    """Blocks covering every sample where unit Gaussians of FWHM ``fwhm``
+    centered between ``first`` and ``last`` have exponents above
+    :data:`_EXPONENT_FLOOR` (elsewhere each is exactly 0), once the pulse
+    ``what`` is checked against the window and the band."""
+    t_lo, t_hi = first - 2.0 * fwhm, last + 2.0 * fwhm
+    if not grid.contains(t_lo, t_hi):
+        raise WindowOverflowError(
+            f"{what} needs a 4*fwhm extent [{t_lo}, {t_hi}] ps; grid window "
+            f"is [{grid._time(0)}, {grid._time(grid.n_samples - 1)}] ps"
+        )
+    _check_spectral_edge(grid, fwhm, what)
     reach = fwhm * np.sqrt(-_EXPONENT_FLOOR / (2.0 * LN2))
-    start = math.floor((first - reach - grid.t0) / grid.dt)
-    stop = math.ceil((last + reach - grid.t0) / grid.dt) + 1
-    return max(start, 0), min(stop, grid.n_samples)
+    start = math.floor(grid._index(first - reach))
+    stop = math.ceil(grid._index(last + reach)) + 1
+    return grid._blocks(max(start, 0), min(stop, grid.n_samples))
 
 
 def gaussian_pulse(
@@ -313,16 +322,10 @@ def gaussian_pulse(
     """
     if not (fwhm > 0.0 and np.isfinite(fwhm)):
         raise ValueError(f"fwhm must be positive, got {fwhm!r}")
-    if not grid.contains(center - 2.0 * fwhm, center + 2.0 * fwhm):
-        raise WindowOverflowError(
-            f"gaussian pulse (fwhm={fwhm} ps, center={center} ps) needs a "
-            f"4*fwhm extent; grid window is [{grid.t0}, "
-            f"{grid.t0 + (grid.n_samples - 1) * grid.dt}] ps"
-        )
-    _check_spectral_edge(grid, fwhm, f"gaussian pulse (fwhm={fwhm} ps)")
+    what = f"gaussian pulse (fwhm={fwhm} ps, center={center} ps)"
     samples = np.zeros(grid.n_samples, dtype=np.complex128)
-    for span in grid._blocks(*_gaussian_support(grid, center, center, fwhm)):
-        t = grid.t0 + grid.dt * np.arange(span.start, span.stop)
+    for span in _pulse_blocks(grid, center, center, fwhm, what):
+        t = grid._times(span.start, span.stop)
         samples[span] = amplitude * np.exp(-2.0 * LN2 * ((t - center) / fwhm) ** 2)
     return _adopt(SampledEnvelope, grid, samples, carrier_wavelength_nm)
 
@@ -349,15 +352,10 @@ def time_bin_pulse(
     if separation < 0.0:
         raise ValueError(f"separation must be nonnegative, got {separation!r}")
     half = 0.5 * separation
-    if not grid.contains(-half - 2.0 * bin_fwhm, half + 2.0 * bin_fwhm):
-        raise WindowOverflowError(
-            f"time-bin pulse (bin_fwhm={bin_fwhm} ps, separation={separation} "
-            "ps) exceeds the grid window"
-        )
-    _check_spectral_edge(grid, bin_fwhm, f"time-bin pulse (bin_fwhm={bin_fwhm} ps)")
+    what = f"time-bin pulse (bin_fwhm={bin_fwhm} ps, separation={separation} ps)"
     samples = np.zeros(grid.n_samples, dtype=np.complex128)
-    for span in grid._blocks(*_gaussian_support(grid, -half, half, bin_fwhm)):
-        t = grid.t0 + grid.dt * np.arange(span.start, span.stop)
+    for span in _pulse_blocks(grid, -half, half, bin_fwhm, what):
+        t = grid._times(span.start, span.stop)
         early = np.exp(-2.0 * LN2 * ((t + half) / bin_fwhm) ** 2)
         late = np.exp(-2.0 * LN2 * ((t - half) / bin_fwhm) ** 2)
         samples[span] = 0.5 * early + 0.5 * np.exp(1j * relative_phase) * late
@@ -579,7 +577,7 @@ def _support(env: SampledEnvelope) -> np.ndarray | None:
 
     spans = list(env.grid._blocks())
     ends = [significant(spans)[0], significant(reversed(spans))[-1]]
-    return env.grid.t0 + env.grid.dt * np.array(ends)
+    return np.array([env.grid._time(k) for k in ends])
 
 
 def shifted(env: SampledEnvelope, delay: float) -> SampledEnvelope:
@@ -620,10 +618,12 @@ def magnified_copy(env: SampledEnvelope, magnification: float) -> SampledEnvelop
     """Analytically magnified copy a(t/M)/sqrt(|M|) on the same grid.
 
     The reference waveform an ideal imaging system should produce: stretched
-    by M (time-reversed for M < 0) with energy preserved.  Evaluated by cubic
-    B-spline interpolation (Unser, IEEE SPM 16(6), 1999) with zero samples
-    beyond the window, as the boundary-leakage invariant assumes; this differs
-    from a not-a-knot cubic spline only within ~30 samples of an edge.  Points
+    by M (time-reversed for M < 0) about t = 0 with energy preserved: output
+    sample k reads the input at fractional index N/2 + (k - N/2)/M, t = 0
+    on sample N/2.  Evaluated by cubic B-spline interpolation (Unser,
+    IEEE SPM 16(6), 1999) with zero samples beyond the window, as the
+    boundary-leakage invariant assumes; this differs from a not-a-knot cubic
+    spline only within ~30 samples of an edge.  Points
     mapping outside the original window are zero, and so are blocks whose
     interpolation stencils read only zero samples: those are not evaluated
     and hold exact +0.
@@ -640,8 +640,7 @@ def magnified_copy(env: SampledEnvelope, magnification: float) -> SampledEnvelop
     last = n - 1 - int(np.argmax(nonzero[::-1]))
     del nonzero
     for span in grid._blocks():
-        t = grid.t0 + grid.dt * np.arange(span.start, span.stop)
-        x = (t / magnification - grid.t0) / grid.dt
+        x = grid._index(grid._times(span.start, span.stop) / magnification)
         # the stencil at x reads samples floor(x) - 33 .. floor(x) + 34
         if np.floor(x.max()) + 34 < first or np.floor(x.min()) - 33 > last:
             continue

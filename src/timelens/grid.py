@@ -1,9 +1,10 @@
 """Uniform time grid shared by sampled envelopes and their spectra.
 
-The grid fixes both domains at once: ``n_samples`` points spaced ``dt`` (ps)
-with t = 0 on sample ``n_samples // 2``, and the conjugate angular-frequency
-axis centered on zero carrier offset with spacing ``2*pi/(n_samples*dt)``
-(rad/ps).
+The grid fixes both domains at once: N = ``n_samples`` points at the times
+dt*(k - N/2) (ps), and the conjugate angular-frequency axis centered on zero
+carrier offset with spacing ``2*pi/(N*dt)`` (rad/ps).  Only :class:`TimeGrid`
+turns a sample index into a time, or a time into a fractional index: a copy
+magnified by M reads sample k at N/2 + (k - N/2)/M.
 
 The per-sample kernels of the propagation path are evaluated in blocks of
 :data:`BLOCK` samples, each written or multiplied into one full-size array.
@@ -33,11 +34,13 @@ def _is_grid_size(n: int) -> bool:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid centered on t = 0.
+    """Uniform sampling grid centered on t = 0; a window of length W is
+    ``TimeGrid(n_samples, W / n_samples)``.
 
-    The zero of time falls exactly on sample ``n_samples // 2``, which keeps
-    symmetric pulses numerically even on the grid and lets the transform
-    pair re-center the spectrum with sign flips alone.
+    Sample k sits at t_k = dt*(k - N/2), rounded once, so t_{N/2+j} is
+    exactly -t_{N/2-j}: a pulse even about t = 0 is exactly even on the
+    grid, and the transform pair re-centers the spectrum with sign flips.
+    A time t sits at the fractional index N/2 + t/dt.
 
     Attributes:
         n_samples: number of samples; must be a power of two >= 16.
@@ -48,24 +51,16 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_samples, (int, np.integer)) or not _is_grid_size(
-            int(self.n_samples)
-        ):
-            raise ValueError(
-                f"n_samples must be a power of two >= 16, got {self.n_samples!r}"
-            )
+        n = self.n_samples
+        if not (isinstance(n, (int, np.integer)) and _is_grid_size(int(n))):
+            raise ValueError(f"n_samples must be a power of two >= 16, got {n!r}")
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ValueError(f"dt must be a positive finite number, got {self.dt!r}")
-
-    @classmethod
-    def centered(cls, window: float, n_samples: int) -> "TimeGrid":
-        """Grid of total length ``window`` (ps)."""
-        return cls(n_samples=n_samples, dt=window / n_samples)
 
     @property
     def t0(self) -> float:
         """Time of the first sample, -dt*(n_samples//2), in ps."""
-        return -self.dt * (self.n_samples // 2)
+        return self._time(0)
 
     @property
     def window(self) -> float:
@@ -79,8 +74,21 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
-        """Sample times t0 + k*dt, shape (n_samples,), ps."""
-        return self.t0 + self.dt * np.arange(self.n_samples)
+        """Sample times dt*(k - n_samples//2), shape (n_samples,), ps."""
+        return self._times(0, self.n_samples)
+
+    def _times(self, start: int, stop: int) -> np.ndarray:
+        """Times dt*(k - n_samples//2) of the samples start <= k < stop, ps."""
+        half = self.n_samples // 2
+        return self.dt * np.arange(start - half, stop - half)
+
+    def _time(self, k: int) -> float:
+        """Time of sample ``k``, bitwise equal to ``times[k]``, ps."""
+        return float(self._times(k, k + 1)[0])
+
+    def _index(self, t):
+        """Fractional sample index n_samples//2 + t/dt of the time(s) ``t``."""
+        return self.n_samples // 2 + t / self.dt
 
     @property
     def omegas(self) -> np.ndarray:
@@ -100,8 +108,8 @@ class TimeGrid:
             yield slice(lo, min(lo + BLOCK, stop))
 
     def contains(self, t_lo: float, t_hi: float) -> bool:
-        """Whether the closed interval [t_lo, t_hi] lies inside the window."""
-        return t_lo >= self.t0 and t_hi <= self.t0 + (self.n_samples - 1) * self.dt
+        """Whether [t_lo, t_hi] lies between the first and last sample times."""
+        return self._time(0) <= t_lo and t_hi <= self._time(self.n_samples - 1)
 
 
 # 2*pi = _TWO_PI[0] + _TWO_PI[1] + _TWO_PI[2] to about 1e-34 (Cody and Waite):

@@ -351,7 +351,7 @@ def plan_grid(
                     PUMP_WINDOW_FACTOR
                     * stretched_pump_fwhm(lens.pump_seed_fwhm, lens.focal_gdd),
                 )
-    return TimeGrid.centered(window, n_samples)
+    return TimeGrid(n_samples, window / n_samples)
 
 
 @dataclass(frozen=True)

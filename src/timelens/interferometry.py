@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .envelope import SampledEnvelope, _adopt, shifted
 from .errors import DegenerateInputError, PeakDetectionError, WindowOverflowError
-from .grid import TimeGrid
 
 #: Local maxima below this fraction of the global intensity peak are ignored
 #: when locating the outer peaks of the interference profile.
@@ -118,16 +116,11 @@ def _outer_peaks(intensity: np.ndarray, peak: float | None = None) -> tuple[int,
     return int(indices[0]), int(indices[-1])
 
 
-def _time(grid: TimeGrid, k: int) -> float:
-    """Time of sample ``k``, bitwise equal to ``grid.times[k]``."""
-    return float(grid.t0 + grid.dt * k)
-
-
 def _window_energy(
     env: SampledEnvelope, window: tuple[float, float], metric: str
 ) -> float:
     # times rise with k, so the samples in the closed window are one run
-    time = partial(_time, env.grid)
+    time = env.grid._time
     k = range(env.grid.n_samples)
     run = slice(bisect_left(k, window[0], key=time), bisect_right(k, window[1], key=time))
     intensity = np.abs(env.samples[run]) ** 2
@@ -194,7 +187,7 @@ def visibility_experiment(
     combined = np.empty(hi - lo)
     for span in grid._blocks(lo, hi):
         combined[span.start - lo : span.stop - lo] = summed(span)
-    lo_peak, hi_peak = (_time(grid, lo + k) for k in _outer_peaks(combined, peak))
+    lo_peak, hi_peak = (grid._time(lo + k) for k in _outer_peaks(combined, peak))
     del combined
     center = 0.5 * (lo_peak + hi_peak)
     window = (center - 0.5 * bin_separation, center + 0.5 * bin_separation)

@@ -43,13 +43,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def small_grid() -> TimeGrid:
     """A fast grid fine enough for 5 ps features and ~30 ps² of dispersion."""
-    return TimeGrid.centered(window=400.0, n_samples=2**12)
+    return TimeGrid(2**12, 400.0 / 2**12)
 
 
 @pytest.fixture
 def fine_grid() -> TimeGrid:
     """A longer window for spectral-width measurements (fine dω)."""
-    return TimeGrid.centered(window=2000.0, n_samples=2**14)
+    return TimeGrid(2**14, 2000.0 / 2**14)
 
 
 def _full_kernel(
@@ -77,15 +77,15 @@ def full_kernel():
 
 @pytest.fixture
 def centered_grid():
-    """``TimeGrid.centered(window, n_samples)``, or None after checking that a
+    """``TimeGrid(n_samples, window / n_samples)``, or None after checking that a
     size below 16 is refused: the n = 2 and 4 cases of the kernel tests stand
     for grids that can no longer be built."""
 
     def build(window: float, n_samples: int) -> TimeGrid | None:
         if n_samples >= 16:
-            return TimeGrid.centered(window=window, n_samples=n_samples)
+            return TimeGrid(n_samples, window / n_samples)
         with pytest.raises(ValueError, match="power of two >= 16"):
-            TimeGrid.centered(window=window, n_samples=n_samples)
+            TimeGrid(n_samples, window / n_samples)
         return None
 
     return build

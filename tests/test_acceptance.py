@@ -235,7 +235,7 @@ def test_criterion_6_tenfold_tod_suppression():
 def test_criterion_7_numerical_integrity(tmp_path):
     from timelens import TimeGrid
 
-    grid = TimeGrid.centered(2000.0, 2**15)
+    grid = TimeGrid(2**15, 2000.0 / 2**15)
     env = gaussian_pulse(grid, 5.0, amplitude=1.1 - 0.3j)
 
     parseval_ok = math.isclose(

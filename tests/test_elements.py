@@ -84,13 +84,13 @@ class TestDispersiveElement:
         assert energy(out) == pytest.approx(0.81 * energy(env), rel=1e-9)
 
     def test_wraparound_detected(self):
-        grid = TimeGrid.centered(window=60.0, n_samples=256)
+        grid = TimeGrid(256, 60.0 / 256)
         env = gaussian_pulse(grid, fwhm=5.0)
         with pytest.raises(WindowOverflowError):
             apply_dispersion(env, DispersiveElement(gdd=200.0))
 
     def test_wraparound_error_names_the_stage(self):
-        grid = TimeGrid.centered(window=60.0, n_samples=256)
+        grid = TimeGrid(256, 60.0 / 256)
         env = gaussian_pulse(grid, fwhm=5.0)
         with pytest.raises(WindowOverflowError, match="input_gdd"):
             apply_dispersion(env, DispersiveElement(gdd=200.0, label="input_gdd"))
@@ -126,7 +126,7 @@ class TestPumpSynthesis:
 
     @pytest.mark.parametrize("chirp", [0.0, 5.0, 50.0])
     def test_spectral_width_is_chirp_independent(self, chirp):
-        grid = TimeGrid.centered(window=2000.0, n_samples=2**14)
+        grid = TimeGrid(2**14, 2000.0 / 2**14)
         pump = pump_envelope(grid, 2.5, chirp)
         expected = 4.0 * LN2 / 2.5  # 1.109 rad/ps
         assert fwhm(to_frequency(pump)) == pytest.approx(expected, rel=1e-3)
@@ -140,13 +140,13 @@ class TestPumpSynthesis:
         assert abs(exact) == pytest.approx(0.0831, abs=0.0005)
 
     def test_large_chirp_curvature_approaches_lens_phase(self):
-        grid = TimeGrid.centered(window=6000.0, n_samples=2**14)
+        grid = TimeGrid(2**14, 6000.0 / 2**14)
         c2, _ = phase_fit_quadratic(pump_envelope(grid, 2.5, 500.0))
         assert c2 == pytest.approx(-1.0 / (2.0 * 500.0), rel=0.02)
         assert c2 == pytest.approx(pump_phase_curvature(2.5, 500.0), rel=0.005)
 
     def test_stretched_width_formula_matches_measurement(self):
-        grid = TimeGrid.centered(window=6000.0, n_samples=2**14)
+        grid = TimeGrid(2**14, 6000.0 / 2**14)
         assert fwhm(pump_envelope(grid, 2.5, 500.0)) == pytest.approx(
             stretched_pump_fwhm(2.5, 500.0), rel=1e-3
         )
@@ -155,7 +155,7 @@ class TestPumpSynthesis:
     def test_matches_fft_dispersed_seed(self, chirp):
         # The pump as formerly synthesized: a Gaussian seed dispersed by
         # chirp_gdd through the spectral transform, then peak-normalized.
-        grid = TimeGrid.centered(window=10000.0, n_samples=2**15)
+        grid = TimeGrid(2**15, 10000.0 / 2**15)
         seed = gaussian_pulse(grid, 2.5)
         dispersed = apply_dispersion(seed, DispersiveElement(gdd=chirp)).samples
         reference = dispersed / np.abs(dispersed).max()
@@ -269,7 +269,7 @@ class TestTimeLensApplication:
         assert out.carrier_wavelength_nm is None
 
     def test_underflowing_pump_wings_give_finite_output(self):
-        grid = TimeGrid.centered(6000.0, 2**14)
+        grid = TimeGrid(2**14, 6000.0 / 2**14)
         magnitude, _ = synthesize_pump(grid, 2.5, 5.0)
         # the wings pass through subnormals on their way to zero
         assert np.any((magnitude > 0.0) & (magnitude < np.finfo(float).tiny))
@@ -281,13 +281,32 @@ class TestTimeLensApplication:
         assert np.all(np.isfinite(out.samples))
         assert 0.0 < energy(out) <= energy(env)
 
+    @pytest.mark.parametrize("lo, hi", [(-2048, 2048), (-5, 17)])
+    def test_pump_amplitude_is_evaluated_at_the_sample_times(self, monkeypatch, lo, hi):
+        # dt = 0.1 ps is not dyadic, so dt*(k - N/2) and t0 + dt*k differ
+        grid = TimeGrid(2**12, 0.1)
+        lens = TimeLens(
+            direction=ConversionDirection.DOWN, focal_gdd=7.0, pump_seed_fwhm=2.5
+        )
+        seen = []
+        magnitude = elements_module._pump_magnitude
+        monkeypatch.setattr(
+            elements_module,
+            "_pump_magnitude",
+            lambda t, *args: seen.append(t) or magnitude(t, *args),
+        )
+        elements_module._lens_factor(lens, grid)["extra"](lo, hi)
+        half = grid.n_samples // 2
+        (t,) = seen
+        assert np.array_equal(t, grid.times[lo + half : hi + half])
+
     @pytest.mark.parametrize("n_samples", [2**12, 2**15])
     @pytest.mark.parametrize("pump_seed_fwhm", [None, 2.5])
     @pytest.mark.parametrize("direction", list(ConversionDirection))
     def test_output_bits_match_two_step_construction(
         self, n_samples, pump_seed_fwhm, direction, full_kernel
     ):
-        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        grid = TimeGrid(n_samples, 400.0 / n_samples)
         env = gaussian_pulse(grid, fwhm=5.0, center=-3.0, carrier_wavelength_nm=710.0)
         lens = TimeLens(
             direction=direction, focal_gdd=7.0, pump_seed_fwhm=pump_seed_fwhm
@@ -365,12 +384,12 @@ class TestExpCount:
         return counted
 
     def test_dispersion(self, exp_values):
-        env = gaussian_pulse(TimeGrid.centered(window=4000.0, n_samples=self.N), fwhm=5.0)
+        env = gaussian_pulse(TimeGrid(self.N, 4000.0 / self.N), fwhm=5.0)
         apply_dispersion(env, DispersiveElement(gdd=50.0))
         assert 0 < sum(exp_values) <= self.N // 8
 
     def test_pumped_lens(self, exp_values):
-        grid = TimeGrid.centered(window=4000.0, n_samples=self.N)
+        grid = TimeGrid(self.N, 4000.0 / self.N)
         env = gaussian_pulse(grid, fwhm=5.0, carrier_wavelength_nm=710.0)
         lens = TimeLens(ConversionDirection.DOWN, focal_gdd=50.0, pump_seed_fwhm=2.5)
         apply_time_lens(env, lens)

@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +38,10 @@ from timelens import (
     intensity_overlap,
     magnified_copy,
     overlap,
+    parse_scenario,
     phase_fit_quadratic,
     phase_rms,
+    run_simulate,
     shifted,
     time_bin_pulse,
     to_frequency,
@@ -48,16 +51,36 @@ from timelens import (
 
 LN2 = math.log(2.0)
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED_SIMULATIONS = sorted(
+    p.stem for p in SCENARIO_DIR.glob("*.scn") if not p.stem.startswith("design_")
+)
+
+
+def _planned_grid(name: str) -> TimeGrid:
+    """The grid a shipped simulation plans, as its report records it."""
+    report, _ = run_simulate(parse_scenario((SCENARIO_DIR / f"{name}.scn").read_text()))
+    return TimeGrid(report["grid"]["n_samples"], report["grid"]["dt_ps"])
+
 
 class TestTimeGrid:
     def test_centered_window_and_step(self):
-        grid = TimeGrid.centered(window=100.0, n_samples=256)
+        grid = TimeGrid(256, 100.0 / 256)
         assert grid.n_samples == 256
         assert grid.dt == pytest.approx(100.0 / 256, rel=1e-15)
+        assert grid.window == 100.0
         assert grid.t0 == pytest.approx(-50.0, rel=1e-15)
         t = grid.times
         assert len(t) == 256
         assert np.all(np.diff(t) > 0)
+        assert not hasattr(TimeGrid, "centered")
+
+    @pytest.mark.parametrize("name", SHIPPED_SIMULATIONS)
+    def test_times_are_exactly_odd_on_shipped_grids(self, name):
+        grid = _planned_grid(name)
+        t, half = grid.times, grid.n_samples // 2
+        assert t[half] == 0.0 and t[0] == grid.t0
+        assert np.array_equal(t[half + 1 :], -t[half - 1 : 0 : -1])
 
     def test_rejects_non_power_of_two(self):
         for n in (8, 100):
@@ -67,7 +90,7 @@ class TestTimeGrid:
             TimeGrid(n_samples=256, dt=0.1, t0=0.0)
 
     def test_omega_axis_spacing(self):
-        grid = TimeGrid.centered(window=100.0, n_samples=256)
+        grid = TimeGrid(256, 100.0 / 256)
         w = grid.omegas
         assert w[1] - w[0] == pytest.approx(2.0 * np.pi / 100.0, rel=1e-12)
         # axis is centered on zero offset from the carrier
@@ -81,7 +104,7 @@ def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 class TestTransformSideEffects:
     def test_transform_leaves_pickle_size_unchanged(self):
-        grid = TimeGrid.centered(window=400.0, n_samples=2**12)
+        grid = TimeGrid(2**12, 400.0 / 2**12)
         env = gaussian_pulse(grid, fwhm=5.0)
         fresh = len(pickle.dumps(env))
         to_frequency(env)
@@ -156,7 +179,7 @@ def _reference_shift(
 
 def _reference_magnified_copy(env: SampledEnvelope, magnification: float) -> np.ndarray:
     n = env.grid.n_samples
-    x = (env.times / magnification - env.grid.t0) / env.grid.dt
+    x = n // 2 + env.times / magnification / env.grid.dt
     inside = (x >= 0.0) & (x <= n - 1)
     u, k = np.modf(x[inside])
     prefilter = np.sqrt(3.0) * (np.sqrt(3.0) - 2.0) ** np.abs(np.arange(-32, 33))
@@ -217,7 +240,7 @@ class TestTransformBitIdentity:
 
     @pytest.mark.parametrize("t0", [None, -123.4])
     def test_round_trip(self, n_samples, t0, full_kernel, unguarded):
-        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        grid = TimeGrid(n_samples, 400.0 / n_samples)
         env = self._random(grid)
         samples = env.samples
         if t0 is not None:  # the waveform delayed to start at t0, not at -200 ps
@@ -235,14 +258,14 @@ class TestTransformBitIdentity:
         ],
     )
     def test_dispersion(self, n_samples, element, full_kernel):
-        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        grid = TimeGrid(n_samples, 400.0 / n_samples)
         env = gaussian_pulse(grid, fwhm=5.0, center=-20.0, amplitude=0.7 + 0.2j)
         out = apply_dispersion(env, element)
         reference = _reference_dispersion(env.samples, grid, element, full_kernel)
         assert _bits_equal(out.samples, reference)
 
     def test_shift(self, n_samples, full_kernel):
-        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        grid = TimeGrid(n_samples, 400.0 / n_samples)
         env = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0, relative_phase=0.4)
         out = shifted(env, 37.3)
         reference = _reference_shift(env.samples, grid, 37.3, full_kernel)
@@ -250,12 +273,12 @@ class TestTransformBitIdentity:
 
     @pytest.mark.parametrize("magnification", [-20.0, 13.7, 1.0, -0.5])
     def test_magnified_copy(self, n_samples, magnification):
-        env = self._random(TimeGrid.centered(window=400.0, n_samples=n_samples))
+        env = self._random(TimeGrid(n_samples, 400.0 / n_samples))
         out = magnified_copy(env, magnification)
         assert _bits_equal(out.samples, _reference_magnified_copy(env, magnification))
 
     def test_time_bin_pulse(self, n_samples):
-        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        grid = TimeGrid(n_samples, 400.0 / n_samples)
         out = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0, relative_phase=0.4)
         assert _bits_equal(out.samples, _reference_time_bin_pulse(grid, 5.0, 15.0, 0.4))
 
@@ -392,7 +415,7 @@ class TestBlockedMagnitudes:
     """boundary_leakage and the shift's support check read |a| block by block
     and give the full-array formulas' results bit for bit."""
 
-    GRID = TimeGrid.centered(window=400.0, n_samples=2**15)
+    GRID = TimeGrid(2**15, 400.0 / 2**15)
 
     @staticmethod
     def _full_support(env: SampledEnvelope) -> np.ndarray:
@@ -429,7 +452,7 @@ class TestCompactBitIdentity:
 
     # a 1 ps bin underflows to 0.0 about 23 ps from its center, so the pulse
     # spans under 1 % of the window and magnified copies a few blocks of it
-    GRID = TimeGrid.centered(window=8000.0, n_samples=2**17)
+    GRID = TimeGrid(2**17, 8000.0 / 2**17)
 
     @pytest.mark.parametrize("relative_phase", [0.4, 2.0, -2.0, -0.4])
     def test_time_bin_pulse(self, relative_phase):
@@ -575,7 +598,7 @@ class TestTransformHelper:
     @staticmethod
     def _random(n_samples: int, seed: int = 7) -> SampledEnvelope:
         rng = np.random.default_rng(seed)
-        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        grid = TimeGrid(n_samples, 400.0 / n_samples)
         return SampledEnvelope(grid, rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples))
 
     @staticmethod
@@ -652,7 +675,7 @@ class TestTransformHelper:
             "import timelens.envelope as e\n"
             "from timelens import SampledEnvelope, TimeGrid\n"
             "rng = np.random.default_rng(5)\n"
-            "grid = TimeGrid.centered(window=400.0, n_samples=2**17)\n"
+            "grid = TimeGrid(2**17, 400.0 / 2**17)\n"
             "env = SampledEnvelope(grid, rng.normal(size=2**17) + 0j)\n"
             "threaded = e.to_frequency(env).samples\n"
             "assert os.getpid() in e._helpers\n"
@@ -692,7 +715,7 @@ class TestTransformHelper:
             "import timelens.envelope as e\n"
             "from timelens import SampledEnvelope, TimeGrid\n"
             "rng = np.random.default_rng(5)\n"
-            "grid = TimeGrid.centered(window=400.0, n_samples=2**17)\n"
+            "grid = TimeGrid(2**17, 400.0 / 2**17)\n"
             "env = SampledEnvelope(grid, rng.normal(size=2**17) + 0j)\n"
             f"if {warm}:\n"
             "    e.to_frequency(env)\n"
@@ -746,7 +769,7 @@ class TestPeakMemory:
 
     @staticmethod
     def _operations(n_samples: int):
-        grid = TimeGrid.centered(window=400.0, n_samples=n_samples)
+        grid = TimeGrid(n_samples, 400.0 / n_samples)
         pulse = time_bin_pulse(
             grid, bin_fwhm=5.0, separation=15.0, carrier_wavelength_nm=710.0
         )
@@ -821,7 +844,7 @@ class TestTransforms:
         assert fwhm(spec) == pytest.approx(expected, rel=1e-4)
 
     def test_single_sample_impulse_has_flat_spectrum(self):
-        grid = TimeGrid.centered(window=50.0, n_samples=512)
+        grid = TimeGrid(512, 50.0 / 512)
         samples = np.zeros(512, dtype=complex)
         samples[256] = 1.0
         spec = to_frequency(SampledEnvelope(grid, samples))
@@ -832,7 +855,7 @@ class TestTransforms:
 class TestGaussianPulse:
     def test_half_max_at_half_fwhm(self):
         # dt = 40/256 = 0.15625 puts t = +/-2.5 exactly on the grid
-        grid = TimeGrid.centered(window=40.0, n_samples=256)
+        grid = TimeGrid(256, 40.0 / 256)
         env = gaussian_pulse(grid, fwhm=5.0)
         t = env.times
         i_plus = int(np.argmin(np.abs(t - 2.5)))
@@ -842,7 +865,7 @@ class TestGaussianPulse:
         assert env.intensity[i_minus] == pytest.approx(0.5, abs=1e-12)
 
     def test_translation_covariance(self):
-        grid = TimeGrid.centered(window=80.0, n_samples=256)  # dt = 0.3125
+        grid = TimeGrid(256, 80.0 / 256)  # dt = 0.3125
         base = gaussian_pulse(grid, fwhm=5.0)
         moved = gaussian_pulse(grid, fwhm=5.0, center=10.0)
         steps = int(round(10.0 / grid.dt))
@@ -851,13 +874,21 @@ class TestGaussianPulse:
             moved.samples[steps:], base.samples[:-steps], atol=1e-14
         )
 
+    def test_centered_pulse_is_exactly_even(self):
+        # visibility_field_lens: 2**15 samples over 8449.8 ps, dt not dyadic
+        grid = _planned_grid("visibility_field_lens")
+        samples, half = gaussian_pulse(grid, fwhm=100.0).samples, grid.n_samples // 2
+        assert _bits_equal(samples[half + 1 :], samples[half - 1 : 0 : -1].copy())
+
     def test_measured_fwhm_matches_request(self, small_grid):
         env = gaussian_pulse(small_grid, fwhm=5.0)
         assert abs(fwhm(env) - 5.0) < small_grid.dt
 
     def test_overflow_when_pulse_exceeds_window(self):
-        grid = TimeGrid.centered(window=10.0, n_samples=64)
-        with pytest.raises(WindowOverflowError):
+        grid = TimeGrid(64, 10.0 / 64)  # dt = 0.15625 ps
+        # the message names the extent and the first and last sample times
+        message = r"\[-10\.0, 10\.0\] ps; grid window is \[-5\.0, 4\.84375\] ps"
+        with pytest.raises(WindowOverflowError, match=message):
             gaussian_pulse(grid, fwhm=5.0)  # needs a 20 ps extent
 
     def test_energy_against_quadrature(self, small_grid):
@@ -878,18 +909,18 @@ class TestSpectralEdge:
         ],
     )
     def test_both_sides_of_the_limit(self, make):
-        make(TimeGrid.centered(window=256 * 1.52, n_samples=256))
-        coarse = TimeGrid.centered(window=256 * 1.54, n_samples=256)
+        make(TimeGrid(256, 256 * 1.52 / 256))
+        coarse = TimeGrid(256, 256 * 1.54 / 256)
         with pytest.raises(UndersampledError, match=r"dt=1\.54 ps.*n_samples >= 512 "):
             make(coarse)
 
     def test_remedy_is_the_smallest_passing_power_of_two(self):
-        grid = TimeGrid.centered(window=400.0, n_samples=64)  # dt = 6.25 ps
+        grid = TimeGrid(64, 400.0 / 64)  # dt = 6.25 ps
         with pytest.raises(UndersampledError, match="n_samples >= 512 "):
             gaussian_pulse(grid, fwhm=5.0)
-        gaussian_pulse(TimeGrid.centered(window=400.0, n_samples=512), fwhm=5.0)
+        gaussian_pulse(TimeGrid(512, 400.0 / 512), fwhm=5.0)
         with pytest.raises(UndersampledError):
-            gaussian_pulse(TimeGrid.centered(window=400.0, n_samples=256), fwhm=5.0)
+            gaussian_pulse(TimeGrid(256, 400.0 / 256), fwhm=5.0)
 
 
 class TestTimeBinPulse:
@@ -898,6 +929,12 @@ class TestTimeBinPulse:
         one = gaussian_pulse(small_grid, fwhm=5.0)
         # identical up to denormal underflow in the far tails
         assert np.max(np.abs(two.samples - one.samples)) < 1e-300
+
+    def test_overflow_names_the_window_as_the_gaussian_does(self):
+        grid = TimeGrid(64, 10.0 / 64)  # dt = 0.15625 ps
+        message = r"\[-6\.0, 6\.0\] ps; grid window is \[-5\.0, 4\.84375\] ps"
+        with pytest.raises(WindowOverflowError, match=message):
+            time_bin_pulse(grid, bin_fwhm=2.0, separation=4.0)
 
     def test_magnitude_is_even_for_any_phase(self, small_grid):
         env = time_bin_pulse(
@@ -991,7 +1028,7 @@ class TestPhaseFit:
         assert phase_rms(tilted) < 1e-9
 
     def test_insufficient_support_raises(self):
-        grid = TimeGrid.centered(window=50.0, n_samples=64)
+        grid = TimeGrid(64, 50.0 / 64)
         samples = np.zeros(64, dtype=complex)
         samples[32] = 1.0
         with pytest.raises(InsufficientSupportError):
@@ -1017,7 +1054,7 @@ class TestShiftAndMagnify:
 
     @pytest.mark.parametrize("magnification", [-20.0, 13.7, 1.0, -0.5])
     def test_magnified_copy_matches_cubic_spline(self, magnification):
-        grid = TimeGrid.centered(window=400.0, n_samples=2**14)
+        grid = TimeGrid(2**14, 400.0 / 2**14)
         env = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0, relative_phase=0.7)
         t = env.times
         source_t = t / magnification
@@ -1029,14 +1066,14 @@ class TestShiftAndMagnify:
         assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_magnified_copy_width_and_energy(self):
-        grid = TimeGrid.centered(window=400.0, n_samples=2**13)
+        grid = TimeGrid(2**13, 400.0 / 2**13)
         env = gaussian_pulse(grid, fwhm=5.0)
         mag = magnified_copy(env, 4.0)
         assert fwhm(mag) == pytest.approx(20.0, abs=2 * grid.dt)
         assert energy(mag) == pytest.approx(energy(env), rel=1e-6)
 
     def test_negative_magnification_time_reverses(self):
-        grid = TimeGrid.centered(window=400.0, n_samples=2**13)
+        grid = TimeGrid(2**13, 400.0 / 2**13)
         env = gaussian_pulse(grid, fwhm=5.0, center=3.0)
         mag = magnified_copy(env, -4.0)
         t = mag.times

@@ -184,7 +184,7 @@ class TestVisibilityExperiment:
         # in place; the summed intensity is held only over the blocks that
         # reach the peak floor, so about 3.3 images' worth is held at once.
         # One untraced run first, so numpy's FFT plan is not charged.
-        grid = TimeGrid.centered(window=400.0, n_samples=2**16)
+        grid = TimeGrid(2**16, 400.0 / 2**16)
         image = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0)
         visibility_experiment(image, 15.0)
         tracemalloc.start()
@@ -296,16 +296,16 @@ class TestOuterPeaks:
 
 
 class TestWindowEnergy:
-    # windows laid out on the times t0 + k*dt: from the first sample time
-    # (-51.2 ps) their ends fall on sample times (the window is closed), from
-    # 3.7 ps between them
-    @pytest.mark.parametrize("t0", [-51.2, 3.7])
-    def test_matches_the_time_mask(self, t0):
+    # windows laid out on the sample times moved to start at ``start``: from
+    # the first sample time (-51.2 ps) their ends fall on sample times (the
+    # window is closed), from 3.7 ps between them
+    @pytest.mark.parametrize("start", [-51.2, 3.7])
+    def test_matches_the_time_mask(self, start):
         grid = TimeGrid(n_samples=256, dt=0.4)
         rng = np.random.default_rng(7)
         env = SampledEnvelope(grid, rng.normal(size=256) + 1j * rng.normal(size=256))
-        t = t0 + grid.dt * np.arange(256)
-        assert t0 != grid.t0 or np.array_equal(t, grid.times)
+        t = grid.times + (start - grid.t0)
+        assert start != grid.t0 or np.array_equal(t, grid.times)
         # ends on the layout's times, between them and beyond
         for lo, hi in [(t[10], t[50]), (t[10] + 0.1, t[50] - 0.1),
                        (t[0] - 5.0, t[-1] + 5.0), (t[20] + 0.1, t[20] + 0.2)]:

@@ -41,7 +41,7 @@ from timelens import (
 from timelens.imaging import assemble_system
 from timelens.runner import sizing_divisor
 
-GRID = TimeGrid.centered(400.0, 2**11)
+GRID = TimeGrid(2**11, 400.0 / 2**11)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 widths = st.floats(3.0, 10.0, **finite)
