@@ -106,9 +106,8 @@ def converted_carrier(
         inverse = 1.0 / input_carrier_nm - 1.0 / pump_carrier_nm
         if inverse <= 0.0:
             raise DesignError(
-                "down-conversion requires the input carrier frequency to "
-                f"exceed the pump's (input {input_carrier_nm} nm, pump "
-                f"{pump_carrier_nm} nm)"
+                "down-conversion requires the input carrier frequency to exceed "
+                f"the pump's ({input_carrier_nm} nm vs {pump_carrier_nm} nm)"
             )
     return 1.0 / inverse
 

@@ -31,7 +31,6 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -56,30 +55,49 @@ _EXPONENT_FLOOR = -750.0
 
 
 @dataclass(frozen=True)
-class SampledEnvelope:
-    """Complex field envelope sampled on a uniform time grid.
-
-    Attributes:
-        grid: the shared time grid.
-        samples: complex amplitudes per grid point, shape (n_samples,).
-        carrier_wavelength_nm: metadata label for the optical carrier; may be
-            None for carrier-agnostic waveforms.
-    """
+class AnyEnvelope:
+    """Complex samples on a :class:`TimeGrid`, the base of the time-domain
+    :class:`SampledEnvelope` and of :class:`SpectralEnvelope`: ``samples``
+    (shape (n_samples,)) are read-only, and finite in time, and
+    ``carrier_wavelength_nm`` labels the optical carrier (None: agnostic)."""
 
     grid: TimeGrid
     samples: np.ndarray
     carrier_wavelength_nm: float | None = None
 
     def __post_init__(self) -> None:
-        _own(self, np.array(self.samples, dtype=np.complex128))
+        self._own(np.array(self.samples, dtype=np.complex128))
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
+    def __reduce__(self):
+        # unpickling runs the constructor, so the samples are checked and
+        # read-only again
+        return type(self), (self.grid, self.samples, self.carrier_wavelength_nm)
+
+    def _own(self, samples: np.ndarray) -> None:
+        """Check ``samples`` against the grid (time-domain samples must also
+        be finite), make it read-only and store it as ``self.samples``."""
+        if samples.shape != (self.grid.n_samples,):
+            raise ValueError(
+                f"samples shape {samples.shape} does not match grid "
+                f"({self.grid.n_samples},)"
+            )
+        if isinstance(self, SampledEnvelope) and not _all_finite(samples):
+            raise ValueError("samples must be finite")
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
 
     @property
     def intensity(self) -> np.ndarray:
         return np.abs(self.samples) ** 2
+
+
+@dataclass(frozen=True)
+class SampledEnvelope(AnyEnvelope):
+    """Complex field envelope sampled on a uniform time grid."""
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.grid.times
 
     def with_samples(self, samples: np.ndarray) -> "SampledEnvelope":
         """Same grid and carrier, new sample values."""
@@ -87,7 +105,7 @@ class SampledEnvelope:
 
 
 @dataclass(frozen=True)
-class SpectralEnvelope:
+class SpectralEnvelope(AnyEnvelope):
     """Complex spectral envelope on the grid-conjugate frequency axis.
 
     The originating :class:`TimeGrid` is retained so the inverse transform is
@@ -95,37 +113,9 @@ class SpectralEnvelope:
     rad/ps.
     """
 
-    grid: TimeGrid
-    samples: np.ndarray
-    carrier_wavelength_nm: float | None = None
-
-    def __post_init__(self) -> None:
-        _own(self, np.array(self.samples, dtype=np.complex128))
-
     @property
     def omegas(self) -> np.ndarray:
         return self.grid.omegas
-
-    @property
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.samples) ** 2
-
-
-AnyEnvelope = Union[SampledEnvelope, SpectralEnvelope]
-
-
-def _own(env: AnyEnvelope, samples: np.ndarray) -> None:
-    """Check ``samples`` against ``env``'s grid (time-domain samples must also
-    be finite), make it read-only and store it as ``env.samples``."""
-    if samples.shape != (env.grid.n_samples,):
-        raise ValueError(
-            f"samples shape {samples.shape} does not match grid "
-            f"({env.grid.n_samples},)"
-        )
-    if isinstance(env, SampledEnvelope) and not _all_finite(samples):
-        raise ValueError("samples must be finite")
-    samples.setflags(write=False)
-    object.__setattr__(env, "samples", samples)
 
 
 def _all_finite(samples: np.ndarray) -> bool:
@@ -150,7 +140,7 @@ def _adopt(
     env = object.__new__(cls)
     object.__setattr__(env, "grid", grid)
     object.__setattr__(env, "carrier_wavelength_nm", carrier_wavelength_nm)
-    _own(env, samples)
+    env._own(samples)
     return env
 
 
@@ -422,8 +412,11 @@ def overlap(a: AnyEnvelope, b: AnyEnvelope) -> complex:
     eb = energy(b)
     if ea == 0.0 or eb == 0.0:
         raise DegenerateInputError("overlap with a zero-energy envelope is undefined")
-    inner = np.sum(np.conjugate(a.samples) * b.samples) * _step(a)
-    return complex(inner / np.sqrt(ea * eb))
+    # summed one block at a time, so no full-size product is formed; not by
+    # np.vdot, whose BLAS thread pool would raise the peak RSS
+    blocks = a.grid._blocks()
+    inner = sum(np.sum(np.conjugate(a.samples[s]) * b.samples[s]) for s in blocks)
+    return complex(inner * _step(a) / np.sqrt(ea * eb))
 
 
 def intensity_overlap(a: AnyEnvelope, b: AnyEnvelope) -> float:
@@ -452,11 +445,13 @@ def intensity_overlap(a: AnyEnvelope, b: AnyEnvelope) -> float:
 PHASE_FIT_INTENSITY_FLOOR = 0.01
 
 
-def _phase_fit_block(
-    env: SampledEnvelope, window_fwhm_fraction: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Times and unwrapped phases of the contiguous qualifying samples around
-    the intensity peak (inside the fit window and above the intensity floor)."""
+def _phase_fit(
+    env: SampledEnvelope, window_fwhm_fraction: float, deg: int
+) -> tuple[np.ndarray, float]:
+    """Least-squares degree-``deg`` polynomial fit of the unwrapped phase over
+    the contiguous qualifying samples around the intensity peak (inside the
+    fit window and above the intensity floor): its coefficients in the
+    abscissa centered on the middle sample, and its RMS residual."""
     intensity = env.intensity
     peak_index = int(np.argmax(intensity))
     peak = intensity[peak_index]
@@ -481,9 +476,11 @@ def _phase_fit_block(
             f"only {hi - lo + 1} samples qualify for the phase fit "
             "(need at least 8); widen the window or refine the grid"
         )
-    block = slice(lo, hi + 1)
-    phases = np.unwrap(np.angle(env.samples[block]))
-    return t[block], phases
+    phases = np.unwrap(np.angle(env.samples[lo : hi + 1]))
+    tau = t[lo : hi + 1] - t[(lo + hi + 1) // 2]  # centered, for conditioning
+    coeffs = np.polynomial.polynomial.polyfit(tau, phases, deg=deg)
+    fit = np.polynomial.polynomial.polyval(tau, coeffs)
+    return coeffs, float(np.sqrt(np.mean((phases - fit) ** 2)))
 
 
 def phase_fit_quadratic(
@@ -503,11 +500,7 @@ def phase_fit_quadratic(
         InsufficientSupportError: fewer than 8 samples qualify.
         DegenerateInputError: all-zero envelope.
     """
-    times, phases = _phase_fit_block(env, window_fwhm_fraction)
-    tau = times - times[len(times) // 2]  # centered abscissa for conditioning
-    coeffs = np.polynomial.polynomial.polyfit(tau, phases, deg=2)
-    fit = np.polynomial.polynomial.polyval(tau, coeffs)
-    rms = float(np.sqrt(np.mean((phases - fit) ** 2)))
+    coeffs, rms = _phase_fit(env, window_fwhm_fraction, deg=2)
     return float(coeffs[2]), rms  # the t^2 coefficient is shift-invariant
 
 
@@ -519,11 +512,7 @@ def phase_rms(env: SampledEnvelope, window_fwhm_fraction: float = 1.0) -> float:
     curvature and above — across the central window.  Sample selection
     matches :func:`phase_fit_quadratic`.
     """
-    times, phases = _phase_fit_block(env, window_fwhm_fraction)
-    tau = times - times[len(times) // 2]
-    coeffs = np.polynomial.polynomial.polyfit(tau, phases, deg=1)
-    fit = np.polynomial.polynomial.polyval(tau, coeffs)
-    return float(np.sqrt(np.mean((phases - fit) ** 2)))
+    return _phase_fit(env, window_fwhm_fraction, deg=1)[1]
 
 
 def _peak_magnitude(env: AnyEnvelope) -> float:

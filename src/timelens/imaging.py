@@ -171,25 +171,34 @@ _LAYOUTS: dict[TopologyKind, tuple[tuple[str, ConversionDirection | None], ...]]
 }
 
 
+def _degenerate(kind: TopologyKind | None, magnification: float) -> str | None:
+    """Why no ``kind`` system images at ``magnification``, or None if one
+    does; with ``kind`` None, only what rules out every kind."""
+    if magnification == 0.0:
+        return "magnification 0 is degenerate: no imaging system exists"
+    if magnification == 1.0 and kind not in (None, TopologyKind.TELESCOPE):
+        return (
+            "magnification 1 is degenerate for a single-lens/field-lens system "
+            "(it forces D1 = 0)"
+        )
+    return None
+
+
 def _stage_values(
     kind: TopologyKind, magnification: float, sizing: float
 ) -> tuple[float, ...]:
     """Each stage's GDD, or pump chirp for a lens, in layout order.  The
-    sizing value is the first lens's pump chirp; M = 0, sizing 0, and M = 1
-    outside the telescope have no imaging solution."""
+    sizing value is the first lens's pump chirp; sizing 0 and the
+    magnifications :func:`_degenerate` names have no imaging solution."""
     m = magnification
-    if m == 0.0 or sizing == 0.0:
-        raise DesignError(
-            f"{kind.value} needs a nonzero magnification and sizing value, got "
-            f"M = {m}, sizing {sizing}"
-        )
+    why = _degenerate(kind, m)
+    if why is not None:
+        raise DesignError(why)
+    if sizing == 0.0:
+        raise DesignError(f"{kind.value} needs a nonzero sizing value, got {sizing}")
     if kind is TopologyKind.TELESCOPE:
         d3 = -m * sizing
         return sizing, sizing, sizing + d3, m * sizing, d3
-    if m == 1.0:
-        raise DesignError(
-            f"magnification 1 is degenerate: no {kind.value} imaging solution exists"
-        )
     d1 = sizing * (m - 1.0) / m
     d2 = -m * d1
     if kind is TopologyKind.FIELD_LENS:

@@ -30,6 +30,7 @@ from .elements import stretched_pump_fwhm
 from .envelope import (
     LN2,
     SampledEnvelope,
+    _peak_magnitude,
     boundary_leakage,
     energy,
     fwhm,
@@ -75,6 +76,14 @@ def _csv(columns: list[str], rows) -> str:
 
     lines = [",".join(columns), *(",".join(map(cell, row)) for row in rows)]
     return "\n".join(lines) + "\n"
+
+
+def _with_report(report: dict, files: dict) -> tuple[dict, dict]:
+    """``report`` with its ``artifacts`` list, every file name and
+    ``report.json`` first, and ``files`` with ``report.json`` rendered."""
+    report["artifacts"] = ["report.json", *files]
+    files["report.json"] = json.dumps(report, indent=2) + "\n"
+    return report, files
 
 
 def build_topology(system: SystemSpec) -> SystemTopology:
@@ -149,11 +158,11 @@ def plan_scenario_grid(
 
 def waveform_csv(env: SampledEnvelope) -> str:
     """CSV rendering ``t_ps,re,im,intensity`` with repr-exact floats."""
-    rows = ["t_ps,re,im,intensity"]
-    for t, c in zip(env.times, env.samples):
-        re, im = float(c.real), float(c.imag)
-        rows.append(f"{float(t)!r},{re!r},{im!r},{re * re + im * im!r}")
-    return "\n".join(rows) + "\n"
+    rows = (
+        (t, c.real, c.imag, c.real * c.real + c.imag * c.imag)
+        for t, c in zip(env.times.tolist(), env.samples.tolist())
+    )
+    return _csv(["t_ps", "re", "im", "intensity"], rows)
 
 
 def waveform_npy(env: SampledEnvelope) -> bytes:
@@ -178,6 +187,7 @@ def _stage_entry(label: str, env: SampledEnvelope) -> dict:
         width: float | None = fwhm(env)
     except DegenerateInputError:
         width = None
+    peak = _peak_magnitude(env)
     return {
         "label": label,
         "carrier_nm": (
@@ -187,7 +197,7 @@ def _stage_entry(label: str, env: SampledEnvelope) -> dict:
         ),
         "energy": float(energy(env)),
         "fwhm_ps": None if width is None else float(width),
-        "peak_intensity": float(env.intensity.max()),
+        "peak_intensity": peak * peak,
         "boundary_leakage": float(boundary_leakage(env)),
     }
 
@@ -233,7 +243,6 @@ class _Run(NamedTuple):
     """What a simulation computes before any artifact is rendered."""
 
     report: dict  # report.json payload, less single_port and artifacts
-    env_in: SampledEnvelope
     trace: StageTrace
     interference: InterferenceResult | None  # None: visibility disabled
 
@@ -248,15 +257,14 @@ def _compute(scenario: Scenario) -> _Run:
     topology = build_topology(system)
     vis_enabled, analyzer_delay = _resolve_analysis(scenario)
     grid = plan_scenario_grid(scenario, topology, analyzer_delay)
-    env_in = build_input(scenario, grid)
-    trace = run_system(env_in, topology)
+    trace = run_system(build_input(scenario, grid), topology)
 
     spec = scenario.input
     input_block = {
         "kind": spec.kind,
         "carrier_nm": float(system.input_carrier_nm),
-        "energy": float(energy(env_in)),
-        "fwhm_ps": float(fwhm(env_in)),
+        "energy": float(energy(trace.input)),
+        "fwhm_ps": float(fwhm(trace.input)),
     }
     if spec.kind == "gaussian":
         input_block["gaussian_fwhm_ps"] = float(spec.fwhm)
@@ -329,7 +337,7 @@ def _compute(scenario: Scenario) -> _Run:
             "destructive_energy": float(result.destructive_energy),
             "visibility": float(result.visibility),
         }
-    return _Run(report, env_in, trace, result)
+    return _Run(report, trace, result)
 
 
 def _central_energy(run: _Run, phase: float) -> float:
@@ -355,15 +363,13 @@ def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str | np.ndarray]]
             "central_energy": _central_energy(run, phase),
         }
 
-    stages = enumerate([("input", run.env_in), *run.trace.steps])
+    stages = enumerate([("input", run.trace.input), *run.trace.steps])
     files = {f"stage_{i:02d}_{label}.npy": env.samples for i, (label, env) in stages}
     if run.interference is not None:
         for port in ("constructive", "destructive"):
             files[f"analyzer_{port}.npy"] = getattr(run.interference, port).samples
 
-    report["artifacts"] = ["report.json", *files]
-    files["report.json"] = json.dumps(report, indent=2) + "\n"
-    return report, files
+    return _with_report(report, files)
 
 
 def run_design(scenario: Scenario) -> tuple[dict, dict[str, str]]:
@@ -387,11 +393,10 @@ def run_design(scenario: Scenario) -> tuple[dict, dict[str, str]]:
         "far_field_multiplier": float(spec.far_field_multiplier),
         "entries": entries,
         "footnotes": list(result.footnotes),
-        "artifacts": ["report.json", "design.csv"],
     }
-    files = {"design.csv": _csv(list(entries[0]), [e.values() for e in entries])}
-    files["report.json"] = json.dumps(report, indent=2) + "\n"
-    return report, files
+    return _with_report(
+        report, {"design.csv": _csv(list(entries[0]), [e.values() for e in entries])}
+    )
 
 
 def sweep_values(start: float, stop: float, count: int) -> list[float]:
@@ -464,17 +469,14 @@ def run_sweep(
         rows.append((value, row))
     rows.sort(key=lambda pair: pair[0])
 
-    files = {"sweep.csv": _csv(columns, [row for _, row in rows])}
     report = {
         "subcommand": "sweep",
         "param": param,
         "values": [float(v) for v in sorted(values)],
         "columns": columns,
         "n_points": len(values),
-        "artifacts": ["report.json", "sweep.csv"],
     }
-    files["report.json"] = json.dumps(report, indent=2) + "\n"
-    return report, files
+    return _with_report(report, {"sweep.csv": _csv(columns, [row for _, row in rows])})
 
 
 def write_artifacts(

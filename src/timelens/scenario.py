@@ -7,9 +7,11 @@ the key's unit (``bin_fwhm = 5 ps``, ``largest_gdd = 1000 ps2``,
 ``bandwidth = 1 rad/ps``).  Unknown sections or keys are rejected, and all
 problems are reported together with their line numbers.
 
-``_SCHEMA`` holds every key's type, unit, choices and range check; the spec
+``_SCHEMA`` holds every key's type, unit, choices and range check (the
+topology and configuration choices are their enums' values); the spec
 dataclasses hold every default.  Only rules that involve more than one key
-have code of their own.
+have code of their own, and the degenerate magnifications and the carrier
+order are asked of ``imaging`` and ``elements``, which state them.
 
 A scenario describes a simulation ([input] + [system] with optional [grid],
 [analysis], [output]) and/or a design request ([design]); the subcommand
@@ -18,16 +20,22 @@ picks which part it needs.
 
 from __future__ import annotations
 
+import enum
 import math
 import re
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
 from .design import DEFAULT_FAR_FIELD_MULTIPLIER, DesignConfiguration
-from .elements import DEFAULT_INPUT_CARRIER_NM, DEFAULT_PUMP_CARRIER_NM
-from .errors import ScenarioSemanticError, ScenarioSyntaxError
+from .elements import (
+    DEFAULT_INPUT_CARRIER_NM,
+    DEFAULT_PUMP_CARRIER_NM,
+    ConversionDirection,
+    converted_carrier,
+)
+from .errors import DesignError, ScenarioSemanticError, ScenarioSyntaxError
 from .grid import _is_grid_size
-from .imaging import DEFAULT_MARGIN, DEFAULT_N_SAMPLES, TopologyKind
+from .imaging import DEFAULT_MARGIN, DEFAULT_N_SAMPLES, TopologyKind, _degenerate
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_-]+)\]$")
 _KEY_RE = re.compile(r"^[A-Za-z0-9_]+$")
@@ -59,6 +67,11 @@ class _KeySpec:
     field: str | None = None  # the spec field, when not named like the key
 
 
+def _enum_key(kind: type[enum.Enum]) -> _KeySpec:
+    """An enum key whose choices are ``kind``'s values, in definition order."""
+    return _KeySpec("enum", choices=tuple(m.value for m in kind), convert=kind)
+
+
 _SCHEMA: dict[str, dict[str, _KeySpec]] = {
     "input": {
         "kind": _KeySpec("enum", choices=("gaussian", "time-bin")),
@@ -69,11 +82,7 @@ _SCHEMA: dict[str, dict[str, _KeySpec]] = {
         "relative_phase": _KeySpec("float", unit="rad"),
     },
     "system": {
-        "topology": _KeySpec(
-            "enum",
-            choices=("single-lens", "field-lens", "telescope"),
-            convert=TopologyKind,
-        ),
+        "topology": _enum_key(TopologyKind),
         "magnification": _KeySpec("float"),
         "focal_gdd": _KeySpec("float", unit="ps2", check=_NONZERO),
         "input_gdd": _KeySpec("float", unit="ps2", check=_NONZERO),
@@ -109,11 +118,7 @@ _SCHEMA: dict[str, dict[str, _KeySpec]] = {
         "dir": _KeySpec("string"),
     },
     "design": {
-        "configuration": _KeySpec(
-            "enum",
-            choices=("far-field", "telescope", "field-lens"),
-            convert=DesignConfiguration,
-        ),
+        "configuration": _enum_key(DesignConfiguration),
         "input_fwhm": _KeySpec("float", unit="ps", check=_POSITIVE),
         "bandwidth": _KeySpec("float", unit="rad/ps", check=_POSITIVE),
         "magnification": _KeySpec("float", check=_POSITIVE),
@@ -321,26 +326,20 @@ def _check_input(raw: _Entries, values: dict) -> list[tuple[int, str]]:
 
 
 def _check_system(raw: _Entries, values: dict) -> list[tuple[int, str]]:
-    """Degenerate magnifications, the sizing key, the pump mode and the
-    carrier order.  Consumes ``pump``, which the spec records as
-    ``pump_seed_fwhm`` alone."""
+    """Degenerate magnifications (:func:`timelens.imaging._degenerate`), the
+    sizing key, the pump mode and the carrier order (a down-conversion
+    :func:`timelens.elements.converted_carrier`).  Consumes ``pump``, which
+    the spec records as ``pump_seed_fwhm`` alone."""
     problems: list[tuple[int, str]] = []
 
     def report(key: str, message: str) -> None:
         problems.append((raw[key][0] if key in raw else 0, message))
 
     topology = values.get("topology")
-    magnification = values.get("magnification")
-    if magnification == 0.0:
-        report(
-            "magnification", "magnification 0 is degenerate: no imaging system exists"
-        )
-    elif magnification == 1.0 and topology not in (None, TopologyKind.TELESCOPE):
-        report(
-            "magnification",
-            "magnification 1 is degenerate for a single-lens/field-lens system "
-            "(it forces D1 = 0)",
-        )
+    if "magnification" in values:
+        why = _degenerate(topology, values["magnification"])
+        if why is not None:
+            report("magnification", why)
 
     if topology is not None:
         if topology is TopologyKind.TELESCOPE:
@@ -365,16 +364,16 @@ def _check_system(raw: _Entries, values: dict) -> list[tuple[int, str]]:
     if pump == "pumped" and "pump_seed_fwhm" not in raw:
         report("pump", "pump = pumped requires pump_seed_fwhm")
 
-    # Only valid carriers are compared; an invalid one is reported already.
+    # Only valid carriers are checked; an invalid one is reported already.
     if all(key in values for key in ("input_carrier", "pump_carrier") if key in raw):
-        input_nm = values.get("input_carrier", DEFAULT_INPUT_CARRIER_NM)
-        pump_nm = values.get("pump_carrier", DEFAULT_PUMP_CARRIER_NM)
-        if 1.0 / input_nm <= 1.0 / pump_nm:
-            report(
-                "input_carrier",
-                "down-conversion requires the input carrier frequency to exceed "
-                f"the pump's ({input_nm} nm vs {pump_nm} nm)",
+        try:
+            converted_carrier(
+                values.get("input_carrier", DEFAULT_INPUT_CARRIER_NM),
+                values.get("pump_carrier", DEFAULT_PUMP_CARRIER_NM),
+                ConversionDirection.DOWN,
             )
+        except DesignError as exc:
+            report("input_carrier", str(exc))
     return problems
 
 

@@ -236,7 +236,7 @@ class TestSimulate:
         scenario = parse_scenario(FAST_TIME_BIN)
         _, files = run_simulate(scenario)
         run = timelens.runner._compute(scenario)
-        expected = {"stage_00_input.npy": run.env_in}
+        expected = {"stage_00_input.npy": run.trace.input}
         for index, (label, env) in enumerate(run.trace.steps, start=1):
             expected[f"stage_{index:02d}_{label}.npy"] = env
         expected["analyzer_constructive.npy"] = run.interference.constructive
@@ -329,6 +329,55 @@ class TestWaveformFiles:
         steps = np.diff(t)
         assert np.all(steps > 0)
         assert np.max(np.abs(steps - grid.dt)) < 1e-12
+
+    def test_waveform_csv_text(self):
+        grid = TimeGrid(n_samples=16, dt=0.1)
+        samples = np.empty(16, dtype=np.complex128)
+        samples.real = grid.times
+        samples.imag = np.where(np.arange(16) % 2, -0.0, 0.1)
+        assert waveform_csv(SampledEnvelope(grid, samples)) == (
+            "t_ps,re,im,intensity\n"
+            "-0.8,-0.8,0.1,0.6500000000000001\n"
+            "-0.7000000000000001,-0.7000000000000001,-0.0,0.4900000000000001\n"
+            "-0.6000000000000001,-0.6000000000000001,0.1,0.3700000000000001\n"
+            "-0.5,-0.5,-0.0,0.25\n"
+            "-0.4,-0.4,0.1,0.17000000000000004\n"
+            "-0.30000000000000004,-0.30000000000000004,-0.0,0.09000000000000002\n"
+            "-0.2,-0.2,0.1,0.05000000000000001\n"
+            "-0.1,-0.1,-0.0,0.010000000000000002\n"
+            "0.0,0.0,0.1,0.010000000000000002\n"
+            "0.1,0.1,-0.0,0.010000000000000002\n"
+            "0.2,0.2,0.1,0.05000000000000001\n"
+            "0.30000000000000004,0.30000000000000004,-0.0,0.09000000000000002\n"
+            "0.4,0.4,0.1,0.17000000000000004\n"
+            "0.5,0.5,-0.0,0.25\n"
+            "0.6000000000000001,0.6000000000000001,0.1,0.3700000000000001\n"
+            "0.7000000000000001,0.7000000000000001,-0.0,0.4900000000000001\n"
+        )
+
+
+class TestArtifactList:
+    """``report["artifacts"]`` names every file a command writes, and only
+    those, ``report.json`` first."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "fringe_scan.scn"],
+            ["design", "design_telescope.scn"],
+            ["sweep", "fringe_scan.scn", "--param", "analysis.analyzer_phase",
+             "--range", "0:3:2"],
+        ],
+    )
+    def test_lists_the_files_written(self, tmp_path, args):
+        out = tmp_path / "out"
+        command, scenario, *rest = args
+        path = str(SCENARIO_DIR / scenario)
+        assert main([command, path, *rest, "--out", str(out)]) == EXIT_OK
+        artifacts = json.loads((out / "report.json").read_text())["artifacts"]
+        assert artifacts[0] == "report.json"
+        assert len(set(artifacts)) == len(artifacts)
+        assert set(artifacts) == {p.name for p in out.iterdir()}
 
 
 class TestOutputPrecedence:

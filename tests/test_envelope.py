@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import pickle
 import subprocess
@@ -48,6 +49,7 @@ from timelens import (
     to_time,
     visibility_experiment,
 )
+from timelens.envelope import AnyEnvelope
 
 LN2 = math.log(2.0)
 
@@ -519,6 +521,44 @@ class TestTransformConvention:
         assert np.max(np.abs(samples - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
+class TestEnvelopeTypes:
+    """Both envelope types share one base; each stays its own type."""
+
+    @pytest.mark.parametrize("cls", [SampledEnvelope, SpectralEnvelope])
+    def test_unhashable_like_their_samples(self, small_grid, cls):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(cls(small_grid, np.ones(small_grid.n_samples)))
+
+    def test_types_never_compare_equal(self, small_grid):
+        sampled = SampledEnvelope(small_grid, np.ones(small_grid.n_samples), 710.0)
+        # the same field values, down to the samples array
+        spectral = envelope_module._adopt(
+            SpectralEnvelope, small_grid, sampled.samples, 710.0
+        )
+        assert sampled == sampled and spectral == spectral
+        assert sampled != spectral and spectral != sampled
+        assert isinstance(sampled, AnyEnvelope) and isinstance(spectral, AnyEnvelope)
+
+    @pytest.mark.parametrize("cls", [SampledEnvelope, SpectralEnvelope])
+    def test_pickle_round_trip(self, small_grid, cls):
+        env = cls(small_grid, np.arange(small_grid.n_samples) * (1.0 - 0.5j), 710.0)
+        back = pickle.loads(pickle.dumps(env))
+        assert type(back) is cls
+        assert back.grid == small_grid and back.carrier_wavelength_nm == 710.0
+        assert _bits_equal(back.samples, env.samples)
+        assert not back.samples.flags.writeable
+
+    @pytest.mark.parametrize("cls", [SampledEnvelope, SpectralEnvelope])
+    def test_replace_round_trip(self, small_grid, cls):
+        env = cls(small_grid, np.ones(small_grid.n_samples), 710.0)
+        moved = dataclasses.replace(env, carrier_wavelength_nm=1310.0)
+        assert type(moved) is cls and moved.carrier_wavelength_nm == 1310.0
+        back = dataclasses.replace(moved, carrier_wavelength_nm=710.0)
+        assert type(back) is cls and back.grid == small_grid
+        assert _bits_equal(back.samples, env.samples)
+        assert back.samples is not env.samples and not back.samples.flags.writeable
+
+
 class TestOwnership:
     """Public constructors copy; envelopes the library builds are read-only."""
 
@@ -812,6 +852,16 @@ class TestPeakMemory:
         # waveform on the grid
         operations, waveform = self._operations(2**16)
         assert self._traced_peak(operations[operation]) <= bound * waveform
+
+    def test_overlap_forms_no_full_size_product(self):
+        # the inner product is summed block by block; only energy's
+        # intensity (half a waveform) is full-size
+        pulse = time_bin_pulse(
+            TimeGrid(2**16, 400.0 / 2**16), bin_fwhm=5.0, separation=15.0
+        )
+        other = shifted(pulse, 0.3)
+        peak = self._traced_peak(lambda: overlap(pulse, other))
+        assert peak <= 0.6 * pulse.samples.nbytes
 
     # At 2**18 samples a kernel block's temporaries are a few percent of the
     # output: a second full-size array would take the peak past 2.

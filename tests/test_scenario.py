@@ -8,16 +8,19 @@ from pathlib import Path
 import pytest
 
 from timelens import (
+    ConversionDirection,
+    DesignError,
     GridSpec,
     ScenarioSemanticError,
     ScenarioSyntaxError,
     SystemSpec,
     TimeLens,
     TopologyKind,
+    converted_carrier,
     parse_scenario,
     plan_grid,
 )
-from timelens.imaging import assemble_system
+from timelens.imaging import _stage_values, assemble_system
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -31,6 +34,12 @@ topology = field-lens
 magnification = -20
 focal_gdd = 5 ps2
 """
+
+M_ZERO = "magnification 0 is degenerate: no imaging system exists"
+M_ONE = (
+    "magnification 1 is degenerate for a single-lens/field-lens system "
+    "(it forces D1 = 0)"
+)
 
 TIME_BIN = """\
 [input]
@@ -189,6 +198,47 @@ class TestSemanticDiagnostics:
         with pytest.raises(ScenarioSemanticError):
             parse_scenario(bad)
 
+    @pytest.mark.parametrize(
+        "topology, magnification, message",
+        [
+            ("single-lens", 0, M_ZERO),
+            ("telescope", 0, M_ZERO),
+            ("single-lens", 1, M_ONE),
+            ("field-lens", 1, M_ONE),
+        ],
+    )
+    def test_degenerate_magnification_text_is_the_imaging_layers(
+        self, topology, magnification, message
+    ):
+        sizing = "input_gdd" if topology == "telescope" else "focal_gdd"
+        bad = (
+            MINIMAL.replace("field-lens", topology)
+            .replace("magnification = -20", f"magnification = {magnification}")
+            .replace("focal_gdd", sizing)
+        )
+        with pytest.raises(ScenarioSemanticError) as err:
+            parse_scenario(bad)
+        assert err.value.diagnostics == [(7, message)]
+        with pytest.raises(DesignError) as design:
+            _stage_values(TopologyKind(topology), float(magnification), 5.0)
+        assert str(design.value) == message
+
+    def test_unit_magnification_telescope_and_unknown_topology_pass(self):
+        telescope = (
+            MINIMAL.replace("field-lens", "telescope")
+            .replace("magnification = -20", "magnification = 1")
+            .replace("focal_gdd", "input_gdd")
+        )
+        assert parse_scenario(telescope).system.magnification == 1.0
+        assert len(_stage_values(TopologyKind.TELESCOPE, 1.0, 5.0)) == 5
+        # an invalid topology is reported alone: M = 1 may suit the telescope
+        unknown = MINIMAL.replace("field-lens", "pinhole").replace(
+            "magnification = -20", "magnification = 1"
+        )
+        with pytest.raises(ScenarioSemanticError) as err:
+            parse_scenario(unknown)
+        assert [line for line, _ in err.value.diagnostics] == [6]
+
     def test_exactly_one_sizing_key_required(self):
         doubled = MINIMAL.replace(
             "focal_gdd = 5 ps2", "focal_gdd = 5 ps2\nlargest_gdd = 1000 ps2"
@@ -259,6 +309,29 @@ class TestSemanticDiagnostics:
         with pytest.raises(ScenarioSemanticError) as err:
             parse_scenario(bad)
         assert "carrier" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "lines, line, input_nm, pump_nm",
+        [
+            ("input_carrier = 1600 nm", 9, 1600.0, 1550.0),
+            ("pump_carrier = 700 nm", 0, 710.0, 700.0),
+            ("input_carrier = 1550 nm", 9, 1550.0, 1550.0),
+        ],
+    )
+    def test_carrier_text_is_the_down_conversion_lens(
+        self, lines, line, input_nm, pump_nm
+    ):
+        bad = MINIMAL.replace("focal_gdd = 5 ps2", f"focal_gdd = 5 ps2\n{lines}")
+        message = (
+            "down-conversion requires the input carrier frequency to exceed the "
+            f"pump's ({input_nm} nm vs {pump_nm} nm)"
+        )
+        with pytest.raises(ScenarioSemanticError) as err:
+            parse_scenario(bad)
+        assert err.value.diagnostics == [(line, message)]
+        with pytest.raises(DesignError) as design:
+            converted_carrier(input_nm, pump_nm, ConversionDirection.DOWN)
+        assert str(design.value) == message
 
     def test_empty_text_is_an_error(self):
         with pytest.raises(ScenarioSemanticError):
