@@ -24,168 +24,100 @@ or, from a shell::
     timelens simulate scenario.scn --out results/
 """
 
-from .design import (
-    DesignConfiguration,
-    DesignReport,
-    DesignRequest,
-    requirements,
-)
-from .elements import (
-    ConversionDirection,
-    DispersiveElement,
-    TimeLens,
-    apply_dispersion,
-    apply_time_lens,
-    converted_carrier,
-    pump_phase_curvature,
-    stretched_pump_fwhm,
-    synthesize_pump,
-)
-from .envelope import (
-    SampledEnvelope,
-    SpectralEnvelope,
-    boundary_leakage,
-    energy,
-    fwhm,
-    gaussian_pulse,
-    intensity_overlap,
-    magnified_copy,
-    overlap,
-    phase_fit_quadratic,
-    phase_rms,
-    shifted,
-    time_bin_pulse,
-    to_frequency,
-    to_time,
-)
-from .errors import (
-    CarrierMismatchError,
-    DegenerateInputError,
-    DesignError,
-    InsufficientSupportError,
-    PeakDetectionError,
-    ScenarioError,
-    ScenarioSemanticError,
-    ScenarioSyntaxError,
-    TimeLensError,
-    UndersampledError,
-    WindowOverflowError,
-)
-from .grid import TimeGrid
-from .imaging import (
-    FarFieldCheck,
-    StageTrace,
-    SystemTopology,
-    TopologyKind,
-    check_far_field,
-    field_lens_system,
-    plan_grid,
-    run_system,
-    single_lens_system,
-    telescope_system,
-    transfer_matrix,
-    verify_topology,
-)
-from .interferometry import (
-    InterferenceResult,
-    asymmetry,
-    recombine,
-    visibility_experiment,
-)
-from .runner import (
-    build_input,
-    build_topology,
-    read_waveform_npy,
-    run_design,
-    run_simulate,
-    run_sweep,
-    waveform_csv,
-    waveform_npy,
-    write_artifacts,
-)
-from .scenario import (
-    AnalysisSpec,
-    DesignSpec,
-    GridSpec,
-    InputSpec,
-    Scenario,
-    SystemSpec,
-    parse_scenario,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisSpec",
-    "CarrierMismatchError",
-    "ConversionDirection",
-    "DegenerateInputError",
-    "DesignConfiguration",
-    "DesignError",
-    "DesignReport",
-    "DesignRequest",
-    "DesignSpec",
-    "DispersiveElement",
-    "FarFieldCheck",
-    "GridSpec",
-    "InputSpec",
-    "InsufficientSupportError",
-    "InterferenceResult",
-    "PeakDetectionError",
-    "SampledEnvelope",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioSemanticError",
-    "ScenarioSyntaxError",
-    "SpectralEnvelope",
-    "StageTrace",
-    "SystemSpec",
-    "SystemTopology",
-    "TimeGrid",
-    "TimeLens",
-    "TimeLensError",
-    "TopologyKind",
-    "UndersampledError",
-    "WindowOverflowError",
-    "apply_dispersion",
-    "apply_time_lens",
-    "asymmetry",
-    "boundary_leakage",
-    "build_input",
-    "build_topology",
-    "check_far_field",
-    "converted_carrier",
-    "energy",
-    "field_lens_system",
-    "fwhm",
-    "gaussian_pulse",
-    "intensity_overlap",
-    "magnified_copy",
-    "overlap",
-    "parse_scenario",
-    "phase_fit_quadratic",
-    "phase_rms",
-    "plan_grid",
-    "pump_phase_curvature",
-    "read_waveform_npy",
-    "recombine",
-    "requirements",
-    "run_design",
-    "run_simulate",
-    "run_sweep",
-    "run_system",
-    "shifted",
-    "single_lens_system",
-    "stretched_pump_fwhm",
-    "synthesize_pump",
-    "telescope_system",
-    "time_bin_pulse",
-    "to_frequency",
-    "to_time",
-    "transfer_matrix",
-    "verify_topology",
-    "visibility_experiment",
-    "waveform_csv",
-    "waveform_npy",
-    "write_artifacts",
-]
+#: Each public name and the submodule that defines it.  A name is looked up
+#: in its submodule on every access, so ``import timelens`` loads nothing
+#: until one is used, and a patched module attribute is what the package
+#: returns.
+_EXPORTS = {
+    "AnalysisSpec": "scenario",
+    "CarrierMismatchError": "errors",
+    "ConversionDirection": "elements",
+    "DegenerateInputError": "errors",
+    "DesignConfiguration": "design",
+    "DesignError": "errors",
+    "DesignReport": "design",
+    "DesignRequest": "design",
+    "DesignSpec": "scenario",
+    "DispersiveElement": "elements",
+    "FarFieldCheck": "imaging",
+    "GridSpec": "scenario",
+    "InputSpec": "scenario",
+    "InsufficientSupportError": "errors",
+    "InterferenceResult": "interferometry",
+    "PeakDetectionError": "errors",
+    "SampledEnvelope": "envelope",
+    "Scenario": "scenario",
+    "ScenarioError": "errors",
+    "ScenarioSemanticError": "errors",
+    "ScenarioSyntaxError": "errors",
+    "SpectralEnvelope": "envelope",
+    "StageTrace": "imaging",
+    "SystemSpec": "scenario",
+    "SystemTopology": "imaging",
+    "TimeGrid": "grid",
+    "TimeLens": "elements",
+    "TimeLensError": "errors",
+    "TopologyKind": "imaging",
+    "UndersampledError": "errors",
+    "WindowOverflowError": "errors",
+    "apply_dispersion": "elements",
+    "apply_time_lens": "elements",
+    "asymmetry": "interferometry",
+    "boundary_leakage": "envelope",
+    "build_input": "runner",
+    "build_topology": "runner",
+    "check_far_field": "imaging",
+    "converted_carrier": "elements",
+    "energy": "envelope",
+    "field_lens_system": "imaging",
+    "fwhm": "envelope",
+    "gaussian_pulse": "envelope",
+    "intensity_overlap": "envelope",
+    "magnified_copy": "envelope",
+    "overlap": "envelope",
+    "parse_scenario": "scenario",
+    "phase_fit_quadratic": "envelope",
+    "phase_rms": "envelope",
+    "plan_grid": "imaging",
+    "pump_phase_curvature": "elements",
+    "read_waveform_npy": "runner",
+    "recombine": "interferometry",
+    "requirements": "design",
+    "run_design": "runner",
+    "run_simulate": "runner",
+    "run_sweep": "runner",
+    "run_system": "imaging",
+    "shifted": "envelope",
+    "single_lens_system": "imaging",
+    "stretched_pump_fwhm": "elements",
+    "synthesize_pump": "elements",
+    "telescope_system": "imaging",
+    "time_bin_pulse": "envelope",
+    "to_frequency": "envelope",
+    "to_time": "envelope",
+    "transfer_matrix": "imaging",
+    "verify_topology": "imaging",
+    "visibility_experiment": "interferometry",
+    "waveform_csv": "runner",
+    "waveform_npy": "runner",
+    "write_artifacts": "runner",
+}
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name in _EXPORTS:
+        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

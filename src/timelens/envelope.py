@@ -54,7 +54,7 @@ BOUNDARY_TOLERANCE = 1e-8
 _EXPONENT_FLOOR = -750.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnyEnvelope:
     """Complex samples on a :class:`TimeGrid`, the base of the time-domain
     :class:`SampledEnvelope` and of :class:`SpectralEnvelope`: ``samples``
@@ -72,6 +72,17 @@ class AnyEnvelope:
         # unpickling runs the constructor, so the samples are checked and
         # read-only again
         return type(self), (self.grid, self.samples, self.carrier_wavelength_nm)
+
+    def __eq__(self, other: object) -> bool:
+        # the field-tuple comparison a dataclass generates would ask the
+        # samples array for a truth value; envelopes stay unhashable
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.grid == other.grid
+            and self.carrier_wavelength_nm == other.carrier_wavelength_nm
+            and np.array_equal(self.samples, other.samples)
+        )
 
     def _own(self, samples: np.ndarray) -> None:
         """Check ``samples`` against the grid (time-domain samples must also
@@ -91,7 +102,7 @@ class AnyEnvelope:
         return np.abs(self.samples) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledEnvelope(AnyEnvelope):
     """Complex field envelope sampled on a uniform time grid."""
 
@@ -104,7 +115,7 @@ class SampledEnvelope(AnyEnvelope):
         return SampledEnvelope(self.grid, samples, self.carrier_wavelength_nm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralEnvelope(AnyEnvelope):
     """Complex spectral envelope on the grid-conjugate frequency axis.
 

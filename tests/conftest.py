@@ -7,10 +7,16 @@ run so the verdicts are visible regardless of pytest's capture settings.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import timelens
 from timelens import TimeGrid
 from timelens.grid import _chirp
 
@@ -25,6 +31,20 @@ settings.load_profile("ci")
 
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's timelens."""
+    package_root = str(Path(timelens.__file__).resolve().parents[1])
+    path = [package_root, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def record_acceptance(line: str) -> None:

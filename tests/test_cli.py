@@ -6,14 +6,12 @@ import filecmp
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import fresh_python
 
 import timelens.runner
 from timelens import (
@@ -74,20 +72,6 @@ focal_gdd = 5 ps2
 [grid]
 n_samples = 8192
 """
-
-
-def _fresh_python(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports this checkout's timelens."""
-    package_root = str(Path(timelens.__file__).resolve().parents[1])
-    path = [package_root, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
 
 
 @pytest.fixture(autouse=True)
@@ -216,18 +200,21 @@ class TestSimulate:
             "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "assert not loaded, loaded\n"
         )
-        result = _fresh_python(code)
+        result = fresh_python(code)
         assert result.returncode == 0, result.stderr
 
     def test_import_loads_no_process_pool(self):
-        # Rendering is serial; importing timelens starts no worker machinery.
+        # Rendering is serial; importing the CLI, which loads every module,
+        # starts no worker machinery.
         code = (
-            "import sys, timelens\n"
+            "import sys, timelens.cli\n"
+            "modules = {f'timelens.{m}' for m in timelens._SUBMODULES}\n"
+            "assert modules <= set(sys.modules), modules - set(sys.modules)\n"
             "pool = ('multiprocessing', 'concurrent')\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] in pool)\n"
             "assert not loaded, loaded\n"
         )
-        result = _fresh_python(code)
+        result = fresh_python(code)
         assert result.returncode == 0, result.stderr
 
     def test_npys_equal_waveform_npy_of_their_envelopes(self, tmp_path):

@@ -547,6 +547,25 @@ class TestEnvelopeTypes:
         assert back.grid == small_grid and back.carrier_wavelength_nm == 710.0
         assert _bits_equal(back.samples, env.samples)
         assert not back.samples.flags.writeable
+        assert back == env and not back != env
+
+    @pytest.mark.parametrize("cls", [SampledEnvelope, SpectralEnvelope])
+    def test_equal_by_grid_carrier_and_samples(self, small_grid, cls):
+        samples = np.arange(small_grid.n_samples) * (1.0 - 0.5j)
+        env = cls(small_grid, samples, 710.0)
+        assert env == cls(small_grid, samples.copy(), 710.0)
+        assert env != cls(small_grid, samples + 1.0, 710.0)
+        assert env != cls(small_grid, samples, 1310.0)
+        assert env != cls(small_grid, samples, None)
+        coarse = TimeGrid(small_grid.n_samples, 2.0 * small_grid.dt)
+        assert env != cls(coarse, samples, 710.0)
+        half = TimeGrid(small_grid.n_samples // 2, small_grid.dt)
+        assert env != cls(half, samples[: half.n_samples], 710.0)
+
+    @pytest.mark.parametrize("other", [None, 1.0, "envelope", (1, 2)])
+    def test_comparing_with_other_objects_never_raises(self, small_grid, other):
+        env = SampledEnvelope(small_grid, np.ones(small_grid.n_samples), 710.0)
+        assert env != other and not env == other
 
     @pytest.mark.parametrize("cls", [SampledEnvelope, SpectralEnvelope])
     def test_replace_round_trip(self, small_grid, cls):

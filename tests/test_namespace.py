@@ -1,0 +1,113 @@
+"""The ``timelens`` package namespace: every public name resolves to its
+module's own object on use, and a bare ``import timelens`` loads nothing."""
+
+from __future__ import annotations
+
+import importlib
+import textwrap
+
+import pytest
+from conftest import fresh_python
+
+import timelens
+
+#: The public names, by the module that defines them.
+PUBLIC = {
+    "design": "DesignConfiguration DesignReport DesignRequest requirements",
+    "elements": (
+        "ConversionDirection DispersiveElement TimeLens apply_dispersion "
+        "apply_time_lens converted_carrier pump_phase_curvature "
+        "stretched_pump_fwhm synthesize_pump"
+    ),
+    "envelope": (
+        "SampledEnvelope SpectralEnvelope boundary_leakage energy fwhm "
+        "gaussian_pulse intensity_overlap magnified_copy overlap "
+        "phase_fit_quadratic phase_rms shifted time_bin_pulse to_frequency to_time"
+    ),
+    "errors": (
+        "CarrierMismatchError DegenerateInputError DesignError "
+        "InsufficientSupportError PeakDetectionError ScenarioError "
+        "ScenarioSemanticError ScenarioSyntaxError TimeLensError "
+        "UndersampledError WindowOverflowError"
+    ),
+    "grid": "TimeGrid",
+    "imaging": (
+        "FarFieldCheck StageTrace SystemTopology TopologyKind check_far_field "
+        "field_lens_system plan_grid run_system single_lens_system "
+        "telescope_system transfer_matrix verify_topology"
+    ),
+    "interferometry": "InterferenceResult asymmetry recombine visibility_experiment",
+    "runner": (
+        "build_input build_topology read_waveform_npy run_design run_simulate "
+        "run_sweep waveform_csv waveform_npy write_artifacts"
+    ),
+    "scenario": (
+        "AnalysisSpec DesignSpec GridSpec InputSpec Scenario SystemSpec "
+        "parse_scenario"
+    ),
+}
+NAMES = [(module, name) for module, names in PUBLIC.items() for name in names.split()]
+
+
+def test_all_lists_the_public_names():
+    assert len(NAMES) == 72
+    assert timelens.__all__ == sorted(name for _, name in NAMES)
+
+
+@pytest.mark.parametrize(("module", "name"), NAMES)
+def test_name_is_its_modules_object(module, name):
+    owner = importlib.import_module(f"timelens.{module}")
+    assert getattr(timelens, name) is getattr(owner, name)
+
+
+def test_bare_import_loads_nothing_until_a_name_is_used():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import timelens\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "assert 'timelens' in added, added\n"
+        "loaded = [m for m in added if m.startswith(('numpy', 'timelens.'))]\n"
+        "assert not loaded, loaded\n"
+        f"modules = {sorted(PUBLIC)!r}\n"
+        "assert all(getattr(timelens, m) is sys.modules[f'timelens.{m}'] for m in modules)\n"
+        "assert timelens.envelope.BOUNDARY_TOLERANCE > 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    result = fresh_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_star_import_binds_all_and_dir_lists_it():
+    namespace: dict = {}
+    exec("from timelens import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == timelens.__all__
+    assert set(timelens.__all__) <= set(dir(timelens))
+    assert "__version__" in dir(timelens)
+
+
+def test_patched_module_attribute_is_what_the_package_returns(monkeypatch):
+    original = timelens.run_system
+    monkeypatch.setattr(timelens.imaging, "run_system", lambda *a: None)
+    assert timelens.run_system is timelens.imaging.run_system
+    assert timelens.run_system is not original
+    monkeypatch.undo()
+    assert timelens.run_system is original
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        timelens.no_such_name
+    assert not hasattr(timelens, "cli_main")
+    with pytest.raises(ImportError):
+        exec("from timelens import no_such_name", {})
+
+
+def test_docstring_quick_start_runs():
+    block = timelens.__doc__.split("Quick start::")[1].split("or, from a shell::")[0]
+    namespace: dict = {}
+    exec(textwrap.dedent(block), namespace)
+    image = namespace["image"]
+    assert isinstance(image, timelens.SampledEnvelope)
+    assert image.carrier_wavelength_nm == pytest.approx(710.0)
