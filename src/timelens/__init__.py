@@ -48,7 +48,6 @@ _EXPORTS = {
     "InputSpec": "scenario",
     "InsufficientSupportError": "errors",
     "InterferenceResult": "interferometry",
-    "PeakDetectionError": "errors",
     "SampledEnvelope": "envelope",
     "Scenario": "scenario",
     "ScenarioError": "errors",

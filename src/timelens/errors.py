@@ -34,10 +34,6 @@ class CarrierMismatchError(TimeLensError):
     """Envelope carrier wavelength does not match a lens input carrier."""
 
 
-class PeakDetectionError(TimeLensError):
-    """The expected multi-peak interference structure is absent."""
-
-
 class DesignError(TimeLensError):
     """Invalid or degenerate design parameters (magnification, dispersions,
     element coefficients, design-request fields)."""

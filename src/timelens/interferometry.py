@@ -3,22 +3,21 @@
 A two-bin waveform recombined with a delay matching its bin separation
 produces a three-peak intensity profile whose central peak interferes; the
 visibility of that interference across analyzer phase settings is the
-figure of merit for phase-preserving imaging.
+figure of merit for phase-preserving imaging.  The central window is the
+delay's span starting at the image's intensity centroid, and each port's
+intensity is integrated over it as the linear interpolant of its samples,
+so the visibility is continuous in the window and in the grid step.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .envelope import SampledEnvelope, _adopt, shifted
-from .errors import DegenerateInputError, PeakDetectionError, WindowOverflowError
-
-#: Local maxima below this fraction of the global intensity peak are ignored
-#: when locating the outer peaks of the interference profile.
-PEAK_HEIGHT_FLOOR = 0.01
+from .errors import DegenerateInputError, WindowOverflowError
 
 
 def analyzer_port(
@@ -78,57 +77,43 @@ class InterferenceResult:
     constructive_energy: float
     destructive_energy: float
     metric: str  # "energy" or "peak"
-    outer_peaks: tuple[float, float]  # detected outer peak positions, ps
 
 
-def _outer_peaks(intensity: np.ndarray, peak: float | None = None) -> tuple[int, int]:
-    """Indices of the first and last of at least three local maxima above
-    :data:`PEAK_HEIGHT_FLOOR` of the global peak.
+def _centroid(env: SampledEnvelope) -> float:
+    """Time centroid of |a(t)|^2, summed block by block, ps.
 
-    ``intensity`` may be a run of a longer profile whose global peak is
-    ``peak``, if the run holds every sample at or above the floor and one
-    more on each side where the profile has one: the indices are then the
-    profile's, less the run's start."""
-    if peak is None:
-        peak = float(intensity.max())
-    if peak == 0.0:
-        raise DegenerateInputError("peak detection on a zero-energy envelope")
-    floor = PEAK_HEIGHT_FLOOR * peak
-    # Every counted maximum, with the rise before it and the fall after it,
-    # lies within one sample of the samples at or above the floor, so only
-    # that span is scanned.
-    above = intensity >= floor
-    start = max(int(above.argmax()) - 1, 0)
-    span = intensity[start : len(intensity) + 1 - int(above[::-1].argmax())]
-    # local maxima: a rise, then a fall after any flat run; a flat top counts
-    # once, at its middle index rounded left, and end samples never count
-    steps = np.flatnonzero(np.diff(span))
-    rising = span[steps + 1] > span[steps]
-    tops = np.flatnonzero(rising[:-1] & ~rising[1:])
-    indices = (steps[tops] + 1 + steps[tops + 1]) // 2
-    indices = start + indices[span[indices] >= floor]
-    if len(indices) < 3:
-        raise PeakDetectionError(
-            f"expected a three-peak interference profile, found {len(indices)} "
-            "peak(s); is the input a two-bin waveform recombined at its bin "
-            "separation?"
-        )
-    return int(indices[0]), int(indices[-1])
+    Raises:
+        DegenerateInputError: zero-energy envelope.
+    """
+    grid = env.grid
+    total = moment = 0.0
+    for span in grid._blocks():
+        intensity = np.abs(env.samples[span]) ** 2
+        total += float(intensity.sum())
+        moment += float(intensity @ grid._times(span.start, span.stop))
+    if total == 0.0:
+        raise DegenerateInputError("the centroid of a zero-energy envelope is undefined")
+    return moment / total
 
 
 def _window_energy(
     env: SampledEnvelope, window: tuple[float, float], metric: str
 ) -> float:
-    # times rise with k, so the samples in the closed window are one run
-    time = env.grid._time
-    k = range(env.grid.n_samples)
-    run = slice(bisect_left(k, window[0], key=time), bisect_right(k, window[1], key=time))
-    intensity = np.abs(env.samples[run]) ** 2
-    if metric == "energy":
-        return float(intensity.sum() * env.grid.dt)
+    """Integral (``metric='energy'``) or maximum (``'peak'``) over the closed
+    ``window``, clipped to the grid, of the linear interpolant of |a|^2.
+
+    The nodes are the window's ends and the samples between them, so a
+    window that holds no sample still has its two interpolated end values.
+    """
+    grid = env.grid
+    x0, x1 = np.clip(grid._index(np.asarray(window)), 0, grid.n_samples - 1)
+    k0, k1 = math.floor(x0), math.ceil(x1)
+    nodes = np.concatenate(([x0], np.arange(k0 + 1, k1), [x1]))
+    intensity = np.abs(env.samples[k0 : k1 + 1]) ** 2
+    values = np.interp(nodes, np.arange(k0, k1 + 1), intensity)
     if metric == "peak":
-        return float(intensity.max())
-    raise ValueError(f"metric must be 'energy' or 'peak', got {metric!r}")
+        return float(values.max())
+    return float(np.trapezoid(values, nodes) * grid.dt)
 
 
 def visibility_experiment(
@@ -141,14 +126,17 @@ def visibility_experiment(
 
     Recombines the image with delay = ``bin_separation`` at analyzer phases
     ``relative_phase`` (constructive) and ``relative_phase + pi``
-    (destructive), locates the outer peaks of the three-peak profile on the
-    summed intensity of both settings (the interference terms cancel in the
-    sum, so detection works for any analyzer phase), and integrates the
-    intensity over the central window of width ``bin_separation`` centered
-    midway between the outer peaks.  Visibility is
-    (E_max - E_min)/(E_max + E_min) of the two central-window energies
-    (or peak heights with ``metric='peak'``), so it is insensitive to which
-    setting actually interferes constructively.
+    (destructive), and integrates each port's intensity over the central
+    window (c, c + ``bin_separation``), where c is the centroid of the
+    image's intensity.  The window is thus centered on the centroid of the
+    two ports' summed intensity (the interference terms cancel in the sum),
+    which for a two-bin image is midway between the outer peaks.  Each
+    port's intensity is taken as the linear interpolant of its samples and
+    integrated over the window exactly, the end cells cut at its edges.
+    Visibility is (E_max - E_min)/(E_max + E_min) of the two central-window
+    energies (or, with ``metric='peak'``, of the interpolant's maxima over
+    the window, ends included), so it is insensitive to which setting
+    actually interferes constructively; it is 0 when both vanish.
 
     ``relative_phase`` must be the phase between the image's early and late
     bins as they appear at the output (for a prepared phase psi this is psi
@@ -156,41 +144,24 @@ def visibility_experiment(
     time-reversed; the two coincide for the usual psi = 0).
 
     Raises:
+        ValueError: ``bin_separation`` is not positive, or ``metric`` is
+            neither 'energy' nor 'peak'.
+        DegenerateInputError: the image has zero energy.
         WindowOverflowError: the analyzer delay shifts the image out of the
             window; the message names the delay.
-        PeakDetectionError: the combined two-setting profile has fewer than
-            three local maxima above 1% of its global peak.
     """
     if bin_separation <= 0.0:
         raise ValueError(f"bin_separation must be positive, got {bin_separation!r}")
+    if metric not in ("energy", "peak"):
+        raise ValueError(f"metric must be 'energy' or 'peak', got {metric!r}")
+    start = _centroid(image)
     try:
         delayed = shifted(image, bin_separation)
     except WindowOverflowError as exc:
         raise WindowOverflowError(f"analyzer delay {bin_separation} ps: {exc}") from exc
     constructive = analyzer_port(image, delayed, relative_phase)
     destructive = analyzer_port(image, delayed, relative_phase + np.pi)
-    grid = image.grid
-
-    def summed(span: slice) -> np.ndarray:
-        values = np.abs(constructive.samples[span]) ** 2
-        values += np.abs(destructive.samples[span]) ** 2
-        return values
-
-    # The summed intensity is held only over the blocks that reach the peak
-    # floor, and one sample beyond them on each side.
-    spans = list(grid._blocks())
-    maxima = [float(summed(span).max()) for span in spans]
-    peak = max(maxima)
-    reached = [i for i, top in enumerate(maxima) if top >= PEAK_HEIGHT_FLOOR * peak]
-    lo = max(spans[reached[0]].start - 1, 0)
-    hi = min(spans[reached[-1]].stop + 1, grid.n_samples)
-    combined = np.empty(hi - lo)
-    for span in grid._blocks(lo, hi):
-        combined[span.start - lo : span.stop - lo] = summed(span)
-    lo_peak, hi_peak = (grid._time(lo + k) for k in _outer_peaks(combined, peak))
-    del combined
-    center = 0.5 * (lo_peak + hi_peak)
-    window = (center - 0.5 * bin_separation, center + 0.5 * bin_separation)
+    window = (start, start + bin_separation)
     e_con = _window_energy(constructive, window, metric)
     e_des = _window_energy(destructive, window, metric)
     e_max, e_min = max(e_con, e_des), min(e_con, e_des)
@@ -204,5 +175,4 @@ def visibility_experiment(
         constructive_energy=e_con,
         destructive_energy=e_des,
         metric=metric,
-        outer_peaks=(lo_peak, hi_peak),
     )

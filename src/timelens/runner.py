@@ -331,7 +331,6 @@ def _compute(scenario: Scenario) -> _Run:
             "prepared_phase_rad": float(psi),
             "image_frame_phase_rad": float(image_phase),
             "metric": result.metric,
-            "outer_peaks_ps": [float(x) for x in result.outer_peaks],
             "window_ps": [float(x) for x in result.window],
             "constructive_energy": float(result.constructive_energy),
             "destructive_energy": float(result.destructive_energy),

@@ -435,6 +435,22 @@ class TestExitCodes:
             EXIT_PHYSICS
         )
 
+    @pytest.mark.parametrize("metric", ["energy", "peak"])
+    def test_analyzer_delay_below_the_sample_step_runs(self, tmp_path, metric):
+        # a 0.001 ps window holds no sample of the image
+        text = (SCENARIO_DIR / "visibility_telescope.scn").read_text(encoding="utf-8")
+        short = tmp_path / "short.scn"
+        short.write_text(
+            text.replace("metric = energy",
+                         f"metric = {metric}\nanalyzer_delay = 0.001 ps"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", str(short), "--out", str(out)]) == EXIT_OK
+        interference = json.loads((out / "report.json").read_text())["interference"]
+        assert interference["analyzer_delay_ps"] == 0.001
+        assert 0.0 <= interference["visibility"] <= 1.0
+
     def test_undersampled_grid_names_the_sample_count(self, tmp_path, capsys):
         text = (SCENARIO_DIR / "fringe_scan.scn").read_text(encoding="utf-8")
         coarse = tmp_path / "coarse.scn"

@@ -864,7 +864,7 @@ class TestPeakMemory:
         "operation, bound",
         [("magnified_copy", 2.0), ("pumped_lens", 2.0), ("shifted", 1.75),
          ("dispersion", 1.75), ("gaussian_pulse", 2.0), ("time_bin_pulse", 2.0),
-         ("visibility_experiment", 3.4)],
+         ("visibility_experiment", 3.3)],
     )
     def test_peak_is_bounded_by_the_output(self, operation, bound):
         # every output, and the interference experiment's image, is one

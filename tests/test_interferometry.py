@@ -3,24 +3,28 @@
 from __future__ import annotations
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from timelens import (
     DegenerateInputError,
-    PeakDetectionError,
     SampledEnvelope,
     TimeGrid,
     WindowOverflowError,
     asymmetry,
     gaussian_pulse,
+    parse_scenario,
     recombine,
+    run_simulate,
     shifted,
     time_bin_pulse,
     visibility_experiment,
 )
-from timelens.interferometry import PEAK_HEIGHT_FLOOR, _outer_peaks, _window_energy
+from timelens.interferometry import _window_energy
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -149,30 +153,52 @@ class TestVisibilityExperiment:
         assert matched.visibility > 0.999
         assert quadrature.visibility < 0.05
 
-    def test_window_centered_between_outer_peaks(self, two_bin):
-        result = visibility_experiment(two_bin, bin_separation=15.0)
-        lo, hi = result.window
-        assert hi - lo == pytest.approx(15.0, rel=1e-12)
-        center = 0.5 * (result.outer_peaks[0] + result.outer_peaks[1])
-        assert 0.5 * (lo + hi) == pytest.approx(center, abs=1e-9)
+    def test_window_starts_at_the_image_centroid(self, small_grid):
+        # unequal bins, so the centroid is not midway between them
+        t = small_grid.times
+        amp = np.exp(-2.0 * np.log(2) * ((t + 7.5) / 5.0) ** 2) + 0.6 * np.exp(
+            -2.0 * np.log(2) * ((t - 7.5) / 5.0) ** 2
+        )
+        image = SampledEnvelope(small_grid, amp.astype(complex))
+        intensity = amp**2
+        centroid = float(np.sum(intensity * t) / np.sum(intensity))
+        assert centroid < -1.0
+        lo, hi = visibility_experiment(image, bin_separation=15.0).window
+        assert lo == pytest.approx(centroid, abs=1e-12)
+        assert hi == pytest.approx(centroid + 15.0, abs=1e-12)
 
     def test_peak_metric_variant(self, two_bin):
         result = visibility_experiment(two_bin, bin_separation=15.0, metric="peak")
         assert result.metric == "peak"
         assert result.visibility > 0.999
 
-    def test_single_lobe_input_rejected(self, small_grid):
+    def test_lone_pulse_has_no_visibility(self, small_grid):
+        # a delay of 8 FWHM leaves the pulse and its delayed copy apart
         env = gaussian_pulse(small_grid, fwhm=5.0)
-        with pytest.raises(PeakDetectionError):
-            visibility_experiment(env, bin_separation=40.0)
+        assert visibility_experiment(env, bin_separation=40.0).visibility < 1e-6
+
+    def test_zero_image_rejected(self, small_grid):
+        zero = SampledEnvelope(small_grid, np.zeros(small_grid.n_samples, complex))
+        with pytest.raises(DegenerateInputError):
+            visibility_experiment(zero, bin_separation=15.0)
+
+    @pytest.mark.parametrize("metric", ["energy", "peak"])
+    def test_delay_below_the_sample_step_gives_a_result(self, two_bin, metric):
+        # the central window holds at most one sample
+        delay = 0.3 * two_bin.grid.dt
+        result = visibility_experiment(two_bin, bin_separation=delay, metric=metric)
+        assert 0.0 <= result.visibility <= 1.0
+        assert result.constructive_energy > 0.0
 
     def test_nonpositive_separation_rejected(self, two_bin):
         with pytest.raises(ValueError):
             visibility_experiment(two_bin, bin_separation=0.0)
 
     def test_unknown_metric_rejected(self, two_bin):
-        with pytest.raises(ValueError):
-            visibility_experiment(two_bin, bin_separation=15.0, metric="median")
+        # the 390 ps delay would overflow the window: the metric is checked
+        # before the image is shifted
+        with pytest.raises(ValueError, match="metric"):
+            visibility_experiment(two_bin, bin_separation=390.0, metric="median")
 
     def test_analyzer_delay_overflow_names_the_delay(self, two_bin):
         # the 400 ps window cannot hold the bins delayed by 390 ps
@@ -181,9 +207,10 @@ class TestVisibilityExperiment:
 
     def test_peak_memory_is_bounded_by_the_image(self):
         # The delayed copy and both ports are full-size outputs, each formed
-        # in place; the summed intensity is held only over the blocks that
-        # reach the peak floor, so about 3.3 images' worth is held at once.
-        # One untraced run first, so numpy's FFT plan is not charged.
+        # in place; the centroid reads the image a block at a time, and the
+        # window integrals hold only the window's samples, so about 3.1
+        # images' worth is held at once.  One untraced run first, so numpy's
+        # FFT plan is not charged.
         grid = TimeGrid(2**16, 400.0 / 2**16)
         image = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0)
         visibility_experiment(image, 15.0)
@@ -193,124 +220,111 @@ class TestVisibilityExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.4 * image.samples.nbytes
+        assert peak <= 3.3 * image.samples.nbytes
 
 
-def _full_array_outer_peaks(intensity: np.ndarray) -> np.ndarray:
-    """Every counted maximum, by the formula ``_outer_peaks`` applies only to
-    the span around the samples at or above its floor, here over the whole
-    array."""
-    steps = np.flatnonzero(np.diff(intensity))
-    rising = intensity[steps + 1] > intensity[steps]
-    tops = np.flatnonzero(rising[:-1] & ~rising[1:])
-    indices = (steps[tops] + 1 + steps[tops + 1]) // 2
-    return indices[intensity[indices] >= PEAK_HEIGHT_FLOOR * intensity.max()]
-
-
-class TestOuterPeaks:
-    @staticmethod
-    def _check_against_the_full_array(intensity):
-        ref = _full_array_outer_peaks(intensity)
-        if len(ref) < 3:
-            with pytest.raises(PeakDetectionError):
-                _outer_peaks(intensity)
-        else:
-            assert _outer_peaks(intensity) == (ref[0], ref[-1])
-
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [250, 0, 250, 0, 250, 0, 250, 0, 250],  # above the floor at 0 and n - 1
-            [0, 250, 0, 100, 0, 250, 0],  # peaks next to either end
-            [250, 250, 3, 100, 100, 100, 3, 250, 3, 100, 100, 3, 100, 100],  # plateaus
-            [0, 1, 1, 250, 1, 250, 1, 250, 1, 0, 0],  # peaks next to the span's ends
-            [2, 1, 2, 250, 2, 1, 2, 250, 2, 250, 2, 1, 2],  # maxima below the floor
-            [250, 100, 250, 100, 250],  # one interior maximum
-        ],
-    )
-    def test_matches_the_full_array_formula_at_the_edges(self, values):
-        self._check_against_the_full_array(np.array(values, dtype=float))
-
-    def test_matches_the_full_array_formula_on_random_profiles(self):
-        rng = np.random.default_rng(715)
-        levels = [0.0, 1.0, 2.0, 3.0, 100.0, 250.0]
-        for _ in range(2000):
-            values = rng.choice(levels, size=rng.integers(1, 30))
-            intensity = np.repeat(values, rng.integers(1, 5, size=values.size))
-            if intensity.max() > 0.0:
-                self._check_against_the_full_array(intensity)
-            smooth = rng.random(rng.integers(3, 60)) ** rng.integers(1, 12)
-            self._check_against_the_full_array(smooth)
-
-    def test_matches_find_peaks_on_plateaus(self):
-        from scipy.signal import find_peaks
-
-        rng = np.random.default_rng(20240611)
-        # levels 1 and 2 fall under the 1 % height floor when 250 is present
-        levels = [0.0, 1.0, 2.0, 3.0, 100.0, 250.0]
-        for _ in range(2000):
-            values = rng.choice(levels, size=rng.integers(1, 30))
-            intensity = np.repeat(values, rng.integers(1, 5, size=values.size))
-            if intensity.max() == 0.0:
-                continue
-            ref, _ = find_peaks(intensity, height=PEAK_HEIGHT_FLOOR * intensity.max())
-            if len(ref) < 3:
-                with pytest.raises(PeakDetectionError):
-                    _outer_peaks(intensity)
-            else:
-                assert _outer_peaks(intensity) == (ref[0], ref[-1])
-
-
-    def test_a_run_around_the_floor_gives_the_profile_indices(self):
-        # the run holds the samples at or above the floor and one more on
-        # each side, as visibility_experiment passes it
-        rng = np.random.default_rng(716)
-        for _ in range(2000):
-            intensity = rng.random(rng.integers(3, 60)) ** rng.integers(1, 12)
-            above = np.flatnonzero(intensity >= PEAK_HEIGHT_FLOOR * intensity.max())
-            lo = max(int(above[0]) - 1, 0)
-            hi = min(int(above[-1]) + 2, intensity.size)
-            run = intensity[lo:hi].copy()
-            try:
-                expected = _outer_peaks(intensity)
-            except PeakDetectionError:
-                with pytest.raises(PeakDetectionError):
-                    _outer_peaks(run, float(intensity.max()))
-            else:
-                first, last = _outer_peaks(run, float(intensity.max()))
-                assert (lo + first, lo + last) == expected
-
-    @pytest.mark.parametrize("start", [8191, 8192, 8193])
-    def test_visibility_finds_the_full_array_peaks_at_block_edges(self, start):
-        # a profile whose first sample above the floor lies at or next to a
-        # block boundary: the run must keep the sample before it
-        grid = TimeGrid(n_samples=2**15, dt=0.01)
-        samples = np.zeros(grid.n_samples, dtype=np.complex128)
-        samples[start : start + 9] = [1.0, 0.2, 3.0, 0.2, 1.0, 0.2, 3.0, 0.2, 1.0]
-        image = SampledEnvelope(grid, samples)
-        result = visibility_experiment(image, bin_separation=0.02)
-        combined = (np.abs(result.constructive.samples) ** 2
-                    + np.abs(result.destructive.samples) ** 2)
-        lo, hi = _outer_peaks(combined)
-        assert result.outer_peaks == (grid.times[lo], grid.times[hi])
+def _interpolant_integral(grid, intensity, lo, hi):
+    """Integral over [lo, hi] of the piecewise-linear interpolant of
+    ``intensity`` on the grid's times, cell by cell: each cell's overlap with
+    the window times the interpolant at the overlap's midpoint."""
+    t = grid.times
+    total = 0.0
+    for k in range(grid.n_samples - 1):
+        a, b = max(lo, t[k]), min(hi, t[k + 1])
+        if a < b:
+            slope = (intensity[k + 1] - intensity[k]) / (t[k + 1] - t[k])
+            total += (intensity[k] + slope * (0.5 * (a + b) - t[k])) * (b - a)
+    return total
 
 
 class TestWindowEnergy:
-    # windows laid out on the sample times moved to start at ``start``: from
-    # the first sample time (-51.2 ps) their ends fall on sample times (the
-    # window is closed), from 3.7 ps between them
-    @pytest.mark.parametrize("start", [-51.2, 3.7])
-    def test_matches_the_time_mask(self, start):
+    @pytest.fixture
+    def env(self):
         grid = TimeGrid(n_samples=256, dt=0.4)
         rng = np.random.default_rng(7)
-        env = SampledEnvelope(grid, rng.normal(size=256) + 1j * rng.normal(size=256))
-        t = grid.times + (start - grid.t0)
-        assert start != grid.t0 or np.array_equal(t, grid.times)
-        # ends on the layout's times, between them and beyond
-        for lo, hi in [(t[10], t[50]), (t[10] + 0.1, t[50] - 0.1),
-                       (t[0] - 5.0, t[-1] + 5.0), (t[20] + 0.1, t[20] + 0.2)]:
-            inside = (grid.times >= lo) & (grid.times <= hi)
-            intensity = np.abs(env.samples[inside]) ** 2
-            assert _window_energy(env, (lo, hi), "energy") == intensity.sum() * grid.dt
-            if intensity.size:
-                assert _window_energy(env, (lo, hi), "peak") == intensity.max()
+        return SampledEnvelope(grid, rng.normal(size=256) + 1j * rng.normal(size=256))
+
+    @staticmethod
+    def _windows(t):
+        # ends on samples, between samples, inside one cell, on one cell's
+        # ends, and at the grid's first and last sample
+        return [(t[10], t[50]), (t[10] + 0.1, t[50] - 0.13), (t[20] + 0.1, t[20] + 0.2),
+                (t[20], t[21]), (t[0], t[-1]), (t[0], t[3] + 0.05), (t[-4] - 0.05, t[-1])]
+
+    def test_energy_is_the_exact_interpolant_integral(self, env):
+        grid, intensity = env.grid, env.intensity
+        for lo, hi in self._windows(grid.times):
+            expected = _interpolant_integral(grid, intensity, lo, hi)
+            got = _window_energy(env, (lo, hi), "energy")
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_peak_is_the_interpolant_maximum(self, env):
+        grid, intensity = env.grid, env.intensity
+        t = grid.times
+        for lo, hi in self._windows(t):
+            inside = intensity[(t > lo) & (t < hi)]
+            ends = np.interp([lo, hi], t, intensity)
+            expected = max(inside.max(initial=0.0), ends.max())
+            assert _window_energy(env, (lo, hi), "peak") == pytest.approx(
+                expected, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("metric", ["energy", "peak"])
+    def test_window_without_a_sample(self, metric):
+        # the window (0.01, 0.02) ps lies inside the cell [0, 0.1] ps
+        grid = TimeGrid(n_samples=64, dt=0.1)
+        env = gaussian_pulse(grid, fwhm=1.0)
+        ends = np.interp([0.01, 0.02], grid.times, env.intensity)
+        expected = {"energy": 0.5 * (ends[0] + ends[1]) * 0.01, "peak": ends.max()}
+        got = _window_energy(env, (0.01, 0.02), metric)
+        assert got == pytest.approx(expected[metric], rel=1e-12)
+
+
+def _simulate(name: str, overrides: dict[str, float] | None = None) -> dict:
+    """``report.json`` of a shipped scenario run with the ``section.key``
+    ``overrides``."""
+    text = (SCENARIO_DIR / f"{name}.scn").read_text(encoding="utf-8")
+    return run_simulate(parse_scenario(text, overrides=overrides))[0]
+
+
+class TestVisibilityConvergence:
+    # The window and its integrals are continuous in the grid step, so a
+    # finer grid over the same window moves the visibility by O(dt^2).
+    @pytest.mark.parametrize(
+        "name",
+        ["fringe_scan", "visibility_field_lens", "visibility_telescope",
+         "visibility_single_lens"],
+    )
+    def test_shipped_visibility_holds_under_half_the_step(self, name):
+        coarse = _simulate(name)
+        grid = coarse["grid"]
+        fine = _simulate(
+            name, {"grid.n_samples": 2 * grid["n_samples"], "grid.window": grid["window_ps"]}
+        )
+        move = fine["interference"]["visibility"] - coarse["interference"]["visibility"]
+        assert abs(move) < 1e-7
+
+    @pytest.mark.parametrize(
+        "magnification, bin_fwhm, bin_separation, pump_seed_fwhm, largest_gdd",
+        [(-5.623, 8.277, 12.567, 4.281, 1490.624),
+         (-4.134, 5.553, 11.014, 3.624, 536.041)],
+    )
+    def test_structured_single_lens_image_holds_on_finer_and_wider_grids(
+        self, magnification, bin_fwhm, bin_separation, pump_seed_fwhm, largest_gdd
+    ):
+        # fuzz draws whose structured single-lens images sit on coarse grids
+        case = {
+            "system.magnification": magnification, "input.bin_fwhm": bin_fwhm,
+            "input.bin_separation": bin_separation,
+            "system.pump_seed_fwhm": pump_seed_fwhm,
+            "system.largest_gdd": largest_gdd,
+        }
+        name = "visibility_single_lens"
+        base = _simulate(name, {**case, "grid.n_samples": 2048})
+        window = base["grid"]["window_ps"]
+        reports = [base] + [
+            _simulate(name, {**case, "grid.n_samples": n, "grid.window": w})
+            for n, w in [(4096, window), (8192, window), (8192, 2 * window)]
+        ]
+        values = [report["interference"]["visibility"] for report in reports]
+        assert max(values) - min(values) < 1e-3
