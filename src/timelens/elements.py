@@ -18,6 +18,11 @@ down-conversion or ``i * eta(t) * exp(+i*phi_p)`` for up-conversion, where
 ``eta`` is the pump-shaped conversion amplitude.  A down-conversion lens
 therefore imprints ``+t^2/(2*focal_gdd)`` of quadratic phase and an
 up-conversion lens the opposite sign.
+
+Both stages are chirps of the sample index: :func:`_dispersion_kernel` and
+:func:`_lens_factor` give their coefficients, and
+:func:`timelens.grid._multiply_blocks` evaluates and applies each one block
+by block.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .envelope import (
     _adopt,
     _band_edge_leakage,
     _filter,
-    _multiply_blocks,
     boundary_leakage,
 )
 from .errors import (
@@ -43,7 +47,7 @@ from .errors import (
     UndersampledError,
     WindowOverflowError,
 )
-from .grid import TimeGrid
+from .grid import TimeGrid, _multiply_blocks
 
 #: Default carriers, nm: a 710 nm signal converted by a 1550 nm pump.
 DEFAULT_INPUT_CARRIER_NM = 710.0
@@ -199,7 +203,7 @@ def apply_dispersion(
 
 def _dispersion_kernel(element: DispersiveElement, grid: TimeGrid) -> dict:
     """The element's spectral kernel as the
-    :func:`timelens.envelope._multiply_blocks` kernel of m = w/domega: the
+    :func:`timelens.grid._multiply_blocks` kernel of m = w/domega: the
     chirp (gdd/2)*domega^2*m^2 times, with TOD, the cubic factor."""
     domega = grid.domega
     cubic = None
@@ -267,8 +271,10 @@ def apply_time_lens(env: SampledEnvelope, lens: TimeLens) -> SampledEnvelope:
     """Convert a signal through the lens.
 
     output(t) = i * eta(t) * exp(s*i*phi_p(t)) * input(t), with s = -1 for
-    down-conversion and s = +1 for up-conversion.  For a pumped lens phi_p and
-    the pump magnitude |A_p| come from :func:`synthesize_pump` and
+    down-conversion and s = +1 for up-conversion.  For a pumped lens
+    :func:`_lens_factor` takes phi_p(t) = alpha*t^2 + offset from
+    :func:`pump_phase_curvature` (alpha) and :func:`_pump_offset`, and the
+    pump magnitude |A_p| from :func:`_pump_magnitude`, block by block; then
     eta(t) = sin((pi/2) * |A_p(t)|) — full conversion at the pump peak,
     graceful roll-off in the wings.  For an IDEAL lens
     phi_p(t) = -t^2/(2*focal_gdd) exactly and eta = 1.
@@ -297,7 +303,7 @@ def apply_time_lens(env: SampledEnvelope, lens: TimeLens) -> SampledEnvelope:
 
 def _lens_factor(lens: TimeLens, grid: TimeGrid) -> dict:
     """The lens multiplier i*eta(t)*exp(s*i*phi_p(t)) as the
-    :func:`timelens.envelope._multiply_blocks` kernel of m on ``grid``.
+    :func:`timelens.grid._multiply_blocks` kernel of m on ``grid``.
 
     With phi_p = alpha*t^2 + offset at t = dt*m, m = k - N/2, s*phi_p is the
     chirp a*m^2 + c, even in m; eta is the ``extra`` factor of a pumped lens.

@@ -12,10 +12,11 @@ Conventions:
       sum(|a|^2) dt == sum(|A|^2) dw.  Every grid is centered on t = 0, so
       each is one FFT between sign flips.  ``_filter`` is their one caller:
       every spectral stage (dispersion, time shift) is that pair around one
-      spectrum-first multiply by its chirp kernel (:func:`_multiply_blocks`),
-      block by block in the forward transform's work array, which the
-      inverse then transforms in place.  Large transforms run that same FFT
-      call on a one-worker thread pool (:func:`_transform`).
+      spectrum-first multiply by its chirp kernel, block by block in the
+      forward transform's work array, which the inverse then transforms in
+      place; :func:`timelens.grid._multiply_blocks` is that one kernel loop.
+      Large transforms run that same FFT call on a one-worker thread pool
+      (:func:`_transform`).
     * Envelopes own read-only samples.  The public constructors (and
       ``SampledEnvelope.with_samples``) copy what they are given, so the
       caller's array may change afterwards; arrays the library has just built
@@ -40,7 +41,7 @@ from .errors import (
     UndersampledError,
     WindowOverflowError,
 )
-from .grid import TimeGrid, _chirp
+from .grid import TimeGrid, _multiply_blocks
 
 LN2 = float(np.log(2.0))
 
@@ -227,43 +228,6 @@ def _transform(fft, work: np.ndarray) -> None:
 def _ramp(grid: TimeGrid, tau: float) -> dict:
     """The :func:`_multiply_blocks` kernel exp(-i*w*tau), w = m*domega."""
     return dict(b=-tau * grid.domega, mirror=np.conjugate)
-
-
-def _multiply_blocks(
-    out: np.ndarray,
-    src: np.ndarray,
-    grid: TimeGrid,
-    *,
-    a: float = 0.0,
-    b: float = 0.0,
-    c: float = 0.0,
-    scale: complex = 1.0,
-    extra=None,
-    mirror=None,
-) -> None:
-    """``out = src * kernel``, ``src`` first, one block at a time (``out`` may
-    be ``src``), with the kernel scale*exp(i*(a*m^2 + b*m + c)) of
-    m = k - n//2 from :func:`timelens.grid._chirp`, times ``extra(lo, hi)``
-    for m in [lo, hi) if given.  m*domega is exactly the grid's omegas, and
-    dt*m its times.
-
-    With ``mirror``, only m <= 0 is evaluated: ``mirror`` (``np.copy`` if the
-    kernel is even in m, ``np.conjugate`` if it is conjugate-symmetric) of a
-    block's values, reversed, is the kernel on the mirror block, and
-    contiguous, which keeps the product on numpy's contiguous loop."""
-    n, half = grid.n_samples, grid.n_samples // 2
-    whole = mirror is None
-    stop = n if whole else half + 1
-    kernel = _chirp(a, b, c, -half, stop - half, scale)
-    for span, values in zip(grid._blocks(0, stop), kernel):
-        if extra is not None:
-            values *= extra(span.start - half, span.stop - half)
-        np.multiply(src[span], values, out=out[span])
-        lo, hi = max(span.start, 1), min(span.stop, half)
-        if not whole and lo < hi:
-            twin = mirror(values[lo - span.start : hi - span.start][::-1])
-            other = slice(n - hi + 1, n - lo + 1)
-            np.multiply(src[other], twin, out=out[other])
 
 
 def _check_spectral_edge(grid: TimeGrid, fwhm: float, what: str) -> None:

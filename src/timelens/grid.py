@@ -6,11 +6,11 @@ carrier offset with spacing ``2*pi/(N*dt)`` (rad/ps).  Only :class:`TimeGrid`
 turns a sample index into a time, or a time into a fractional index: a copy
 magnified by M reads sample k at N/2 + (k - N/2)/M.
 
-The per-sample kernels of the propagation path are evaluated in blocks of
-:data:`BLOCK` samples, each written or multiplied into one full-size array.
 Every dispersion, time-shift and lens kernel is a discrete chirp
-exp(i*(a*m^2 + b*m + c)) of the sample index m, which :func:`_chirp`
-evaluates block by block from a few small tables of exactly reduced phases.
+exp(i*(a*m^2 + b*m + c)) of the sample index m.  One function,
+:func:`_multiply_blocks`, evaluates it from a few small tables of exactly
+reduced phases and multiplies it into a waveform, one block of
+:data:`BLOCK` samples at a time, so no full-size kernel is ever formed.
 """
 
 from __future__ import annotations
@@ -124,8 +124,6 @@ _TWO_PI = (
 #: A chirp table covers m0 + j, j = _Q*p + q with p, q < _Q.
 _Q = 64
 _SPAN = _Q * _Q
-#: Chirp tables of this many spans (_Q*_Q entries each) are built at a time.
-_GROUP = 64
 
 
 def _two_sum(x, y):
@@ -177,13 +175,28 @@ def _cis(phase, scale=1.0):
     return values
 
 
-def _chirp(
-    a: float, b: float, c: float, lo: int, hi: int, scale: complex = 1.0
-) -> Iterator[np.ndarray]:
-    """scale*exp(i*(a*m^2 + b*m + c)) for the integers m in [lo, hi), as
-    consecutive arrays of at most :data:`BLOCK` values.  Each is a view of
-    one buffer that the next overwrites: use it (or copy it) before asking
-    for the next.
+def _multiply_blocks(
+    out: np.ndarray,
+    src: np.ndarray,
+    grid: TimeGrid,
+    *,
+    a: float = 0.0,
+    b: float = 0.0,
+    c: float = 0.0,
+    scale: complex = 1.0,
+    extra=None,
+    mirror=None,
+) -> None:
+    """``out = src * kernel``, ``src`` first, one :meth:`TimeGrid._blocks`
+    block at a time (``out`` may be ``src``), with the kernel
+    scale*exp(i*(a*m^2 + b*m + c)) of m = k - n//2, times ``extra(lo, hi)``
+    for m in [lo, hi) if given.  m*domega is exactly the grid's omegas, and
+    dt*m its times.
+
+    With ``mirror``, only m <= 0 is evaluated: ``mirror`` (``np.copy`` if the
+    kernel is even in m, ``np.conjugate`` if it is conjugate-symmetric) of a
+    block's values, reversed, is the kernel on the mirror block, and
+    contiguous, which keeps the product on numpy's contiguous loop.
 
     With m = m0 + j over spans of _SPAN values, the phase is
     phi(m0) + theta*j + a*j^2 with theta = 2*a*m0 + b, and j = _Q*p + q turns
@@ -196,35 +209,41 @@ def _chirp(
     a*j^2 would repeat in every span.  Exact while |m| < 2**26 and each term
     stays below about 4.2e8 rad.
     """
-    size = hi - lo
-    if size <= 0:
-        return
-    rows = -(-min(size, _SPAN) // _Q)  # p < rows, so j < rows*_Q
+    n, half = grid.n_samples, grid.n_samples // 2
+    whole = mirror is None
+    stop = n if whole else half + 1
+    rows = -(-min(stop, _SPAN) // _Q)  # p < rows, so j < rows*_Q
     j = np.arange(rows * _Q, dtype=np.float64)
     table = _cis(_reduce(*_two_prod(a, j * j))) if a != 0.0 else None
-    q = j[:_Q]
-    per_block = BLOCK // _SPAN
-    out = np.empty((per_block, rows, _Q), dtype=np.complex128)
-    for start in range(lo, hi, _GROUP * _SPAN):
-        m0 = np.arange(start, min(start + _GROUP * _SPAN, hi), _SPAN, dtype=np.float64)
-        theta = _add(_two_prod(2.0 * a, m0), (b, 0.0))
-        phi0 = _add(
-            _add(_reduce(*_two_prod(a, m0 * m0)), _reduce(*_two_prod(b, m0))),
-            _reduce(np.float64(c), 0.0),
-        )
-        th, tl = theta[0][:, None], theta[1][:, None]
-        hq, lq = _two_prod(th, q)
-        ramp = _cis(_reduce(hq, lq + tl * q))
-        p = q[:rows]
-        hp, lp = _two_prod(_Q * th, p)
-        phi0 = (phi0[0][:, None], phi0[1][:, None])
-        steps = _cis(_add(phi0, (hp, lp + _Q * tl * p)), scale)
-        for first in range(0, len(m0), per_block):
-            blocks = slice(first, first + per_block)
-            spans = len(m0[blocks])
-            np.multiply(steps[blocks, :, None], ramp[blocks, None, :], out=out[:spans])
-            values = out[:spans].reshape(spans, rows * _Q)
-            if table is not None:
-                values *= table
-            begin = start + first * _SPAN
-            yield values.reshape(-1)[: min(BLOCK, hi - begin)]
+    q, p = j[:_Q], j[:rows]
+    # one step and one ramp row per span, m0 its first m
+    m0 = np.arange(-half, stop - half, _SPAN, dtype=np.float64)
+    theta = _add(_two_prod(2.0 * a, m0), (b, 0.0))
+    phi0 = _add(
+        _add(_reduce(*_two_prod(a, m0 * m0)), _reduce(*_two_prod(b, m0))),
+        _reduce(np.float64(c), 0.0),
+    )
+    th, tl = theta[0][:, None], theta[1][:, None]
+    hq, lq = _two_prod(th, q)
+    ramp = _cis(_reduce(hq, lq + tl * q))
+    hp, lp = _two_prod(_Q * th, p)
+    phi0 = (phi0[0][:, None], phi0[1][:, None])
+    steps = _cis(_add(phi0, (hp, lp + _Q * tl * p)), scale)
+    buffer = np.empty((BLOCK // _SPAN, rows, _Q), dtype=np.complex128)
+    for span in grid._blocks(0, stop):
+        # the table spans this block covers; the last may be partial
+        spans = slice(span.start // _SPAN, -(-span.stop // _SPAN))
+        block = buffer[: spans.stop - spans.start]
+        np.multiply(steps[spans, :, None], ramp[spans, None, :], out=block)
+        values = block.reshape(len(block), -1)
+        if table is not None:
+            values *= table
+        values = values.reshape(-1)[: span.stop - span.start]
+        if extra is not None:
+            values *= extra(span.start - half, span.stop - half)
+        np.multiply(src[span], values, out=out[span])
+        lo, hi = max(span.start, 1), min(span.stop, half)
+        if not whole and lo < hi:
+            twin = mirror(values[lo - span.start : hi - span.start][::-1])
+            other = slice(n - hi + 1, n - lo + 1)
+            np.multiply(src[other], twin, out=out[other])

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, settings
 
 import timelens
 from timelens import TimeGrid
-from timelens.grid import _chirp
+from timelens.grid import _multiply_blocks
 
 settings.register_profile(
     "ci",
@@ -72,21 +72,12 @@ def fine_grid() -> TimeGrid:
     return TimeGrid(2**14, 2000.0 / 2**14)
 
 
-def _full_kernel(
-    grid: TimeGrid, *, a=0.0, b=0.0, c=0.0, scale=1.0, extra=None, mirror=None
-) -> np.ndarray:
-    """A ``timelens.envelope._multiply_blocks`` kernel over the whole axis as
-    one array: the same chirp helper over the same index range, the same
-    ``extra`` factor and, where the kernel is mirrored, the same mirror."""
-    n, half = grid.n_samples, grid.n_samples // 2
-    whole = mirror is None
-    stop = n if whole else half + 1
-    values = np.concatenate([v.copy() for v in _chirp(a, b, c, -half, stop - half, scale)])
-    if extra is not None:
-        values *= extra(-half, stop - half)
-    if whole:
-        return values
-    return np.concatenate([values, mirror(values[1:half][::-1])])
+def _full_kernel(grid: TimeGrid, **kernel) -> np.ndarray:
+    """A ``timelens.grid._multiply_blocks`` kernel over the whole axis as one
+    array: the blocked product of a unit input."""
+    values = np.ones(grid.n_samples, dtype=np.complex128)
+    _multiply_blocks(values, values, grid, **kernel)
+    return values
 
 
 @pytest.fixture

@@ -139,8 +139,8 @@ class TestTransformSideEffects:
 
 
 # The references below take their phase kernels from ``full_kernel``: the
-# library's chirp helper over the whole axis in one array.  TestPlainKernels
-# checks those kernels against the plain per-sample formulas.
+# library's blocked kernel loop on a unit input, the whole axis in one array.
+# TestPlainKernels checks those kernels against the plain per-sample formulas.
 
 
 def _reference_to_frequency(samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -228,11 +228,11 @@ def unguarded(monkeypatch):
 
 # 2**12 and 2**15 samples lie on either side of numpy's 256 KiB threshold for
 # reusing temporaries in place, which can swap the operands of a complex
-# product and so change its rounding.
-@pytest.mark.parametrize("n_samples", [2**12, 2**15])
+# product and so change its rounding; 2**13 is one block.
+@pytest.mark.parametrize("n_samples", [2**12, 2**13, 2**15])
 class TestTransformBitIdentity:
     """The transform path matches the plain closed-form expressions, with
-    their phase kernels built by the same chirp helper, bit for bit."""
+    their phase kernels built by the same blocked kernel loop, bit for bit."""
 
     @staticmethod
     def _random(grid: TimeGrid) -> SampledEnvelope:
@@ -286,16 +286,17 @@ class TestTransformBitIdentity:
 
 
 # The kernels are evaluated on w <= 0, indices 0 .. n/2, in blocks of
-# grid.BLOCK and mirrored: n = 16, the smallest grid, mirrors 7 samples, and
-# at 2**14 the range ends in a one-sample block holding w = 0 alone.
-@pytest.mark.parametrize("n_samples", [2, 4, 16, 2**12, 2**14, 2**15])
+# grid.BLOCK and mirrored: n = 16, the smallest grid, mirrors 7 samples; at
+# 2**13 the one block ends in a one-sample table span holding w = 0 alone,
+# and at 2**14 the range ends in a one-sample block.
+@pytest.mark.parametrize("n_samples", [2, 4, 16, 2**12, 2**13, 2**14, 2**15])
 @pytest.mark.parametrize("centered", [True, False])
 @pytest.mark.usefixtures("unguarded")
 class TestFilterBitIdentity:
     """Every spectral stage matches the full-axis formulas, with kernels built
-    by the same chirp helper, bit for bit on random samples, whose spectra
-    reach every kernel value, centered or moved off center by a time shift,
-    and leaves its input unchanged."""
+    by the same blocked kernel loop, bit for bit on random samples, whose
+    spectra reach every kernel value, centered or moved off center by a time
+    shift, and leaves its input unchanged."""
 
     @staticmethod
     def _random(grid: TimeGrid, centered: bool, full_kernel) -> SampledEnvelope:
