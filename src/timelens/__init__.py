@@ -41,7 +41,6 @@ _EXPORTS = {
     "DesignError": "errors",
     "DesignReport": "design",
     "DesignRequest": "design",
-    "DesignSpec": "scenario",
     "DispersiveElement": "elements",
     "FarFieldCheck": "imaging",
     "GridSpec": "scenario",

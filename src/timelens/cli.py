@@ -12,8 +12,9 @@ Output directory precedence: ``--out`` flag, then the scenario's
 ``./timelens-out``.
 
 Exit codes: 0 success, 2 usage or scenario syntax error (a scenario that
-is not UTF-8 text included), 3 scenario semantic error, 4 physics/domain
-failure, 5 I/O failure, 1 unexpected error.
+is not UTF-8 text included; a leading byte-order mark is skipped), 3
+scenario semantic error, 4 physics/domain failure, 5 I/O failure, 1
+unexpected error.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SYNTAX if exc.code else EXIT_OK
 
     try:
-        text = Path(args.scenario).read_text(encoding="utf-8")
+        text = Path(args.scenario).read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_IO

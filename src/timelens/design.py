@@ -62,12 +62,15 @@ class DesignRequest:
         magnification: magnification magnitude M (> 0; values below 1 mean
             compression).
         configuration: which scheme to size.
+        far_field_multiplier: the far-field rows' "much greater than"
+            factor (>= 1).
     """
 
     input_fwhm: float
     bandwidth: float
     magnification: float
     configuration: DesignConfiguration
+    far_field_multiplier: float = DEFAULT_FAR_FIELD_MULTIPLIER
 
     def __post_init__(self) -> None:
         if not (self.input_fwhm > 0.0 and np.isfinite(self.input_fwhm)):
@@ -77,6 +80,10 @@ class DesignRequest:
         if not (self.magnification > 0.0 and np.isfinite(self.magnification)):
             raise DesignError(
                 f"magnification must be positive, got {self.magnification!r}"
+            )
+        if not (self.far_field_multiplier >= 1.0):
+            raise DesignError(
+                f"far_field_multiplier must be >= 1, got {self.far_field_multiplier!r}"
             )
 
 
@@ -103,7 +110,6 @@ class BoundEntry:
 class DesignReport:
     request: DesignRequest
     entries: tuple[BoundEntry, ...]
-    far_field_multiplier: float
     footnotes: tuple[str, ...]
 
     def entry(self, element: str) -> BoundEntry:
@@ -113,15 +119,8 @@ class DesignReport:
         raise KeyError(element)
 
 
-def requirements(
-    request: DesignRequest,
-    far_field_multiplier: float = DEFAULT_FAR_FIELD_MULTIPLIER,
-) -> DesignReport:
+def requirements(request: DesignRequest) -> DesignReport:
     """Compute the per-element dispersion and bandwidth requirements."""
-    if not (far_field_multiplier >= 1.0):
-        raise DesignError(
-            f"far_field_multiplier must be >= 1, got {far_field_multiplier!r}"
-        )
     t_i = request.input_fwhm
     dnu = request.bandwidth
     m = request.magnification
@@ -136,12 +135,13 @@ def requirements(
             ("Df", np.pi * m * t_i**2 / 8.0, input_bw),
             ("D2", np.pi * m**2 * t_i**2 / 8.0, output_bw),
         )
+        mult = request.far_field_multiplier
         entries = tuple(
-            BoundEntry(name, ">>", bound, far_field_multiplier * bound, bw, ">=")
+            BoundEntry(name, ">>", bound, mult * bound, bw, ">=")
             for name, bound, bw in bounds
         )
         footnotes.append(
-            f'">>" bounds are reported with a x{far_field_multiplier:g} '
+            f'">>" bounds are reported with a x{mult:g} '
             "recommendation; adjust the multiplier to taste"
         )
     else:
@@ -179,10 +179,5 @@ def requirements(
             f"magnification {m:g} < 1: the system compresses; bounds follow "
             "the same formulas"
         )
-    return DesignReport(
-        request=request,
-        entries=entries,
-        far_field_multiplier=far_field_multiplier,
-        footnotes=tuple(footnotes),
-    )
+    return DesignReport(request, entries, tuple(footnotes))
 

@@ -64,13 +64,6 @@ class TopologyKind(enum.Enum):
     TELESCOPE = "telescope"
 
 
-def _imprint_focal(direction: ConversionDirection, chirp: float) -> float:
-    """GDD F such that a lens with this pump chirp multiplies the signal by
-    exp(+i*t^2/(2F)): down-conversion imprints +t^2/(2*chirp), up-conversion
-    the opposite sign."""
-    return chirp if direction is ConversionDirection.DOWN else -chirp
-
-
 def transfer_matrix(stages: Sequence[Element]) -> tuple[float, float, float, float]:
     """Ray-transfer matrix (A, B, C, D) on (t, omega) of a stage chain, first
     stage applied first; TOD is ignored."""
@@ -79,7 +72,8 @@ def transfer_matrix(stages: Sequence[Element]) -> tuple[float, float, float, flo
         if isinstance(stage, DispersiveElement):
             a, b = a - stage.gdd * c, b - stage.gdd * d
         else:
-            power = 1.0 / _imprint_focal(stage.direction, stage.focal_gdd)
+            # the lens multiplies by exp(+i*t^2/(2F)): 1/F = -phase_sign/focal_gdd
+            power = -stage.direction.phase_sign / stage.focal_gdd
             c, d = c + power * a, d + power * b
     return a, b, c, d
 

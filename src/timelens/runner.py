@@ -8,11 +8,10 @@ and its points that differ only in ``analysis.analyzer_phase`` share one
 propagation.  Text artifacts are rendered before anything touches disk.
 Waveforms are not rendered to bytes first: each ``.npy`` file is written
 from its envelope's own sample array, so no waveform is held twice (a
-2**18-sample ``visibility_telescope`` simulate peaks at 70.5 MB RSS, against
-102.6 MB when every waveform was rendered before writing).  Floats in text
-artifacts are written with ``repr``, so every artifact is bit-identical
-across repeated runs of the same scenario on one numpy build and CPU, and
-reads back to the same doubles.
+2**18-sample ``visibility_telescope`` simulate peaks at 70.5 MB RSS).
+Floats in text artifacts are written with ``repr``, so every artifact is
+bit-identical across repeated runs of the same scenario on one numpy build
+and CPU, and reads back to the same doubles.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import DesignRequest, requirements
+from .design import requirements
 from .elements import stretched_pump_fwhm
 from .envelope import (
     LN2,
@@ -126,13 +125,9 @@ def _resolve_analysis(scenario: Scenario) -> tuple[bool, float]:
     """(visibility enabled, analyzer delay in ps; 0 when disabled)."""
     analysis = scenario.analysis
     spec = scenario.input
-    enabled = (
-        analysis.visibility
-        if analysis.visibility is not None
-        else spec.kind == "time-bin"
-    )
-    if spec.kind == "time-bin" and spec.bin_separation == 0.0:
-        enabled = False  # coincident bins leave nothing to interfere
+    enabled = analysis.visibility
+    if enabled is None:  # coincident bins leave nothing to interfere
+        enabled = spec.kind == "time-bin" and spec.bin_separation > 0.0
     if not enabled:
         return False, 0.0
     delay = analysis.analyzer_delay
@@ -374,22 +369,16 @@ def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str | np.ndarray]]
 def run_design(scenario: Scenario) -> tuple[dict, dict[str, str]]:
     if scenario.design is None:
         raise ScenarioSemanticError([(0, "design needs a [design] section")])
-    spec = scenario.design
-    request = DesignRequest(
-        input_fwhm=spec.input_fwhm,
-        bandwidth=spec.bandwidth,
-        magnification=spec.magnification,
-        configuration=spec.configuration,
-    )
-    result = requirements(request, far_field_multiplier=spec.far_field_multiplier)
+    request = scenario.design
+    result = requirements(request)
     entries = [asdict(e) for e in result.entries]
     report: dict = {
         "subcommand": "design",
-        "configuration": spec.configuration.value,
-        "input_fwhm_ps": float(spec.input_fwhm),
-        "bandwidth_rad_per_ps": float(spec.bandwidth),
-        "magnification": float(spec.magnification),
-        "far_field_multiplier": float(spec.far_field_multiplier),
+        "configuration": request.configuration.value,
+        "input_fwhm_ps": float(request.input_fwhm),
+        "bandwidth_rad_per_ps": float(request.bandwidth),
+        "magnification": float(request.magnification),
+        "far_field_multiplier": float(request.far_field_multiplier),
         "entries": entries,
         "footnotes": list(result.footnotes),
     }

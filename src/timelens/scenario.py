@@ -8,10 +8,11 @@ the key's unit (``bin_fwhm = 5 ps``, ``largest_gdd = 1000 ps2``,
 problems are reported together with their line numbers.
 
 ``_SCHEMA`` holds every key's type, unit, choices and range check (the
-topology and configuration choices are their enums' values); the spec
-dataclasses hold every default.  Only rules that involve more than one key
-have code of their own, and the degenerate magnifications and the carrier
-order are asked of ``imaging`` and ``elements``, which state them.
+topology and configuration choices are their enums' values); the dataclass
+each section builds holds its defaults ([design] builds ``DesignRequest``).
+Only rules that involve more than one key have code of their own, and the
+degenerate magnifications and the carrier order are asked of ``imaging``
+and ``elements``, which state them.
 
 A scenario describes a simulation ([input] + [system] with optional [grid],
 [analysis], [output]) and/or a design request ([design]); the subcommand
@@ -26,7 +27,7 @@ import re
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
-from .design import DEFAULT_FAR_FIELD_MULTIPLIER, DesignConfiguration
+from .design import DesignConfiguration, DesignRequest
 from .elements import (
     DEFAULT_INPUT_CARRIER_NM,
     DEFAULT_PUMP_CARRIER_NM,
@@ -174,20 +175,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class AnalysisSpec:
-    visibility: bool | None = None  # None: enabled automatically for time-bin input
+    visibility: bool | None = None  # None: on for time bins that are separated
     analyzer_delay: float | None = None  # default |M| * bin_separation
     analyzer_phase: float | None = None
     metric: str = "energy"
     phase_fit_window: float = 1.0
-
-
-@dataclass(frozen=True)
-class DesignSpec:
-    configuration: DesignConfiguration
-    input_fwhm: float
-    bandwidth: float
-    magnification: float
-    far_field_multiplier: float = DEFAULT_FAR_FIELD_MULTIPLIER
 
 
 @dataclass(frozen=True)
@@ -196,7 +188,7 @@ class Scenario:
     system: SystemSpec | None
     grid: GridSpec
     analysis: AnalysisSpec
-    design: DesignSpec | None
+    design: DesignRequest | None
     output_dir: str | None
 
     @property
@@ -210,7 +202,7 @@ _SPECS = {
     "system": SystemSpec,
     "grid": GridSpec,
     "analysis": AnalysisSpec,
-    "design": DesignSpec,
+    "design": DesignRequest,
 }
 _REQUIRED = {
     name: tuple(f.name for f in fields(cls) if f.default is MISSING)
@@ -434,14 +426,13 @@ def parse_scenario(
         problems += _check_input(raw["input"], values["input"])
     if "system" in values:
         problems += _check_system(raw["system"], values["system"])
-    kind = values.get("input", {}).get("kind")
-    if values.get("analysis", {}).get("visibility") and kind not in (None, "time-bin"):
-        problems.append(
-            (
-                raw["analysis"]["visibility"][0],
-                "visibility analysis requires a time-bin input",
-            )
-        )
+    inputs = values.get("input", {})
+    if values.get("analysis", {}).get("visibility"):
+        line = raw["analysis"]["visibility"][0]
+        if inputs.get("kind") not in (None, "time-bin"):
+            problems.append((line, "visibility analysis requires a time-bin input"))
+        elif inputs.get("bin_separation") == 0.0:
+            problems.append((line, "visibility analysis requires bin_separation > 0"))
 
     has_simulation = "input" in raw or "system" in raw
     if has_simulation:

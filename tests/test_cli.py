@@ -74,6 +74,14 @@ n_samples = 8192
 """
 
 
+def _assert_same_files(out_a, out_b):
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    match, mismatch, errors = filecmp.cmpfiles(out_a, out_b, names, shallow=False)
+    assert mismatch == [] and errors == []
+    assert sorted(match) == names
+
+
 @pytest.fixture(autouse=True)
 def _no_output_env(monkeypatch):
     monkeypatch.delenv(OUTPUT_ENV_VAR, raising=False)
@@ -183,11 +191,7 @@ class TestSimulate:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", str(scenario), "--out", str(out_a)]) == EXIT_OK
         assert main(["simulate", str(scenario), "--out", str(out_b)]) == EXIT_OK
-        names = sorted(p.name for p in out_a.iterdir())
-        assert names == sorted(p.name for p in out_b.iterdir())
-        match, mismatch, errors = filecmp.cmpfiles(out_a, out_b, names, shallow=False)
-        assert mismatch == [] and errors == []
-        assert sorted(match) == names
+        _assert_same_files(out_a, out_b)
 
     def test_runtime_loads_no_scipy(self, tmp_path):
         # scipy is a test-only dependency; a fresh process that imports
@@ -418,6 +422,32 @@ class TestExitCodes:
         assert "scenario is not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("command", "name"),
+        [("simulate", "ideal_magnifier"), ("design", "design_far_field")],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, command, name):
+        plain = SCENARIO_DIR / f"{name}.scn"
+        marked = tmp_path / f"{name}.scn"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        out_a, out_b = tmp_path / "plain", tmp_path / "marked"
+        assert main([command, str(plain), "--out", str(out_a)]) == EXIT_OK
+        assert main([command, str(marked), "--out", str(out_b)]) == EXIT_OK
+        _assert_same_files(out_a, out_b)
+
+    def test_visibility_on_coincident_bins_is_a_semantic_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(
+            FAST_TIME_BIN.replace("bin_separation = 15 ps", "bin_separation = 0 ps")
+            + "\n[analysis]\nvisibility = true\nanalyzer_delay = 100 ps\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", str(bad), "--out", str(out)]) == EXIT_SEMANTIC
+        err = capsys.readouterr().err
+        assert "line 15: visibility analysis requires bin_separation > 0" in err
+        assert not out.exists()
+
     def test_semantic_error(self, tmp_path):
         bad = tmp_path / "bad.scn"
         bad.write_text(
@@ -566,6 +596,17 @@ class TestDesign:
         rows = (out / "design.csv").read_text().splitlines()
         assert rows[0].startswith("element,bound_kind,dispersion_bound_ps2")
         assert len(rows) == 1 + len(report["entries"])
+
+    def test_design_multiplier_below_one_exits_semantic(self, tmp_path, capsys):
+        text = (SCENARIO_DIR / "design_far_field.scn").read_text(encoding="utf-8")
+        bad = tmp_path / "bad.scn"
+        bad.write_text(
+            text.replace("far_field_multiplier = 10", "far_field_multiplier = 0.5"),
+            encoding="utf-8",
+        )
+        code = main(["design", str(bad), "--out", str(tmp_path / "o")])
+        assert code == EXIT_SEMANTIC
+        assert "line 11: far_field_multiplier must be >= 1" in capsys.readouterr().err
 
     def test_design_subcommand_needs_design_section(self, fast_scenario, tmp_path):
         code = main(["design", str(fast_scenario), "--out", str(tmp_path / "o")])
@@ -746,6 +787,11 @@ class TestSweep:
             report, _ = run_simulate(parse_scenario(text, overrides={param: phase}))
             assert energy_at_phase == report["single_port"]["central_energy"]
         assert len(set(central)) == 3
+
+    def test_unset_visibility_is_off_for_coincident_bins(self):
+        text = FAST_TIME_BIN.replace("bin_separation = 15 ps", "bin_separation = 0 ps")
+        report, _ = run_simulate(parse_scenario(text))
+        assert "interference" not in report
 
     @pytest.mark.parametrize("separations", [[15.0, 0.0], [0.0, 15.0]])
     def test_points_that_disagree_on_visibility_stop_the_sweep(self, separations):

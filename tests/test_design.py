@@ -151,15 +151,16 @@ class TestFarFieldBounds:
 
     def test_multiplier_applied_to_recommendations(self):
         report = requirements(
-            DesignRequest(5.0, 1.0, 20.0, DesignConfiguration.FAR_FIELD),
-            far_field_multiplier=10.0,
+            DesignRequest(
+                5.0, 1.0, 20.0, DesignConfiguration.FAR_FIELD, far_field_multiplier=10.0
+            )
         )
         for entry in report.entries:
             assert entry.bound_kind == ">>"
             assert entry.recommended_ps2 == pytest.approx(
                 10.0 * entry.dispersion_bound_ps2, rel=1e-12
             )
-        assert report.far_field_multiplier == 10.0
+        assert report.request.far_field_multiplier == 10.0
 
     def test_far_field_penalty_dwarfs_corrected_bound(self):
         far = requirements(DesignRequest(5.0, 1.0, 20.0, DesignConfiguration.FAR_FIELD))
@@ -170,10 +171,11 @@ class TestFarFieldBounds:
         )
 
     def test_multiplier_below_one_rejected(self):
-        with pytest.raises(DesignError):
-            requirements(
-                DesignRequest(5.0, 1.0, 20.0, DesignConfiguration.FAR_FIELD),
-                far_field_multiplier=0.5,
+        with pytest.raises(
+            DesignError, match=r"^far_field_multiplier must be >= 1, got 0\.5$"
+        ):
+            DesignRequest(
+                5.0, 1.0, 20.0, DesignConfiguration.FAR_FIELD, far_field_multiplier=0.5
             )
 
 

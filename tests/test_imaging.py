@@ -20,6 +20,7 @@ from timelens import (
     TimeLens,
     TopologyKind,
     WindowOverflowError,
+    apply_time_lens,
     check_far_field,
     converted_carrier,
     energy,
@@ -451,6 +452,32 @@ class TestRunSystem:
         for (_, cut), (_, full) in zip(*(trace.steps for trace in traces)):
             peak = np.max(np.abs(full.samples))
             assert np.max(np.abs(cut.samples - full.samples[shared])) <= 1e-13 * peak
+
+
+class TestMatrixMatchesKernels:
+    """transfer_matrix's image phase C/(2A)*t^2 is the curvature that the lens
+    kernels put on a flat-phase input."""
+
+    @staticmethod
+    def _residual(stages):
+        a, _, c, _ = transfer_matrix(stages)
+        return c / (2.0 * a)
+
+    @pytest.mark.parametrize("direction", list(ConversionDirection), ids=lambda d: d.name)
+    def test_lone_lens(self, direction):
+        lens = TimeLens(direction, 5.0)
+        pulse = gaussian_pulse(
+            TimeGrid(2**13, 0.02), 5.0, carrier_wavelength_nm=lens.input_carrier_nm
+        )
+        c2, _ = phase_fit_quadratic(apply_time_lens(pulse, lens))
+        assert c2 == pytest.approx(self._residual([lens]), rel=1e-9)
+
+    @pytest.mark.parametrize("m", [-20.0, 20.0, -7.5])
+    def test_single_lens_image(self, m):
+        system = single_lens_system(m, 5.0)
+        _, trace = _run(system, n_samples=2**15)
+        c2, _ = phase_fit_quadratic(trace.final)
+        assert c2 == pytest.approx(self._residual(system.stages), rel=1e-9)
 
 
 class TestStageErrors:

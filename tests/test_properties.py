@@ -253,7 +253,7 @@ class TestDesignScaling:
     )
     def test_recommendation_never_below_bound(self, config, t_i, dnu, m, mult):
         report = requirements(
-            DesignRequest(t_i, dnu, m, config), far_field_multiplier=mult
+            DesignRequest(t_i, dnu, m, config, far_field_multiplier=mult)
         )
         for entry in report.entries:
             assert entry.recommended_ps2 >= entry.dispersion_bound_ps2 - 1e-12

@@ -9,7 +9,9 @@ import pytest
 
 from timelens import (
     ConversionDirection,
+    DesignConfiguration,
     DesignError,
+    DesignRequest,
     GridSpec,
     ScenarioSemanticError,
     ScenarioSyntaxError,
@@ -286,6 +288,22 @@ class TestSemanticDiagnostics:
         with pytest.raises(ScenarioSemanticError):
             parse_scenario(bad)
 
+    def test_visibility_needs_separated_bins(self):
+        coincident = TIME_BIN.replace("bin_separation = 15 ps", "bin_separation = 0 ps")
+        problem = [(14, "visibility analysis requires bin_separation > 0")]
+        with pytest.raises(ScenarioSemanticError) as err:
+            parse_scenario(coincident)
+        assert err.value.diagnostics == problem
+        with pytest.raises(ScenarioSemanticError) as err:
+            parse_scenario(TIME_BIN, overrides={"input.bin_separation": 0.0})
+        assert err.value.diagnostics == problem
+
+    @pytest.mark.parametrize("setting", ["", "visibility = false\n"])
+    def test_coincident_bins_parse_without_visibility(self, setting):
+        text = TIME_BIN.replace("bin_separation = 15 ps", "bin_separation = 0 ps")
+        scenario = parse_scenario(text.replace("visibility = true\n", setting))
+        assert scenario.analysis.visibility is (False if setting else None)
+
     def test_grid_constraints(self):
         bad_n = MINIMAL + "\n[grid]\nn_samples = 1000\n"
         with pytest.raises(ScenarioSemanticError):
@@ -398,6 +416,12 @@ class TestDesignScenario:
         assert scenario.design.bandwidth == 1.0
         assert scenario.design.magnification == 20.0
         assert scenario.design.far_field_multiplier == 10.0  # default
+
+    def test_design_section_builds_the_request(self):
+        text = (SCENARIO_DIR / "design_far_field.scn").read_text(encoding="utf-8")
+        assert parse_scenario(text).design == DesignRequest(
+            5.0, 1.0, 20.0, DesignConfiguration.FAR_FIELD, far_field_multiplier=10.0
+        )
 
     def test_design_rejects_bad_configuration(self):
         with pytest.raises(ScenarioSemanticError):
