@@ -33,23 +33,17 @@ __version__ = "0.1.0"
 #: until one is used, and a patched module attribute is what the package
 #: returns.
 _EXPORTS = {
-    "AnalysisSpec": "scenario",
     "CarrierMismatchError": "errors",
     "ConversionDirection": "elements",
     "DegenerateInputError": "errors",
     "DesignConfiguration": "design",
     "DesignError": "errors",
-    "DesignReport": "design",
     "DesignRequest": "design",
     "DispersiveElement": "elements",
-    "FarFieldCheck": "imaging",
-    "GridSpec": "scenario",
-    "InputSpec": "scenario",
     "InsufficientSupportError": "errors",
     "InterferenceResult": "interferometry",
     "SampledEnvelope": "envelope",
     "Scenario": "scenario",
-    "ScenarioError": "errors",
     "ScenarioSemanticError": "errors",
     "ScenarioSyntaxError": "errors",
     "SpectralEnvelope": "envelope",
@@ -64,10 +58,7 @@ _EXPORTS = {
     "WindowOverflowError": "errors",
     "apply_dispersion": "elements",
     "apply_time_lens": "elements",
-    "asymmetry": "interferometry",
     "boundary_leakage": "envelope",
-    "build_input": "runner",
-    "build_topology": "runner",
     "check_far_field": "imaging",
     "converted_carrier": "elements",
     "energy": "envelope",
@@ -81,7 +72,6 @@ _EXPORTS = {
     "phase_fit_quadratic": "envelope",
     "phase_rms": "envelope",
     "plan_grid": "imaging",
-    "pump_phase_curvature": "elements",
     "read_waveform_npy": "runner",
     "recombine": "interferometry",
     "requirements": "design",

@@ -20,7 +20,6 @@ unexpected error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -89,17 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_range(text: str) -> tuple[float, float, int]:
+def _parse_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected START:STOP:COUNT, got {text!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError(f"START and STOP must be finite, got {text!r}")
-    count = int(parts[2])
-    if count < 1:
-        raise ValueError(f"COUNT must be >= 1, got {count}")
-    return start, stop, count
+    return sweep_values(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
 def _resolve_out(flag: str | None, scenario_dir: str | None) -> Path:
@@ -186,13 +179,11 @@ def main(argv: list[str] | None = None) -> int:
             report, files = run_design(scenario)
         else:
             try:
-                start, stop, count = _parse_range(args.sweep_range)
+                values = _parse_range(args.sweep_range)
             except ValueError as exc:
                 print(f"error: bad --range: {exc}", file=sys.stderr)
                 return EXIT_SYNTAX
-            report, files = run_sweep(
-                text, args.param, sweep_values(start, stop, count)
-            )
+            report, files = run_sweep(text, args.param, values)
     except ScenarioSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import LN2
-from .errors import DesignError
+from .errors import AT_LEAST_ONE, POSITIVE, DesignError, require
 from .imaging import _LAYOUTS, TopologyKind, _stage_values
 
 #: Default numeric stand-in for "much greater than" in far-field bounds.
@@ -50,6 +50,15 @@ class DesignConfiguration(enum.Enum):
     FAR_FIELD = "far-field"
     TELESCOPE = "telescope"
     FIELD_LENS = "field-lens"
+
+
+#: The rules :class:`DesignRequest` enforces on its numeric fields.
+REQUEST_RULES = {
+    "input_fwhm": POSITIVE,
+    "bandwidth": POSITIVE,
+    "magnification": POSITIVE,
+    "far_field_multiplier": AT_LEAST_ONE,
+}
 
 
 @dataclass(frozen=True)
@@ -73,18 +82,8 @@ class DesignRequest:
     far_field_multiplier: float = DEFAULT_FAR_FIELD_MULTIPLIER
 
     def __post_init__(self) -> None:
-        if not (self.input_fwhm > 0.0 and np.isfinite(self.input_fwhm)):
-            raise DesignError(f"input_fwhm must be positive, got {self.input_fwhm!r}")
-        if not (self.bandwidth > 0.0 and np.isfinite(self.bandwidth)):
-            raise DesignError(f"bandwidth must be positive, got {self.bandwidth!r}")
-        if not (self.magnification > 0.0 and np.isfinite(self.magnification)):
-            raise DesignError(
-                f"magnification must be positive, got {self.magnification!r}"
-            )
-        if not (self.far_field_multiplier >= 1.0):
-            raise DesignError(
-                f"far_field_multiplier must be >= 1, got {self.far_field_multiplier!r}"
-            )
+        values = {name: getattr(self, name) for name in REQUEST_RULES}
+        require(DesignError, REQUEST_RULES, **values)
 
 
 @dataclass(frozen=True)

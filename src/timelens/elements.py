@@ -42,10 +42,15 @@ from .envelope import (
     boundary_leakage,
 )
 from .errors import (
+    FINITE,
+    NONZERO,
+    POSITIVE,
+    UNIT_INTERVAL,
     CarrierMismatchError,
     DesignError,
     UndersampledError,
     WindowOverflowError,
+    require,
 )
 from .grid import TimeGrid, _multiply_blocks
 
@@ -55,6 +60,12 @@ DEFAULT_PUMP_CARRIER_NM = 1550.0
 
 #: Relative tolerance for carrier-wavelength comparisons (metadata labels).
 CARRIER_TOLERANCE = 1e-3
+
+#: The rules that :class:`DispersiveElement`, :class:`TimeLens` (whose seed
+#: may also be None, an ideal lens) and :func:`converted_carrier` enforce.
+ELEMENT_RULES = {"gdd": FINITE, "tod": FINITE, "transmission": UNIT_INTERVAL}
+LENS_RULES = {"focal_gdd": NONZERO, "pump_seed_fwhm": POSITIVE}
+CARRIER_RULES = {"input_carrier_nm": POSITIVE, "pump_carrier_nm": POSITIVE}
 
 
 @dataclass(frozen=True)
@@ -74,12 +85,8 @@ class DispersiveElement:
     label: str = "dispersion"
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.gdd) or not np.isfinite(self.tod):
-            raise DesignError("gdd and tod must be finite")
-        if not (0.0 < self.transmission <= 1.0):
-            raise DesignError(
-                f"transmission must be in (0, 1], got {self.transmission!r}"
-            )
+        values = {name: getattr(self, name) for name in ELEMENT_RULES}
+        require(DesignError, ELEMENT_RULES, **values)
 
 
 class ConversionDirection(enum.Enum):
@@ -102,8 +109,8 @@ def converted_carrier(
     Down-conversion: 1/lambda_out = 1/lambda_in - 1/lambda_pump
     (requires the input carrier frequency to exceed the pump's).
     """
-    if input_carrier_nm <= 0.0 or pump_carrier_nm <= 0.0:
-        raise DesignError("carrier wavelengths must be positive")
+    carriers = dict(input_carrier_nm=input_carrier_nm, pump_carrier_nm=pump_carrier_nm)
+    require(DesignError, CARRIER_RULES, **carriers)
     if direction is ConversionDirection.UP:
         inverse = 1.0 / input_carrier_nm + 1.0 / pump_carrier_nm
     else:
@@ -139,12 +146,9 @@ class TimeLens:
     label: str = "lens"
 
     def __post_init__(self) -> None:
-        if self.focal_gdd == 0.0 or not np.isfinite(self.focal_gdd):
-            raise DesignError(f"focal_gdd must be nonzero, got {self.focal_gdd!r}")
-        if self.pump_seed_fwhm is not None and not (self.pump_seed_fwhm > 0.0):
-            raise DesignError(
-                f"pump_seed_fwhm must be positive or None, got {self.pump_seed_fwhm!r}"
-            )
+        require(DesignError, LENS_RULES, focal_gdd=self.focal_gdd)
+        if not self.is_ideal:
+            require(DesignError, LENS_RULES, pump_seed_fwhm=self.pump_seed_fwhm)
         # validate the carrier combination eagerly
         converted_carrier(self.input_carrier_nm, self.pump_carrier_nm, self.direction)
 

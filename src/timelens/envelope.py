@@ -36,10 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NONNEGATIVE,
+    POSITIVE,
     DegenerateInputError,
     InsufficientSupportError,
     UndersampledError,
     WindowOverflowError,
+    require,
 )
 from .grid import TimeGrid, _multiply_blocks
 
@@ -266,6 +269,10 @@ def _pulse_blocks(
     return grid._blocks(max(start, 0), min(stop, grid.n_samples))
 
 
+#: The rules the pulse constructors enforce on their widths and separation.
+PULSE_RULES = {"fwhm": POSITIVE, "bin_fwhm": POSITIVE, "separation": NONNEGATIVE}
+
+
 def gaussian_pulse(
     grid: TimeGrid,
     fwhm: float,
@@ -281,12 +288,12 @@ def gaussian_pulse(
     formula itself would give -0 there.
 
     Raises:
+        ValueError: ``fwhm`` breaks its rule in :data:`PULSE_RULES`.
         WindowOverflowError: if the 4*fwhm extent around ``center`` does not
             fit the grid window.
         UndersampledError: if dt is too coarse for the spectrum.
     """
-    if not (fwhm > 0.0 and np.isfinite(fwhm)):
-        raise ValueError(f"fwhm must be positive, got {fwhm!r}")
+    require(ValueError, PULSE_RULES, fwhm=fwhm)
     what = f"gaussian pulse (fwhm={fwhm} ps, center={center} ps)"
     samples = np.zeros(grid.n_samples, dtype=np.complex128)
     for span in _pulse_blocks(grid, center, center, fwhm, what):
@@ -312,10 +319,7 @@ def time_bin_pulse(
     bins underflow to zero are not evaluated; they hold exact +0, as the
     formula does.  Raises as :func:`gaussian_pulse` does.
     """
-    if not (bin_fwhm > 0.0 and np.isfinite(bin_fwhm)):
-        raise ValueError(f"bin_fwhm must be positive, got {bin_fwhm!r}")
-    if separation < 0.0:
-        raise ValueError(f"separation must be nonnegative, got {separation!r}")
+    require(ValueError, PULSE_RULES, bin_fwhm=bin_fwhm, separation=separation)
     half = 0.5 * separation
     what = f"time-bin pulse (bin_fwhm={bin_fwhm} ps, separation={separation} ps)"
     samples = np.zeros(grid.n_samples, dtype=np.complex128)
@@ -350,21 +354,22 @@ def fwhm(env: AnyEnvelope) -> float:
     if peak == 0.0:
         raise DegenerateInputError("fwhm of an all-zero envelope is undefined")
     half = 0.5 * peak
-
-    def crossing(direction: int) -> float:
-        i = peak_index
-        while 0 <= i + direction < len(intensity):
-            j = i + direction
-            if intensity[j] < half:
-                # linear interpolation between samples i (>= half) and j (< half)
-                frac = (intensity[i] - half) / (intensity[i] - intensity[j])
-                return axis[i] + frac * (axis[j] - axis[i])
-            i = j
+    # the nearest samples below half on each side; the peak is not below
+    below = intensity < half
+    after = int(np.argmax(below[peak_index:]))
+    before = int(np.argmax(below[peak_index::-1]))
+    if not (after and before):
         raise DegenerateInputError(
             "no half-maximum crossing inside the window; profile too wide"
         )
 
-    return crossing(+1) - crossing(-1)
+    def crossing(i: int, j: int) -> float:
+        # linear interpolation between samples i (>= half) and j (< half)
+        frac = (intensity[i] - half) / (intensity[i] - intensity[j])
+        return axis[i] + frac * (axis[j] - axis[i])
+
+    right, left = peak_index + after, peak_index - before
+    return crossing(right - 1, right) - crossing(left + 1, left)
 
 
 def energy(env: AnyEnvelope) -> float:
@@ -419,6 +424,9 @@ def intensity_overlap(a: AnyEnvelope, b: AnyEnvelope) -> float:
 #: phase fits, keeping the unwrap away from noise-dominated branches.
 PHASE_FIT_INTENSITY_FLOOR = 0.01
 
+#: The rule the phase fits enforce on their window.
+PHASE_FIT_RULES = {"window_fwhm_fraction": POSITIVE}
+
 
 def _phase_fit(
     env: SampledEnvelope, window_fwhm_fraction: float, deg: int
@@ -427,6 +435,7 @@ def _phase_fit(
     the contiguous qualifying samples around the intensity peak (inside the
     fit window and above the intensity floor): its coefficients in the
     abscissa centered on the middle sample, and its RMS residual."""
+    require(ValueError, PHASE_FIT_RULES, window_fwhm_fraction=window_fwhm_fraction)
     intensity = env.intensity
     peak_index = int(np.argmax(intensity))
     peak = intensity[peak_index]
@@ -439,13 +448,12 @@ def _phase_fit(
     floor = PHASE_FIT_INTENSITY_FLOOR * peak
 
     ok = (np.abs(t - center) <= half_window) & (intensity >= floor)
-    # contiguous run containing the peak, so the unwrap never jumps lobes
-    lo = peak_index
-    while lo - 1 >= 0 and ok[lo - 1]:
-        lo -= 1
-    hi = peak_index
-    while hi + 1 < len(ok) and ok[hi + 1]:
-        hi += 1
+    # contiguous run containing the peak, so the unwrap never jumps lobes:
+    # it ends before the nearest gap on each side (the peak qualifies)
+    gap = ~ok
+    before = int(np.argmax(gap[peak_index::-1])) or peak_index + 1
+    after = int(np.argmax(gap[peak_index:])) or len(ok) - peak_index
+    lo, hi = peak_index - before + 1, peak_index + after - 1
     if hi - lo + 1 < 8:
         raise InsufficientSupportError(
             f"only {hi - lo + 1} samples qualify for the phase fit "
@@ -472,6 +480,7 @@ def phase_fit_quadratic(
         radians.
 
     Raises:
+        ValueError: ``window_fwhm_fraction`` is not positive.
         InsufficientSupportError: fewer than 8 samples qualify.
         DegenerateInputError: all-zero envelope.
     """
@@ -633,10 +642,11 @@ def _spline_at(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
     j = whole.astype(np.intp)
     del whole
     j += 32 - lo
+    u2, u3 = u**2, u**3
     # summed in place, term by term, to keep few block-sized arrays alive
     out = (1.0 - u) ** 3 * c[j - 1]
-    out += (4.0 - 6.0 * u**2 + 3.0 * u**3) * c[j]
-    out += (1.0 + 3.0 * (u + u**2 - u**3)) * c[j + 1]
-    out += u**3 * c[j + 2]
+    out += (4.0 - 6.0 * u2 + 3.0 * u3) * c[j]
+    out += (1.0 + 3.0 * (u + u2 - u3)) * c[j + 1]
+    out += u3 * c[j + 2]
     out /= 6.0
     return out

@@ -7,6 +7,37 @@ files from physics-level failures without string matching.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A scalar input rule: ``holds`` admits a value, ``reason`` says why a
+    value fails it.  Each rule is stated once, in the rule table of the
+    constructor that enforces it; the scenario schema reads the same object."""
+
+    holds: Callable[[float], bool]
+    reason: str
+
+
+POSITIVE = Rule(lambda v: 0.0 < v < math.inf, "must be positive")
+NONNEGATIVE = Rule(lambda v: 0.0 <= v < math.inf, "must be nonnegative")
+NONZERO = Rule(lambda v: v != 0.0 and math.isfinite(v), "must be nonzero")
+FINITE = Rule(math.isfinite, "must be finite")
+UNIT_INTERVAL = Rule(lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+AT_LEAST_ONE = Rule(lambda v: 1.0 <= v < math.inf, "must be >= 1")
+
+
+def require(error: type[Exception], rules: Mapping[str, Rule], **values) -> None:
+    """Raise ``error("<name> <reason>, got <value>")`` for the first of the
+    named ``values`` that its rule in ``rules`` refuses."""
+    for name, value in values.items():
+        rule = rules[name]
+        if not rule.holds(value):
+            raise error(f"{name} {rule.reason}, got {value!r}")
+
 
 class TimeLensError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import POSITIVE, Rule, require
+
 #: Samples per block of a per-sample kernel.  A block of complex values is
 #: 128 KiB: it stays in cache, and it is below numpy's 256 KiB threshold for
 #: reusing temporaries in place, so a block never swaps the operands of a
@@ -27,9 +29,14 @@ import numpy as np
 BLOCK = 2**13
 
 
-def _is_grid_size(n: int) -> bool:
-    """Whether ``n`` is a power of two >= 16, the sizes a grid admits."""
-    return n >= 16 and (n & (n - 1)) == 0
+#: The rules :class:`TimeGrid` enforces on its fields.
+GRID_RULES = {
+    "n_samples": Rule(
+        lambda n: isinstance(n, (int, np.integer)) and n >= 16 and n & (n - 1) == 0,
+        "must be a power of two >= 16",
+    ),
+    "dt": POSITIVE,
+}
 
 
 @dataclass(frozen=True)
@@ -51,11 +58,7 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self) -> None:
-        n = self.n_samples
-        if not (isinstance(n, (int, np.integer)) and _is_grid_size(int(n))):
-            raise ValueError(f"n_samples must be a power of two >= 16, got {n!r}")
-        if not (self.dt > 0.0 and np.isfinite(self.dt)):
-            raise ValueError(f"dt must be a positive finite number, got {self.dt!r}")
+        require(ValueError, GRID_RULES, n_samples=self.n_samples, dt=self.dt)
 
     @property
     def t0(self) -> float:

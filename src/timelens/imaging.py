@@ -38,6 +38,7 @@ import numpy as np
 from .elements import (
     DEFAULT_INPUT_CARRIER_NM,
     DEFAULT_PUMP_CARRIER_NM,
+    LENS_RULES,
     ConversionDirection,
     DispersiveElement,
     TimeLens,
@@ -46,7 +47,7 @@ from .elements import (
     stretched_pump_fwhm,
 )
 from .envelope import SampledEnvelope
-from .errors import DesignError, TimeLensError
+from .errors import POSITIVE, DesignError, TimeLensError, require
 from .grid import TimeGrid
 
 #: Relative tolerance for the exact design identities.
@@ -182,14 +183,14 @@ def _stage_values(
     kind: TopologyKind, magnification: float, sizing: float
 ) -> tuple[float, ...]:
     """Each stage's GDD, or pump chirp for a lens, in layout order.  The
-    sizing value is the first lens's pump chirp; sizing 0 and the
-    magnifications :func:`_degenerate` names have no imaging solution."""
+    sizing value is the first lens's pump chirp, so it keeps that lens's
+    ``focal_gdd`` rule; the magnifications :func:`_degenerate` names have no
+    imaging solution."""
     m = magnification
     why = _degenerate(kind, m)
     if why is not None:
         raise DesignError(why)
-    if sizing == 0.0:
-        raise DesignError(f"{kind.value} needs a nonzero sizing value, got {sizing}")
+    require(DesignError, LENS_RULES, focal_gdd=sizing)
     if kind is TopologyKind.TELESCOPE:
         d3 = -m * sizing
         return sizing, sizing, sizing + d3, m * sizing, d3
@@ -316,6 +317,9 @@ DEFAULT_N_SAMPLES = 2**15
 #: Default safety margin between predicted waveform extent and window length.
 DEFAULT_MARGIN = 4.0
 
+#: The rules :func:`plan_grid` enforces on its margin and explicit window.
+PLAN_RULES = {"margin": POSITIVE, "window": POSITIVE}
+
 
 def plan_grid(
     topology: SystemTopology,
@@ -340,8 +344,15 @@ def plan_grid(
         input_bandwidth: angular spectral FWHM of the input in rad/ps.
         analyzer_delay: extra shift applied by interference analysis, ps.
         window: explicit window override in ps (skips the estimate).
+
+    Raises:
+        ValueError: ``margin`` or ``window`` breaks its rule in
+            :data:`PLAN_RULES`.
     """
-    if window is None:
+    require(ValueError, PLAN_RULES, margin=margin)
+    if window is not None:
+        require(ValueError, PLAN_RULES, window=window)
+    else:
         spread = sum(
             abs(e.gdd) * input_bandwidth for e in topology.dispersive_elements()
         )

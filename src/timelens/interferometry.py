@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import SampledEnvelope, _adopt, shifted
-from .errors import DegenerateInputError, WindowOverflowError
+from .errors import POSITIVE, DegenerateInputError, WindowOverflowError, require
 
 
 def analyzer_port(
@@ -116,6 +116,12 @@ def _window_energy(
     return float(np.trapezoid(values, nodes) * grid.dt)
 
 
+#: The rule :func:`visibility_experiment` enforces on its delay, and the
+#: metrics it computes.
+VISIBILITY_RULES = {"bin_separation": POSITIVE}
+METRICS = ("energy", "peak")
+
+
 def visibility_experiment(
     image: SampledEnvelope,
     bin_separation: float,
@@ -145,15 +151,14 @@ def visibility_experiment(
 
     Raises:
         ValueError: ``bin_separation`` is not positive, or ``metric`` is
-            neither 'energy' nor 'peak'.
+            not one of :data:`METRICS`.
         DegenerateInputError: the image has zero energy.
         WindowOverflowError: the analyzer delay shifts the image out of the
             window; the message names the delay.
     """
-    if bin_separation <= 0.0:
-        raise ValueError(f"bin_separation must be positive, got {bin_separation!r}")
-    if metric not in ("energy", "peak"):
-        raise ValueError(f"metric must be 'energy' or 'peak', got {metric!r}")
+    require(ValueError, VISIBILITY_RULES, bin_separation=bin_separation)
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {', '.join(METRICS)}, got {metric!r}")
     start = _centroid(image)
     try:
         delayed = shifted(image, bin_separation)

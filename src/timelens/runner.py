@@ -42,9 +42,12 @@ from .envelope import (
     time_bin_pulse,
 )
 from .errors import (
+    AT_LEAST_ONE,
+    FINITE,
     DegenerateInputError,
     InsufficientSupportError,
     ScenarioSemanticError,
+    require,
 )
 from .grid import TimeGrid
 from .imaging import (
@@ -387,10 +390,14 @@ def run_design(scenario: Scenario) -> tuple[dict, dict[str, str]]:
     )
 
 
+#: The rules :func:`sweep_values` enforces on its range.
+SWEEP_RULES = {"start": FINITE, "stop": FINITE, "count": AT_LEAST_ONE}
+
+
 def sweep_values(start: float, stop: float, count: int) -> list[float]:
-    """Inclusive, evenly spaced sweep grid."""
-    if count < 1:
-        raise ValueError(f"sweep needs at least one point, got {count}")
+    """Inclusive, evenly spaced sweep grid; raises ValueError naming a
+    value that breaks its rule in :data:`SWEEP_RULES`."""
+    require(ValueError, SWEEP_RULES, start=start, stop=stop, count=count)
     return [float(v) for v in np.linspace(start, stop, count)]
 
 

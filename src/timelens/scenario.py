@@ -8,7 +8,9 @@ the key's unit (``bin_fwhm = 5 ps``, ``largest_gdd = 1000 ps2``,
 problems are reported together with their line numbers.
 
 ``_SCHEMA`` holds every key's type, unit, choices and range check (the
-topology and configuration choices are their enums' values); the dataclass
+topology, configuration and metric choices are the library's own, and each
+range check is the :class:`timelens.errors.Rule` that the library call
+taking the value enforces, from that call's rule table); the dataclass
 each section builds holds its defaults ([design] builds ``DesignRequest``).
 Only rules that involve more than one key have code of their own, and the
 degenerate magnifications and the carrier order are asked of ``imaging``
@@ -27,16 +29,27 @@ import re
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
-from .design import DesignConfiguration, DesignRequest
+from .design import REQUEST_RULES, DesignConfiguration, DesignRequest
 from .elements import (
+    CARRIER_RULES,
     DEFAULT_INPUT_CARRIER_NM,
     DEFAULT_PUMP_CARRIER_NM,
+    ELEMENT_RULES,
+    LENS_RULES,
     ConversionDirection,
     converted_carrier,
 )
-from .errors import DesignError, ScenarioSemanticError, ScenarioSyntaxError
-from .grid import _is_grid_size
-from .imaging import DEFAULT_MARGIN, DEFAULT_N_SAMPLES, TopologyKind, _degenerate
+from .envelope import PHASE_FIT_RULES, PULSE_RULES
+from .errors import DesignError, Rule, ScenarioSemanticError, ScenarioSyntaxError
+from .grid import GRID_RULES
+from .imaging import (
+    DEFAULT_MARGIN,
+    DEFAULT_N_SAMPLES,
+    PLAN_RULES,
+    TopologyKind,
+    _degenerate,
+)
+from .interferometry import METRICS, VISIBILITY_RULES
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_-]+)\]$")
 _KEY_RE = re.compile(r"^[A-Za-z0-9_]+$")
@@ -50,20 +63,13 @@ _UNIT_ALIASES: dict[str, set[str]] = {
     "nm": {"nm"},
 }
 
-#: A range check: a predicate on the number and why a value fails it.
-_Check = tuple[Callable[[float], bool], str]
-
-_POSITIVE: _Check = (lambda v: v > 0.0, "must be positive")
-_NONNEGATIVE: _Check = (lambda v: v >= 0.0, "must be nonnegative")
-_NONZERO: _Check = (lambda v: v != 0.0, "must be nonzero")
-
 
 @dataclass(frozen=True)
 class _KeySpec:
     kind: str  # "float" | "int" | "bool" | "enum" | "string"
     unit: str | None = None
     choices: tuple[str, ...] = ()
-    check: _Check | None = None
+    check: Rule | None = None
     convert: Callable[[str], object] = str  # an enum choice to its value
     field: str | None = None  # the spec field, when not named like the key
 
@@ -76,55 +82,67 @@ def _enum_key(kind: type[enum.Enum]) -> _KeySpec:
 _SCHEMA: dict[str, dict[str, _KeySpec]] = {
     "input": {
         "kind": _KeySpec("enum", choices=("gaussian", "time-bin")),
-        "fwhm": _KeySpec("float", unit="ps", check=_POSITIVE),
+        "fwhm": _KeySpec("float", unit="ps", check=PULSE_RULES["fwhm"]),
         "center": _KeySpec("float", unit="ps"),
-        "bin_fwhm": _KeySpec("float", unit="ps", check=_POSITIVE),
-        "bin_separation": _KeySpec("float", unit="ps", check=_NONNEGATIVE),
+        "bin_fwhm": _KeySpec("float", unit="ps", check=PULSE_RULES["bin_fwhm"]),
+        "bin_separation": _KeySpec(
+            "float", unit="ps", check=PULSE_RULES["separation"]
+        ),
         "relative_phase": _KeySpec("float", unit="rad"),
     },
     "system": {
         "topology": _enum_key(TopologyKind),
         "magnification": _KeySpec("float"),
-        "focal_gdd": _KeySpec("float", unit="ps2", check=_NONZERO),
-        "input_gdd": _KeySpec("float", unit="ps2", check=_NONZERO),
-        "largest_gdd": _KeySpec("float", unit="ps2", check=_NONZERO),
+        "focal_gdd": _KeySpec("float", unit="ps2", check=LENS_RULES["focal_gdd"]),
+        "input_gdd": _KeySpec("float", unit="ps2", check=LENS_RULES["focal_gdd"]),
+        "largest_gdd": _KeySpec("float", unit="ps2", check=LENS_RULES["focal_gdd"]),
         "pump": _KeySpec("enum", choices=("ideal", "pumped")),
-        "pump_seed_fwhm": _KeySpec("float", unit="ps", check=_POSITIVE),
-        "tod_ratio": _KeySpec("float", unit="ps"),
-        "transmission": _KeySpec(
-            "float", check=(lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+        "pump_seed_fwhm": _KeySpec(
+            "float", unit="ps", check=LENS_RULES["pump_seed_fwhm"]
         ),
+        "tod_ratio": _KeySpec("float", unit="ps"),
+        "transmission": _KeySpec("float", check=ELEMENT_RULES["transmission"]),
         "input_carrier": _KeySpec(
-            "float", unit="nm", check=_POSITIVE, field="input_carrier_nm"
+            "float",
+            unit="nm",
+            check=CARRIER_RULES["input_carrier_nm"],
+            field="input_carrier_nm",
         ),
         "pump_carrier": _KeySpec(
-            "float", unit="nm", check=_POSITIVE, field="pump_carrier_nm"
+            "float",
+            unit="nm",
+            check=CARRIER_RULES["pump_carrier_nm"],
+            field="pump_carrier_nm",
         ),
     },
     "grid": {
-        "n_samples": _KeySpec(
-            "int", check=(_is_grid_size, "must be a power of two >= 16")
-        ),
-        "margin": _KeySpec("float", check=_POSITIVE),
-        "window": _KeySpec("float", unit="ps", check=_POSITIVE),
+        "n_samples": _KeySpec("int", check=GRID_RULES["n_samples"]),
+        "margin": _KeySpec("float", check=PLAN_RULES["margin"]),
+        "window": _KeySpec("float", unit="ps", check=PLAN_RULES["window"]),
     },
     "analysis": {
         "visibility": _KeySpec("bool"),
-        "analyzer_delay": _KeySpec("float", unit="ps", check=_POSITIVE),
+        "analyzer_delay": _KeySpec(
+            "float", unit="ps", check=VISIBILITY_RULES["bin_separation"]
+        ),
         "analyzer_phase": _KeySpec("float", unit="rad"),
-        "metric": _KeySpec("enum", choices=("energy", "peak")),
-        "phase_fit_window": _KeySpec("float", check=_POSITIVE),
+        "metric": _KeySpec("enum", choices=METRICS),
+        "phase_fit_window": _KeySpec(
+            "float", check=PHASE_FIT_RULES["window_fwhm_fraction"]
+        ),
     },
     "output": {
         "dir": _KeySpec("string"),
     },
     "design": {
         "configuration": _enum_key(DesignConfiguration),
-        "input_fwhm": _KeySpec("float", unit="ps", check=_POSITIVE),
-        "bandwidth": _KeySpec("float", unit="rad/ps", check=_POSITIVE),
-        "magnification": _KeySpec("float", check=_POSITIVE),
+        "input_fwhm": _KeySpec("float", unit="ps", check=REQUEST_RULES["input_fwhm"]),
+        "bandwidth": _KeySpec(
+            "float", unit="rad/ps", check=REQUEST_RULES["bandwidth"]
+        ),
+        "magnification": _KeySpec("float", check=REQUEST_RULES["magnification"]),
         "far_field_multiplier": _KeySpec(
-            "float", check=(lambda v: v >= 1.0, "must be >= 1")
+            "float", check=REQUEST_RULES["far_field_multiplier"]
         ),
     },
 }
@@ -284,8 +302,8 @@ def _coerce(key: str, spec: _KeySpec, text: str) -> object:
         if value != int(value):
             raise ValueError(f"{key}: expected an integer, got {number!r}")
         value = int(value)
-    if spec.check is not None and not spec.check[0](value):
-        raise ValueError(f"{key} {spec.check[1]}")
+    if spec.check is not None and not spec.check.holds(value):
+        raise ValueError(f"{key} {spec.check.reason}")
     return value
 
 

@@ -23,7 +23,6 @@ from timelens import (
     DesignRequest,
     DispersiveElement,
     apply_dispersion,
-    asymmetry,
     converted_carrier,
     energy,
     field_lens_system,
@@ -46,6 +45,7 @@ from timelens import (
     visibility_experiment,
 )
 from timelens.cli import EXIT_OK, main
+from timelens.interferometry import asymmetry
 
 from test_cli import SCENARIO_DIR
 

@@ -25,11 +25,11 @@ from timelens import (
     gaussian_pulse,
     phase_fit_quadratic,
     phase_rms,
-    pump_phase_curvature,
     stretched_pump_fwhm,
     synthesize_pump,
     to_frequency,
 )
+from timelens.elements import pump_phase_curvature
 from timelens.grid import _multiply_blocks
 
 LN2 = math.log(2.0)
@@ -96,7 +96,7 @@ class TestDispersiveElement:
             apply_dispersion(env, DispersiveElement(gdd=200.0, label="input_gdd"))
 
     def test_third_order_term_skews_an_even_pulse(self, small_grid):
-        from timelens import asymmetry
+        from timelens.interferometry import asymmetry
 
         env = gaussian_pulse(small_grid, fwhm=5.0)
         silent = apply_dispersion(env, DispersiveElement(gdd=6.0))

@@ -13,7 +13,6 @@ from timelens import (
     SampledEnvelope,
     TimeGrid,
     WindowOverflowError,
-    asymmetry,
     gaussian_pulse,
     parse_scenario,
     recombine,
@@ -22,7 +21,7 @@ from timelens import (
     time_bin_pulse,
     visibility_experiment,
 )
-from timelens.interferometry import _window_energy
+from timelens.interferometry import _window_energy, asymmetry
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

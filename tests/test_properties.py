@@ -19,7 +19,6 @@ from timelens import (
     TopologyKind,
     apply_dispersion,
     apply_time_lens,
-    asymmetry,
     energy,
     field_lens_system,
     fwhm,
@@ -39,6 +38,7 @@ from timelens import (
     visibility_experiment,
 )
 from timelens.imaging import assemble_system
+from timelens.interferometry import asymmetry
 from timelens.runner import sizing_divisor
 
 GRID = TimeGrid(2**11, 400.0 / 2**11)

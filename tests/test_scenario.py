@@ -12,7 +12,6 @@ from timelens import (
     DesignConfiguration,
     DesignError,
     DesignRequest,
-    GridSpec,
     ScenarioSemanticError,
     ScenarioSyntaxError,
     SystemSpec,
@@ -23,6 +22,7 @@ from timelens import (
     plan_grid,
 )
 from timelens.imaging import _stage_values, assemble_system
+from timelens.scenario import GridSpec
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
