@@ -72,6 +72,7 @@ _EXPORTS = {
     "phase_fit_quadratic": "envelope",
     "phase_rms": "envelope",
     "plan_grid": "imaging",
+    "propagate_stages": "imaging",
     "read_waveform_npy": "runner",
     "recombine": "interferometry",
     "requirements": "design",

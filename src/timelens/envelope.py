@@ -535,21 +535,32 @@ def _filter(env: SampledEnvelope, **kernel) -> SampledEnvelope:
     return to_time(spec)
 
 
+def _ends(env: AnyEnvelope, hit) -> tuple[int, int] | None:
+    """Indices of the first and last samples where ``hit``, applied to a
+    block of samples, is true, sought in blocks from each end; None if it is
+    true nowhere."""
+
+    def scan(spans):
+        for span in spans:
+            hits = np.flatnonzero(hit(env.samples[span]))
+            if hits.size:
+                return span.start + hits
+        return None
+
+    spans = list(env.grid._blocks())
+    head = scan(spans)
+    if head is None:
+        return None
+    return int(head[0]), int(scan(reversed(spans))[-1])
+
+
 def _support(env: SampledEnvelope) -> np.ndarray | None:
     """Times of the first and last samples above :data:`BOUNDARY_TOLERANCE`
-    of the peak magnitude, sought in blocks from each end; None if all zero."""
+    of the peak magnitude; None if all zero."""
     peak = _peak_magnitude(env)
     if peak == 0.0:
         return None
-
-    def significant(spans):
-        for span in spans:
-            hits = np.flatnonzero(np.abs(env.samples[span]) > BOUNDARY_TOLERANCE * peak)
-            if hits.size:
-                return span.start + hits
-
-    spans = list(env.grid._blocks())
-    ends = [significant(spans)[0], significant(reversed(spans))[-1]]
+    ends = _ends(env, lambda block: np.abs(block) > BOUNDARY_TOLERANCE * peak)
     return np.array([env.grid._time(k) for k in ends])
 
 
@@ -608,10 +619,7 @@ def magnified_copy(env: SampledEnvelope, magnification: float) -> SampledEnvelop
     scale = np.sqrt(abs(magnification))
     values = np.zeros(n, dtype=np.complex128)
     # first and last nonzero input samples (an all-zero input skips nothing)
-    nonzero = env.samples != 0.0
-    first = int(np.argmax(nonzero))
-    last = n - 1 - int(np.argmax(nonzero[::-1]))
-    del nonzero
+    first, last = _ends(env, lambda block: block != 0.0) or (0, n - 1)
     for span in grid._blocks():
         x = grid._index(grid._times(span.start, span.stop) / magnification)
         # the stencil at x reads samples floor(x) - 33 .. floor(x) + 34

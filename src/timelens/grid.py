@@ -128,6 +128,11 @@ _TWO_PI = (
 _Q = 64
 _SPAN = _Q * _Q
 
+#: Samples whose spans' step and ramp rows are built at once: a multiple of
+#: :data:`BLOCK` and of :data:`_SPAN`, so each row group covers whole blocks
+#: and keeps its temporaries to a few tens of KiB whatever the grid size.
+_ROWS = 2**17
+
 
 def _two_sum(x, y):
     """(s, e) with s = fl(x + y) and x + y = s + e exactly (Knuth)."""
@@ -219,34 +224,34 @@ def _multiply_blocks(
     j = np.arange(rows * _Q, dtype=np.float64)
     table = _cis(_reduce(*_two_prod(a, j * j))) if a != 0.0 else None
     q, p = j[:_Q], j[:rows]
-    # one step and one ramp row per span, m0 its first m
-    m0 = np.arange(-half, stop - half, _SPAN, dtype=np.float64)
-    theta = _add(_two_prod(2.0 * a, m0), (b, 0.0))
-    phi0 = _add(
-        _add(_reduce(*_two_prod(a, m0 * m0)), _reduce(*_two_prod(b, m0))),
-        _reduce(np.float64(c), 0.0),
-    )
-    th, tl = theta[0][:, None], theta[1][:, None]
-    hq, lq = _two_prod(th, q)
-    ramp = _cis(_reduce(hq, lq + tl * q))
-    hp, lp = _two_prod(_Q * th, p)
-    phi0 = (phi0[0][:, None], phi0[1][:, None])
-    steps = _cis(_add(phi0, (hp, lp + _Q * tl * p)), scale)
+    c = _reduce(np.float64(c), 0.0)
     buffer = np.empty((BLOCK // _SPAN, rows, _Q), dtype=np.complex128)
-    for span in grid._blocks(0, stop):
-        # the table spans this block covers; the last may be partial
-        spans = slice(span.start // _SPAN, -(-span.stop // _SPAN))
-        block = buffer[: spans.stop - spans.start]
-        np.multiply(steps[spans, :, None], ramp[spans, None, :], out=block)
-        values = block.reshape(len(block), -1)
-        if table is not None:
-            values *= table
-        values = values.reshape(-1)[: span.stop - span.start]
-        if extra is not None:
-            values *= extra(span.start - half, span.stop - half)
-        np.multiply(src[span], values, out=out[span])
-        lo, hi = max(span.start, 1), min(span.stop, half)
-        if not whole and lo < hi:
-            twin = mirror(values[lo - span.start : hi - span.start][::-1])
-            other = slice(n - hi + 1, n - lo + 1)
-            np.multiply(src[other], twin, out=out[other])
+    for first in range(0, stop, _ROWS):
+        # one step and one ramp row per table span of the group, m0 its first m
+        last = min(first + _ROWS, stop)
+        m0 = np.arange(first - half, last - half, _SPAN, dtype=np.float64)
+        theta = _add(_two_prod(2.0 * a, m0), (b, 0.0))
+        phi0 = _add(_add(_reduce(*_two_prod(a, m0 * m0)), _reduce(*_two_prod(b, m0))), c)
+        th, tl = theta[0][:, None], theta[1][:, None]
+        hq, lq = _two_prod(th, q)
+        ramp = _cis(_reduce(hq, lq + tl * q))
+        hp, lp = _two_prod(_Q * th, p)
+        phi0 = (phi0[0][:, None], phi0[1][:, None])
+        steps = _cis(_add(phi0, (hp, lp + _Q * tl * p)), scale)
+        for span in grid._blocks(first, last):
+            # the table spans this block covers; the last may be partial
+            spans = slice((span.start - first) // _SPAN, -(-(span.stop - first) // _SPAN))
+            block = buffer[: spans.stop - spans.start]
+            np.multiply(steps[spans, :, None], ramp[spans, None, :], out=block)
+            values = block.reshape(len(block), -1)
+            if table is not None:
+                values *= table
+            values = values.reshape(-1)[: span.stop - span.start]
+            if extra is not None:
+                values *= extra(span.start - half, span.stop - half)
+            np.multiply(src[span], values, out=out[span])
+            lo, hi = max(span.start, 1), min(span.stop, half)
+            if not whole and lo < hi:
+                twin = mirror(values[lo - span.start : hi - span.start][::-1])
+                other = slice(n - hi + 1, n - lo + 1)
+                np.multiply(src[other], twin, out=out[other])

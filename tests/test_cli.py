@@ -37,7 +37,7 @@ from timelens.cli import (
     OUTPUT_ENV_VAR,
     main,
 )
-from timelens.interferometry import _window_energy
+from timelens.interferometry import _window_energy, analyzer_port
 from timelens.runner import _stage_entry, waveform_csv, waveform_npy
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -136,13 +136,15 @@ class TestSimulate:
         run = timelens.runner._compute(parse_scenario(scenario.read_text()))
         interference = report["interference"]
         window = tuple(interference["window_ps"])
-        for port in ("constructive", "destructive"):
+        phase = interference["image_frame_phase_rad"]
+        for port, port_phase in (("constructive", phase), ("destructive", phase + np.pi)):
             env = load(f"analyzer_{port}.npy")
-            computed = getattr(run.interference, port)
+            computed = analyzer_port(run.image, run.interference.delayed, port_phase)
             assert env.samples.view(np.uint64).tolist() == (
                 computed.samples.view(np.uint64).tolist()
             )
-            assert _window_energy(env, window, interference["metric"]) == (
+            # the port of a loaded port and an undelayed copy at phase 0 is itself
+            assert _window_energy(env, env, 0.0, window, interference["metric"]) == (
                 interference[f"{port}_energy"]
             )
 
@@ -227,11 +229,13 @@ class TestSimulate:
         scenario = parse_scenario(FAST_TIME_BIN)
         _, files = run_simulate(scenario)
         run = timelens.runner._compute(scenario)
-        expected = {"stage_00_input.npy": run.trace.input}
-        for index, (label, env) in enumerate(run.trace.steps, start=1):
+        expected = {}
+        for index, (label, env) in enumerate(run.stages):
             expected[f"stage_{index:02d}_{label}.npy"] = env
-        expected["analyzer_constructive.npy"] = run.interference.constructive
-        expected["analyzer_destructive.npy"] = run.interference.destructive
+        phase = run.report["interference"]["image_frame_phase_rad"]
+        for port, port_phase in (("constructive", phase), ("destructive", phase + np.pi)):
+            port_env = analyzer_port(run.image, run.interference.delayed, port_phase)
+            expected[f"analyzer_{port}.npy"] = port_env
         assert list(files) == [*expected, "report.json"]
         assert len(expected) == 7
         write_artifacts(tmp_path, files)
@@ -695,7 +699,7 @@ class TestSweep:
     def test_analyzer_phase_points_share_one_propagation(
         self, fast_scenario, tmp_path, monkeypatch
     ):
-        propagations = self._count_calls(monkeypatch, "run_system")
+        propagations = self._count_calls(monkeypatch, "propagate_stages")
         renders = self._count_calls(monkeypatch, "waveform_npy")
         code = main(
             [
@@ -732,15 +736,14 @@ class TestSweep:
         monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
         in_propagation = []
-        run_system = timelens.runner.run_system
+        propagate_stages = timelens.runner.propagate_stages
 
-        def counted_run_system(*args, **kwargs):
+        def counted_stages(*args, **kwargs):
             before = len(ffts)
-            trace = run_system(*args, **kwargs)
+            yield from propagate_stages(*args, **kwargs)
             in_propagation.append(len(ffts) - before)
-            return trace
 
-        monkeypatch.setattr(timelens.runner, "run_system", counted_run_system)
+        monkeypatch.setattr(timelens.runner, "propagate_stages", counted_stages)
         text = (SCENARIO_DIR / "fringe_scan.scn").read_text(encoding="utf-8")
         for points in (1, 6):
             ffts.clear()

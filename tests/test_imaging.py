@@ -4,7 +4,9 @@ system runs."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from timelens import (
     phase_fit_quadratic,
     phase_rms,
     plan_grid,
+    propagate_stages,
     run_system,
     single_lens_system,
     synthesize_pump,
@@ -373,11 +376,34 @@ class TestRunSystem:
         run_system(pulse, system)
         assert len(calls) == ffts == 2 * len(system.dispersive_elements())
 
-    def test_stage_trace_exposes_every_stage(self):
+    def test_stage_trace_labels_every_stage_and_keeps_the_last(self):
         system = field_lens_system(-20.0, 5.0)
-        _, trace = _run(system)
+        pulse, trace = _run(system)
         assert trace.labels == ("input_gdd", "main_lens", "output_gdd", "field_lens")
-        assert trace.final is trace.steps[-1][1]
+        stages = list(propagate_stages(pulse, system))
+        assert tuple(label for label, _ in stages) == trace.labels
+        assert trace.final == stages[-1][1]
+        assert trace.input is pulse and trace.magnification == -20.0
+        assert {f.name for f in dataclasses.fields(trace)} == {
+            "input", "labels", "final", "magnification"
+        }
+
+    def test_peak_memory_holds_two_stages(self):
+        # Each stage's output is one full-size array, and a run keeps only
+        # the latest, so under three waveforms are held beyond the input
+        # (all five telescope stages held would be over five).  One untraced
+        # run first, so numpy's FFT plans are not charged.
+        system = telescope_system(20.0, 5.0, pump_seed_fwhm=2.5)
+        grid = plan_grid(system, input_extent=20.0, input_bandwidth=GAUSS_BW, n_samples=2**16)
+        pulse = gaussian_pulse(grid, 5.0, carrier_wavelength_nm=710.0)
+        run_system(pulse, system)
+        tracemalloc.start()
+        try:
+            run_system(pulse, system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * pulse.samples.nbytes
 
     def test_ideal_runs_preserve_energy_at_every_stage(self):
         for system in (
@@ -385,9 +411,9 @@ class TestRunSystem:
             field_lens_system(-20.0, 5.0),
             telescope_system(20.0, 5.0),
         ):
-            pulse, trace = _run(system)
+            pulse, _ = _run(system)
             e0 = energy(pulse)
-            for label, env in trace.steps:
+            for label, env in propagate_stages(pulse, system):
                 assert energy(env) == pytest.approx(e0, rel=1e-9), label
 
     def test_magnification_law_for_all_topologies(self):
@@ -442,14 +468,14 @@ class TestRunSystem:
         field_lens = system.lenses()[1]
         edge, _ = synthesize_pump(narrow, field_lens.pump_seed_fwhm, field_lens.focal_gdd)
         assert edge[0] > 0.1
-        traces = [
-            run_system(gaussian_pulse(grid, 5.0, carrier_wavelength_nm=710.0), system)
+        runs = [
+            propagate_stages(gaussian_pulse(grid, 5.0, carrier_wavelength_nm=710.0), system)
             for grid in (narrow, wide)
         ]
         offset = (wide.n_samples - narrow.n_samples) // 2
         shared = slice(offset, offset + narrow.n_samples)
         assert np.array_equal(narrow.times, wide.times[shared])
-        for (_, cut), (_, full) in zip(*(trace.steps for trace in traces)):
+        for (_, cut), (_, full) in zip(*runs, strict=True):
             peak = np.max(np.abs(full.samples))
             assert np.max(np.abs(cut.samples - full.samples[shared])) <= 1e-13 * peak
 
@@ -502,6 +528,20 @@ class TestStageErrors:
             run_system(self._pulse(60.0), field_lens_system(-20.0, 5.0))
         assert type(info.value.__cause__) is WindowOverflowError
         assert str(info.value) == f"stage 3 (output_gdd): {info.value.__cause__}"
+
+    def test_stages_before_the_failing_one_are_yielded(self):
+        stages = propagate_stages(self._pulse(60.0), field_lens_system(-20.0, 5.0))
+        assert [label for label, _ in itertools.islice(stages, 2)] == [
+            "input_gdd", "main_lens"
+        ]
+        with pytest.raises(WindowOverflowError, match=r"^stage 3 \(output_gdd\): "):
+            next(stages)
+
+    def test_topology_is_verified_before_the_first_stage(self):
+        system = field_lens_system(-20.0, 5.0)
+        tampered = dataclasses.replace(system, magnification=-19.0)
+        with pytest.raises(DesignError, match="does not image"):
+            next(propagate_stages(self._pulse(400.0), tampered))
 
 
 class TestPlanGrid:

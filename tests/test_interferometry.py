@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,8 @@ from timelens import (
     time_bin_pulse,
     visibility_experiment,
 )
-from timelens.interferometry import _window_energy, asymmetry
+from timelens.interferometry import METRICS, _window_energy, analyzer_port, asymmetry
+from timelens.runner import _compute
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -110,9 +113,10 @@ class TestVisibilityExperiment:
     def test_ports_share_one_delayed_copy(self, two_bin):
         result = visibility_experiment(two_bin, 15.0, relative_phase=0.3)
         assert np.array_equal(result.delayed.samples, shifted(two_bin, 15.0).samples)
-        ports = ((result.constructive, 0.3), (result.destructive, 0.3 + np.pi))
-        for port, phase in ports:
-            assert np.array_equal(port.samples, recombine(two_bin, 15.0, phase).samples)
+        energies = ((result.constructive_energy, 0.3), (result.destructive_energy, 0.3 + np.pi))
+        for got, phase in energies:
+            port = recombine(two_bin, 15.0, phase)
+            assert got == _full_port_window_energy(port, result.window, "energy")
 
     def test_visibility_bounded(self, two_bin):
         result = visibility_experiment(two_bin, bin_separation=15.0)
@@ -205,11 +209,11 @@ class TestVisibilityExperiment:
             visibility_experiment(two_bin, bin_separation=390.0)
 
     def test_peak_memory_is_bounded_by_the_image(self):
-        # The delayed copy and both ports are full-size outputs, each formed
-        # in place; the centroid reads the image a block at a time, and the
-        # window integrals hold only the window's samples, so about 3.1
-        # images' worth is held at once.  One untraced run first, so numpy's
-        # FFT plan is not charged.
+        # The delayed copy is the one full-size output, formed in place; the
+        # centroid reads the image a block at a time, and each port is formed
+        # only on the window's samples, so under two images' worth is held
+        # at once (whole ports held over three).  One untraced run first, so
+        # numpy's FFT plan is not charged.
         grid = TimeGrid(2**16, 400.0 / 2**16)
         image = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0)
         visibility_experiment(image, 15.0)
@@ -219,7 +223,42 @@ class TestVisibilityExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.3 * image.samples.nbytes
+        assert peak < 2 * image.samples.nbytes
+
+
+def _full_port_window_energy(port, window, metric):
+    """The window integral taken from a whole analyzer port: the
+    reference that the windowed port must match bit for bit."""
+    grid = port.grid
+    x0, x1 = np.clip(grid._index(np.asarray(window)), 0, grid.n_samples - 1)
+    k0, k1 = math.floor(x0), math.ceil(x1)
+    nodes = np.concatenate(([x0], np.arange(k0 + 1, k1), [x1]))
+    intensity = np.abs(port.samples[k0 : k1 + 1]) ** 2
+    values = np.interp(nodes, np.arange(k0, k1 + 1), intensity)
+    if metric == "peak":
+        return float(values.max())
+    return float(np.trapezoid(values, nodes) * grid.dt)
+
+
+class TestWindowedPortsMatchWholePorts:
+    # visibility_experiment forms each port on the window's samples only; its
+    # energies must be the whole port's, bit for bit
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("name", ["visibility_single_lens", "visibility_field_lens",
+                                      "visibility_telescope"])
+    def test_energies_equal_the_whole_port_integrals(self, name, metric):
+        text = (SCENARIO_DIR / f"{name}.scn").read_text(encoding="utf-8")
+        scenario = parse_scenario(text)
+        scenario = replace(scenario, analysis=replace(scenario.analysis, metric=metric))
+        run = _compute(scenario)
+        result = run.interference
+        phase = run.report["interference"]["image_frame_phase_rad"]
+        assert result.metric == metric
+        for got, port_phase in ((result.constructive_energy, phase),
+                                (result.destructive_energy, phase + np.pi)):
+            port = analyzer_port(run.image, result.delayed, port_phase)
+            want = _full_port_window_energy(port, result.window, metric)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 def _interpolant_integral(grid, intensity, lo, hi):
@@ -237,6 +276,8 @@ def _interpolant_integral(grid, intensity, lo, hi):
 
 
 class TestWindowEnergy:
+    # the analyzer port of ``env`` and an undelayed copy at phase 0 is
+    # 0.5*(a + a) = a exactly, so these integrate |a|^2 itself
     @pytest.fixture
     def env(self):
         grid = TimeGrid(n_samples=256, dt=0.4)
@@ -254,7 +295,7 @@ class TestWindowEnergy:
         grid, intensity = env.grid, env.intensity
         for lo, hi in self._windows(grid.times):
             expected = _interpolant_integral(grid, intensity, lo, hi)
-            got = _window_energy(env, (lo, hi), "energy")
+            got = _window_energy(env, env, 0.0, (lo, hi), "energy")
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_peak_is_the_interpolant_maximum(self, env):
@@ -264,7 +305,7 @@ class TestWindowEnergy:
             inside = intensity[(t > lo) & (t < hi)]
             ends = np.interp([lo, hi], t, intensity)
             expected = max(inside.max(initial=0.0), ends.max())
-            assert _window_energy(env, (lo, hi), "peak") == pytest.approx(
+            assert _window_energy(env, env, 0.0, (lo, hi), "peak") == pytest.approx(
                 expected, rel=1e-12
             )
 
@@ -275,7 +316,7 @@ class TestWindowEnergy:
         env = gaussian_pulse(grid, fwhm=1.0)
         ends = np.interp([0.01, 0.02], grid.times, env.intensity)
         expected = {"energy": 0.5 * (ends[0] + ends[1]) * 0.01, "peak": ends.max()}
-        got = _window_energy(env, (0.01, 0.02), metric)
+        got = _window_energy(env, env, 0.0, (0.01, 0.02), metric)
         assert got == pytest.approx(expected[metric], rel=1e-12)
 
 

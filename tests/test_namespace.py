@@ -32,7 +32,7 @@ PUBLIC = {
     "grid": "TimeGrid",
     "imaging": (
         "StageTrace SystemTopology TopologyKind check_far_field "
-        "field_lens_system plan_grid run_system single_lens_system "
+        "field_lens_system plan_grid propagate_stages run_system single_lens_system "
         "telescope_system transfer_matrix verify_topology"
     ),
     "interferometry": "InterferenceResult recombine visibility_experiment",
@@ -60,7 +60,7 @@ UNEXPORTED = [
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 60
+    assert len(NAMES) == 61
     assert timelens.__all__ == sorted(name for _, name in NAMES)
 
 
