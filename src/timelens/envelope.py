@@ -15,8 +15,9 @@ Conventions:
       spectrum-first multiply by its chirp kernel, block by block in the
       forward transform's work array, which the inverse then transforms in
       place; :func:`timelens.grid._multiply_blocks` is that one kernel loop.
-      Large transforms run that same FFT call on a one-worker thread pool
-      (:func:`_transform`).
+      Transforms of 2**17 samples or more compute the same DFT in place
+      as a four-step FFT, without the two full-size scratch arrays of
+      numpy's single call (:func:`_transform`).
     * Envelopes own read-only samples.  The public constructors (and
       ``SampledEnvelope.with_samples``) copy what they are given, so the
       caller's array may change afterwards; arrays the library has just built
@@ -27,9 +28,8 @@ Conventions:
 
 from __future__ import annotations
 
-import contextvars
+import functools
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -44,7 +44,7 @@ from .errors import (
     WindowOverflowError,
     require,
 )
-from .grid import TimeGrid, _multiply_blocks
+from .grid import BLOCK, TimeGrid, _multiply_blocks
 
 LN2 = float(np.log(2.0))
 
@@ -162,8 +162,8 @@ def _adopt(
 def to_frequency(env: SampledEnvelope) -> SpectralEnvelope:
     """Unitary transform to the carrier-relative angular-frequency domain.
 
-    A(w_m) = (dt/sqrt(2*pi)) * sum_k a(t_k) exp(-i w_m t_k), evaluated via a
-    single FFT.  With h = n//2, t_k = (k - h)*dt and w_m = (m - h)*domega,
+    A(w_m) = (dt/sqrt(2*pi)) * sum_k a(t_k) exp(-i w_m t_k), evaluated via
+    one DFT (:func:`_transform`).  With h = n//2, t_k = (k - h)*dt and w_m = (m - h)*domega,
     exp(-i w_m t_k) = (-1)^k (-1)^m exp(-2*pi*i*m*k/n) exactly (h is even),
     so the transform is a sign flip of every odd sample on each side of the
     FFT, all in place on one copy of the samples.  ``env`` is left untouched.
@@ -171,7 +171,7 @@ def to_frequency(env: SampledEnvelope) -> SpectralEnvelope:
     grid = env.grid
     work = env.samples.copy()
     work[1::2] *= -1.0
-    _transform(np.fft.fft, work)
+    _transform(work, inverse=False)
     work *= grid.dt / np.sqrt(2.0 * np.pi)
     work[1::2] *= -1.0
     return _adopt(SpectralEnvelope, grid, work, env.carrier_wavelength_nm)
@@ -183,49 +183,84 @@ def to_time(spec: SpectralEnvelope) -> SampledEnvelope:
     grid = spec.grid
     work = spec.samples if spec.samples.flags.writeable else spec.samples.copy()
     work[1::2] *= -1.0
-    _transform(np.fft.ifft, work)
+    _transform(work, inverse=True)
     work[1::2] *= -1.0
     work *= grid.n_samples * grid.domega / np.sqrt(2.0 * np.pi)
     return _adopt(SampledEnvelope, grid, work, spec.carrier_wavelength_nm)
 
 
-#: Transforms of at least this many samples run on the helper thread.  The
-#: shipped scenarios' 2**14-2**15 grids stay below it: for them a thread's
-#: arena would only hold scratch that the main arena reuses anyway.
-_HELPER_MIN_SAMPLES = 2**17
+#: Transforms of at least this many samples run as a four-step FFT.  The
+#: shipped scenarios' 2**14-2**15 grids stay below it, so their artifacts are
+#: those of one numpy FFT call.
+_FOUR_STEP_MIN_SAMPLES = 2**17
 
-#: One single-worker executor per process id, started on first use, so a
-#: forked child starts its own.  glibc gives the worker thread its own malloc arena, so the FFT's
-#: internal scratch (twice the array) stays mapped from one call to the next
-#: instead of being faulted in afresh after the caller's arrays took its pages.
-_helpers: dict = {}
+#: Side of the square tiles that a four-step transform swaps to transpose.
+_TILE = 64
 
 
-def _transform(fft, work: np.ndarray) -> None:
-    """``fft(work, out=work)``: on the helper thread, under the caller's
-    context (so ``np.errstate`` applies), when ``work`` has at least
-    :data:`_HELPER_MIN_SAMPLES` samples; inline otherwise, and at interpreter
-    exit once the thread pool's exit hook has run.  Concurrent callers queue
-    on the one thread.  Same function, same input: the same bits."""
-    if work.size >= _HELPER_MIN_SAMPLES:
-        try:
-            # imported here, so that importing timelens loads no
-            # concurrent.futures; once the pool's exit hook has run, a
-            # first import of it or a submit raises RuntimeError
-            from concurrent.futures import ThreadPoolExecutor
+def _transform(work: np.ndarray, inverse: bool) -> None:
+    """``np.fft.fft(work, out=work)``, or ``np.fft.ifft`` if ``inverse``:
+    the same DFT and scale, in place on the contiguous ``work``.
 
-            pid = os.getpid()
-            # setdefault is atomic: threads that race here share one executor
-            helper = _helpers.get(pid) or _helpers.setdefault(
-                pid, ThreadPoolExecutor(1, "timelens-fft")
-            )
-            job = helper.submit(contextvars.copy_context().run, fft, work, out=work)
-        except RuntimeError:
-            pass
-        else:
-            job.result()
-            return
-    fft(work, out=work)
+    From :data:`_FOUR_STEP_MIN_SAMPLES` samples up it is a four-step FFT
+    (Gentleman & Sande, AFIPS 1966; Bailey, J. Supercomputing 4, 23 (1990)):
+    ``work`` is viewed as rows x cols, rows = 2**floor(log2(n)/2); every
+    column is transformed, element (k1, n2) is multiplied by the twiddle
+    w**(k1*n2), w = exp(-/+2*pi*i/n), every row is transformed, and the
+    result is transposed to natural order.  numpy's two ifft scales,
+    1/rows and 1/cols, multiply to 1/n.  The batched numpy calls need
+    scratch for one line at a time, where a single 1-D call takes two
+    arrays of n samples.
+    """
+    fft = np.fft.ifft if inverse else np.fft.fft
+    n = work.size
+    if n < _FOUR_STEP_MIN_SAMPLES:
+        fft(work, out=work)
+        return
+    rows = 1 << (n.bit_length() - 1) // 2
+    cols = n // rows
+    a = work.reshape(rows, cols)
+    fft(a, axis=0, out=a)
+    coarse, fine = _twiddle_tables(rows, cols)
+    step = max(BLOCK // cols, 1)
+    for top in range(0, rows, step):
+        block = slice(top, top + step)
+        twiddle = (coarse[block, :, None] * fine[block, None, :]).reshape(-1, cols)
+        if inverse:
+            np.conjugate(twiddle, out=twiddle)
+        a[block] *= twiddle
+    fft(a, axis=1, out=a)
+    if rows == cols:
+        _transpose_square(a)
+    else:  # cols == 2*rows
+        work[:] = a.T.ravel()
+
+
+@functools.cache
+def _twiddle_tables(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forward twiddles w**(k1*n2), w = exp(-2*pi*i/n), of a rows x cols
+    four-step as ``coarse[k1, h] * fine[k1, l]`` with n2 = h*split + l,
+    split = 2**floor(log2(cols)/2): two read-only tables of rows*cols/split
+    and rows*split entries (1 MB together at n = 2**20).  Each phase is
+    reduced mod n in integers first, so it is an exact fraction of a turn."""
+    n = rows * cols
+    split = 1 << (cols.bit_length() - 1) // 2
+    k1 = np.arange(rows)[:, None]
+    tables = []
+    for steps in (split * np.arange(cols // split), np.arange(split)):
+        table = np.exp(-2j * np.pi * ((k1 * steps) % n / n))
+        table.setflags(write=False)
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+def _transpose_square(a: np.ndarray) -> None:
+    """Transpose the square ``a`` in place, one pair of tiles at a time."""
+    for i in range(0, a.shape[0], _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(i, a.shape[0], _TILE):
+            cols = slice(j, j + _TILE)
+            a[rows, cols], a[cols, rows] = a[cols, rows].T.copy(), a[rows, cols].T.copy()
 
 
 def _ramp(grid: TimeGrid, tau: float) -> dict:
@@ -372,9 +407,21 @@ def fwhm(env: AnyEnvelope) -> float:
     return crossing(right - 1, right) - crossing(left + 1, left)
 
 
+def _block_sum(grid: TimeGrid, term) -> float:
+    """np.sum of ``term``, applied to a slice of the samples, over the whole
+    axis, bit for bit, with no full-size array: numpy sums a contiguous
+    power-of-two array pairwise, halving it down to 128 values, so the
+    block boundaries are among its split points, and the sums of the blocks
+    combine in the same binary tree."""
+    sums = [np.sum(term(span)) for span in grid._blocks()]
+    while len(sums) > 1:
+        sums = [sums[k] + sums[k + 1] for k in range(0, len(sums), 2)]
+    return float(sums[0])
+
+
 def energy(env: AnyEnvelope) -> float:
     """L2 norm: sum(|a|^2) * step (dimensionless for time-domain envelopes)."""
-    return float(np.sum(env.intensity) * _step(env))
+    return _block_sum(env.grid, lambda s: np.abs(env.samples[s]) ** 2) * _step(env)
 
 
 def overlap(a: AnyEnvelope, b: AnyEnvelope) -> complex:
@@ -409,15 +456,19 @@ def intensity_overlap(a: AnyEnvelope, b: AnyEnvelope) -> float:
         raise ValueError(
             "intensity_overlap requires two envelopes on the same grid and domain"
         )
-    ia = a.intensity
-    ib = b.intensity
-    na = float(np.sum(ia * ia))
-    nb = float(np.sum(ib * ib))
+
+    def correlation(x: AnyEnvelope, y: AnyEnvelope) -> float:
+        return _block_sum(
+            a.grid, lambda s: np.abs(x.samples[s]) ** 2 * np.abs(y.samples[s]) ** 2
+        )
+
+    na = correlation(a, a)
+    nb = correlation(b, b)
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError(
             "intensity overlap with a zero-energy envelope is undefined"
         )
-    return float(np.sum(ia * ib) / np.sqrt(na * nb))
+    return float(correlation(a, b) / np.sqrt(na * nb))
 
 
 #: Intensity floor (relative to peak) below which samples are excluded from

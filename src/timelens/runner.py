@@ -8,7 +8,7 @@ and its points that differ only in ``analysis.analyzer_phase`` share one
 propagation.  Text artifacts are rendered before anything touches disk.
 Waveforms are not rendered to bytes first: each ``.npy`` file is written
 from its envelope's own sample array, so no waveform is held twice (a
-2**18-sample ``visibility_telescope`` simulate peaks at 75.4 MB RSS on a
+2**18-sample ``visibility_telescope`` simulate peaks at 67.7 MB RSS on a
 2-core Linux host with numpy 2.4.6).  The two analyzer ports are formed
 whole only here, from the visibility experiment's delayed copy.
 Floats in text artifacts are written with ``repr``, so every artifact is

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import pickle
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -14,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import fresh_python
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
@@ -113,8 +113,12 @@ class TestTransformSideEffects:
         assert len(pickle.dumps(env)) == fresh
         assert pickle.loads(pickle.dumps(grid)) == grid
 
-    def test_centered_transforms_evaluate_no_exponential(self, small_grid, monkeypatch):
-        env = gaussian_pulse(small_grid, fwhm=5.0)
+    # a four-step transform (2**17 samples) evaluates its two twiddle tables
+    # on the first transform of its size only
+    @pytest.mark.parametrize("n_samples, first", [(2**12, 0), (2**17, 2)])
+    def test_centered_transforms_evaluate_no_exponential(self, n_samples, first, monkeypatch):
+        env = gaussian_pulse(TimeGrid(n_samples, 400.0 / n_samples), fwhm=5.0)
+        envelope_module._twiddle_tables.cache_clear()
         calls = []
         exp = np.exp
 
@@ -123,6 +127,9 @@ class TestTransformSideEffects:
             return exp(*args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counting_exp)
+        to_frequency(env)
+        assert len(calls) == first
+        calls.clear()
         to_time(to_frequency(env))
         assert calls == []
 
@@ -415,8 +422,9 @@ class TestPlainKernels:
 
 
 class TestBlockedMagnitudes:
-    """boundary_leakage and the shift's support check read |a| block by block
-    and give the full-array formulas' results bit for bit."""
+    """boundary_leakage, the shift's support check, energy and
+    intensity_overlap read |a| block by block and give the full-array
+    formulas' results bit for bit."""
 
     GRID = TimeGrid(2**15, 400.0 / 2**15)
 
@@ -442,6 +450,25 @@ class TestBlockedMagnitudes:
         mags = np.abs(env.samples)
         full = float(max(mags[0], mags[-1]) / mags.max())
         assert boundary_leakage(env) == full
+
+    # less than a block, one block, and several: numpy's pairwise sum of
+    # the whole array splits at the block edges; amplitudes span e**(+-30)
+    @pytest.mark.parametrize("n_samples", [16, 2**13, 2**14, 2**17])
+    def test_sums_match_the_whole_array_sums(self, n_samples):
+        rng = np.random.default_rng(n_samples)
+        grid = TimeGrid(n_samples, 400.0 / n_samples)
+
+        def random():
+            scale = np.exp(rng.uniform(-30.0, 30.0, size=n_samples))
+            return SampledEnvelope(
+                grid, scale * (rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples))
+            )
+
+        a, b = random(), random()
+        assert energy(a) == float(np.sum(np.abs(a.samples) ** 2) * grid.dt)
+        ia, ib = np.abs(a.samples) ** 2, np.abs(b.samples) ** 2
+        whole = np.sum(ia * ib) / np.sqrt(float(np.sum(ia * ia)) * float(np.sum(ib * ib)))
+        assert intensity_overlap(a, b) == float(whole)
 
     def test_all_zero(self):
         env = SampledEnvelope(self.GRID, np.zeros(2**15))
@@ -649,11 +676,10 @@ class TestOwnership:
             to_time(SpectralEnvelope(small_grid, samples))
 
 
-class TestTransformHelper:
-    """Transforms of at least ``_HELPER_MIN_SAMPLES`` samples run on the one
-    worker thread of a thread pool, on which concurrent callers queue;
-    smaller ones, and any at interpreter exit after the pool has shut down,
-    run inline.  The FFT function and its input are the same either way."""
+class TestFourStepTransform:
+    """Transforms of at least ``_FOUR_STEP_MIN_SAMPLES`` samples run in place
+    as a four-step FFT: two batched numpy calls around a twiddle multiply,
+    then a transpose.  Smaller ones are one ``fft(work, out=work)`` call."""
 
     @staticmethod
     def _random(n_samples: int, seed: int = 7) -> SampledEnvelope:
@@ -661,45 +687,40 @@ class TestTransformHelper:
         grid = TimeGrid(n_samples, 400.0 / n_samples)
         return SampledEnvelope(grid, rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples))
 
-    @staticmethod
-    def _recording_threads(monkeypatch) -> list[threading.Thread]:
-        """The thread of every np.fft.fft/ifft call from now on."""
-        threads = []
-        for name in ("fft", "ifft"):
-            fft = getattr(np.fft, name)
+    # 2**17 is viewed as 256 x 512 and transposed through a copy; 2**18 is
+    # 512 x 512 and transposed in place
+    @pytest.mark.parametrize("n_samples", [2**17, 2**18])
+    def test_agrees_with_numpy(self, n_samples):
+        env = self._random(n_samples)
+        spec = to_frequency(env)
+        want = _reference_to_frequency(env.samples, env.grid)
+        assert np.abs(spec.samples - want).max() < 1e-15 * np.abs(want).max()
+        back = to_time(spec)
+        want = _reference_to_time(spec.samples, env.grid)
+        assert np.abs(back.samples - want).max() < 1e-15 * np.abs(want).max()
+        peak = np.abs(env.samples).max()
+        assert np.abs(back.samples - env.samples).max() < 1e-15 * peak
 
-            def recording(a, *args, _fft=fft, **kwargs):
-                threads.append(threading.current_thread())
+    # below the threshold, TestTransformBitIdentity checks the bits against
+    # one plain numpy call
+    @pytest.mark.parametrize(
+        "n_samples, calls",
+        [(2**16, [((2**16,), None)]), (2**18, [((512, 512), 0), ((512, 512), 1)])],
+    )
+    def test_numpy_calls(self, n_samples, calls, monkeypatch):
+        env = self._random(n_samples)
+        recorded = []
+        for name in ("fft", "ifft"):
+
+            def recording(a, *args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+                recorded.append((_name, a.shape, kwargs.get("axis")))
                 return _fft(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, recording)
-        return threads
-
-    @staticmethod
-    def _inline(transform, value, monkeypatch) -> np.ndarray:
-        """``transform(value)``'s samples, with every FFT run inline."""
-        with monkeypatch.context() as patch:
-            patch.setattr(envelope_module, "_HELPER_MIN_SAMPLES", math.inf)
-            return transform(value).samples
-
-    @pytest.mark.parametrize("n_samples", [2**17, 2**18])
-    def test_output_bits_match_the_inline_transform(self, n_samples, monkeypatch):
-        env = self._random(n_samples)
-        spec = to_frequency(env)
-        assert _bits_equal(spec.samples, self._inline(to_frequency, env, monkeypatch))
-        back = to_time(spec)
-        assert _bits_equal(back.samples, self._inline(to_time, spec, monkeypatch))
-        threads = self._recording_threads(monkeypatch)
         to_time(to_frequency(env))
-        assert len(threads) == 2 and threading.current_thread() not in threads
+        assert recorded == [(name, *call) for name in ("fft", "ifft") for call in calls]
 
-    def test_small_grids_transform_inline(self, monkeypatch):
-        env = self._random(envelope_module._HELPER_MIN_SAMPLES // 2)
-        threads = self._recording_threads(monkeypatch)
-        to_time(to_frequency(env))
-        assert threads == [threading.current_thread()] * 2
-
-    def test_errstate_applies_on_the_helper(self):
+    def test_errstate_applies(self):
         env = self._random(2**17)
         spectrum = np.zeros(env.grid.n_samples, dtype=np.complex128)
         spectrum[10] = np.inf
@@ -711,91 +732,13 @@ class TestTransformHelper:
             with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
                 to_time(spec)
 
-    def test_an_fft_error_propagates_and_the_helper_recovers(self, monkeypatch):
-        env = self._random(2**17)
-        expected = self._inline(to_frequency, env, monkeypatch)
-        with monkeypatch.context() as patch:
-
-            def failing(a, *args, **kwargs):
-                raise RuntimeError("fft failed")
-
-            patch.setattr(np.fft, "fft", failing)
-            with pytest.raises(RuntimeError, match="fft failed"):
-                to_frequency(env)
-        threads = self._recording_threads(monkeypatch)
-        assert _bits_equal(to_frequency(env).samples, expected)
-        assert threads and threading.current_thread() not in threads
-
-    def test_a_forked_child_transforms_correctly(self):
-        # the parent starts its helper before forking; the child's transform
-        # starts its own and matches the inline result bit for bit (a child
-        # that hangs is ended by its alarm)
-        code = (
-            "import math, os, signal, numpy as np\n"
-            "import timelens.envelope as e\n"
-            "from timelens import SampledEnvelope, TimeGrid\n"
-            "rng = np.random.default_rng(5)\n"
-            "grid = TimeGrid(2**17, 400.0 / 2**17)\n"
-            "env = SampledEnvelope(grid, rng.normal(size=2**17) + 0j)\n"
-            "threaded = e.to_frequency(env).samples\n"
-            "assert os.getpid() in e._helpers\n"
-            "pid = os.fork()\n"
-            "if pid == 0:\n"
-            "    signal.alarm(30)\n"
-            "    ok = np.array_equal(e.to_frequency(env).samples, threaded)\n"
-            "    ok = ok and os.getpid() in e._helpers\n"
-            "    os._exit(0 if ok else 1)\n"
-            "_, status = os.waitpid(pid, 0)\n"
-            "assert os.waitstatus_to_exitcode(status) == 0, status\n"
-            "e._HELPER_MIN_SAMPLES = math.inf\n"
-            "assert np.array_equal(e.to_frequency(env).samples, threaded)\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == 0, result.stderr
-
-    def test_every_large_transform_runs_on_one_helper_thread(self, monkeypatch):
-        env = self._random(2**17)
-        before = threading.active_count()
-        threads = self._recording_threads(monkeypatch)
-        for _ in range(3):
-            to_time(to_frequency(env))
-            assert threading.active_count() <= before + 1
-        assert len(threads) == 6 and len(set(threads)) == 1
-        assert threads[0].name.startswith("timelens-fft")
-
-    @pytest.mark.parametrize("warm", [True, False], ids=["started", "unstarted"])
-    def test_a_transform_at_interpreter_exit_matches_the_inline_one(self, warm):
-        # an atexit callback runs after the thread pool's own exit hook, so
-        # its large transform runs inline, whether or not the helper had
-        # started before (a process that hangs is ended by the timeout)
-        code = (
-            "import atexit, math, numpy as np\n"
-            "import timelens.envelope as e\n"
-            "from timelens import SampledEnvelope, TimeGrid\n"
-            "rng = np.random.default_rng(5)\n"
-            "grid = TimeGrid(2**17, 400.0 / 2**17)\n"
-            "env = SampledEnvelope(grid, rng.normal(size=2**17) + 0j)\n"
-            f"if {warm}:\n"
-            "    e.to_frequency(env)\n"
-            "def at_exit():\n"
-            "    at_exit_bits = e.to_frequency(env).samples\n"
-            "    e._HELPER_MIN_SAMPLES = math.inf\n"
-            "    print(np.array_equal(e.to_frequency(env).samples, at_exit_bits))\n"
-            "atexit.register(at_exit)\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == 0 and not result.stderr, result.stderr
-        assert result.stdout == "True\n"
-
-    def test_concurrent_callers_all_get_correct_results(self, monkeypatch):
-        # more threads than this suite's 2-core hosts have, switching often:
-        # each must get its own transform's bits, queued on the one helper
+    def test_concurrent_callers_get_the_serial_bits(self):
+        # more threads than this suite's 2-core hosts have, switching often,
+        # racing to build the twiddle tables: each must get its own
+        # transform's bits
         envs = [self._random(2**17, seed) for seed in range(4)]
-        expected = [self._inline(to_frequency, env, monkeypatch) for env in envs]
+        expected = [to_frequency(env).samples for env in envs]
+        envelope_module._twiddle_tables.cache_clear()
         start = threading.Barrier(len(envs))
         results: list[list[np.ndarray]] = [[] for _ in envs]
 
@@ -817,6 +760,32 @@ class TestTransformHelper:
         assert not any(worker.is_alive() for worker in workers)
         for got, want in zip(results, expected):
             assert len(got) == 3 and all(_bits_equal(g, want) for g in got)
+
+    # VmHWM, not ru_maxrss: a child's ru_maxrss starts at the peak of the
+    # process that forked it, here the test runner
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc")
+    def test_a_large_transform_takes_no_full_size_scratch(self):
+        # the peak RSS of a fresh process across its first 2**20 transform,
+        # after a small one has loaded numpy's FFT: about 2 waveforms more
+        # when numpy's single 1-D call takes its two arrays of scratch
+        code = (
+            "import re, numpy as np\n"
+            "from timelens import SampledEnvelope, TimeGrid, to_frequency\n"
+            "def peak_kib():\n"
+            "    status = open('/proc/self/status').read()\n"
+            "    return int(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+            "def random(n):\n"
+            "    rng = np.random.default_rng(5)\n"
+            "    return SampledEnvelope(TimeGrid(n, 400.0 / n), rng.normal(size=n) + 0j)\n"
+            "to_frequency(random(2**14))\n"
+            "env = random(2**20)\n"
+            "before = peak_kib()\n"
+            "spec = to_frequency(env)\n"
+            "print((peak_kib() - before) * 1024 / env.samples.nbytes)\n"
+        )
+        result = fresh_python(code)
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) < 1.5
 
 
 class TestPeakMemory:
@@ -874,14 +843,15 @@ class TestPeakMemory:
         assert self._traced_peak(operations[operation]) <= bound * waveform
 
     def test_overlap_forms_no_full_size_product(self):
-        # the inner product is summed block by block; only energy's
-        # intensity (half a waveform) is full-size
+        # the inner product and both energies are summed block by block; the
+        # largest temporaries are one block's conjugate and product, a
+        # quarter of a waveform at 2**16 samples
         pulse = time_bin_pulse(
             TimeGrid(2**16, 400.0 / 2**16), bin_fwhm=5.0, separation=15.0
         )
         other = shifted(pulse, 0.3)
         peak = self._traced_peak(lambda: overlap(pulse, other))
-        assert peak <= 0.6 * pulse.samples.nbytes
+        assert peak <= 0.3 * pulse.samples.nbytes
 
     # At 2**18 samples a kernel block's temporaries are a few percent of the
     # output: a second full-size array would take the peak past 2.
