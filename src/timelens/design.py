@@ -24,9 +24,8 @@ All dispersion bounds are magnitudes (ps^2); sign assignment belongs to the
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .envelope import LN2
 from .errors import AT_LEAST_ONE, POSITIVE, DesignError, require
@@ -130,9 +129,9 @@ def requirements(request: DesignRequest) -> DesignReport:
     config = request.configuration
     if config is DesignConfiguration.FAR_FIELD:
         bounds = (
-            ("D1", np.pi * (m + 1.0) * t_i**2 / 8.0, input_bw),
-            ("Df", np.pi * m * t_i**2 / 8.0, input_bw),
-            ("D2", np.pi * m**2 * t_i**2 / 8.0, output_bw),
+            ("D1", math.pi * (m + 1.0) * t_i**2 / 8.0, input_bw),
+            ("Df", math.pi * m * t_i**2 / 8.0, input_bw),
+            ("D2", math.pi * m**2 * t_i**2 / 8.0, output_bw),
         )
         mult = request.far_field_multiplier
         entries = tuple(

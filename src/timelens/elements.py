@@ -30,8 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .envelope import (
     BOUNDARY_TOLERANCE,
     LN2,

@@ -33,8 +33,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     NONNEGATIVE,
     POSITIVE,
@@ -46,7 +45,7 @@ from .errors import (
 )
 from .grid import BLOCK, TimeGrid, _multiply_blocks
 
-LN2 = float(np.log(2.0))
+LN2 = math.log(2.0)
 
 #: Amplitude threshold (relative to peak) below which boundary samples are
 #: considered leakage-free. Shared by the wrap-around checks.
@@ -644,9 +643,13 @@ def shifted(env: SampledEnvelope, delay: float) -> SampledEnvelope:
     return out
 
 
-#: Cubic B-spline prefilter sqrt(3) * z**|k|, z = sqrt(3) - 2: the exact inverse
-#: of the [1, 4, 1]/6 filter, truncated at |k| <= 32 where |z|**k < 1e-18.
-_SPLINE_PREFILTER = np.sqrt(3.0) * (np.sqrt(3.0) - 2.0) ** np.abs(np.arange(-32, 33))
+@functools.cache
+def _spline_prefilter() -> np.ndarray:
+    """Cubic B-spline prefilter sqrt(3) * z**|k|, z = sqrt(3) - 2: the exact
+    inverse of the [1, 4, 1]/6 filter, truncated at |k| <= 32 where
+    |z|**k < 1e-18.  Built on first use, so importing this module executes
+    no numpy."""
+    return np.sqrt(3.0) * (np.sqrt(3.0) - 2.0) ** np.abs(np.arange(-32, 33))
 
 
 def magnified_copy(env: SampledEnvelope, magnification: float) -> SampledEnvelope:
@@ -697,7 +700,7 @@ def _spline_at(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
     u, whole = np.modf(x)
     lo = max(0, min(int(whole.min()) - 33, n - 65))
     hi = min(n, max(int(whole.max()) + 35, 65))
-    c = np.convolve(samples[lo:hi], _SPLINE_PREFILTER)
+    c = np.convolve(samples[lo:hi], _spline_prefilter())
     j = whole.astype(np.intp)
     del whole
     j += 32 - lo

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from numbers import Integral
 
-import numpy as np
-
+from ._numpy import np
 from .errors import POSITIVE, Rule, require
 
 #: Samples per block of a per-sample kernel.  A block of complex values is
@@ -32,7 +32,7 @@ BLOCK = 2**13
 #: The rules :class:`TimeGrid` enforces on its fields.
 GRID_RULES = {
     "n_samples": Rule(
-        lambda n: isinstance(n, (int, np.integer)) and n >= 16 and n & (n - 1) == 0,
+        lambda n: isinstance(n, Integral) and n >= 16 and n & (n - 1) == 0,
         "must be a power of two >= 16",
     ),
     "dt": POSITIVE,

@@ -33,8 +33,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
+from ._numpy import np
 from .elements import (
     DEFAULT_INPUT_CARRIER_NM,
     DEFAULT_PUMP_CARRIER_NM,

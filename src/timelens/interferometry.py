@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .envelope import SampledEnvelope, _adopt, shifted
 from .errors import POSITIVE, DegenerateInputError, WindowOverflowError, require
 

@@ -24,8 +24,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .design import requirements
 from .elements import stretched_pump_fwhm
 from .envelope import (
@@ -506,10 +505,11 @@ def write_artifacts(
             path = out_dir / name
             with path.open("wb") as handle:
                 written.append(path)
-                if isinstance(content, np.ndarray):
-                    np.save(handle, content, allow_pickle=False)
-                elif isinstance(content, str):
+                # text and bytes are tested first: they need no numpy
+                if isinstance(content, str):
                     handle.write(content.encode())
+                elif not isinstance(content, bytes) and isinstance(content, np.ndarray):
+                    np.save(handle, content, allow_pickle=False)
                 else:
                     handle.write(content)
     except BaseException:

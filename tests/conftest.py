@@ -33,6 +33,12 @@ settings.load_profile("ci")
 ACCEPTANCE_LINES: list[str] = []
 
 
+#: True in a fresh process once numpy's own ``__init__`` has run: it imports
+#: numpy's submodules, and the pending module ``timelens`` registers imports
+#: none.
+NUMPY_EXECUTED = "any(m.startswith('numpy.') for m in sys.modules)"
+
+
 def fresh_python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter that imports this checkout's timelens."""
     package_root = str(Path(timelens.__file__).resolve().parents[1])

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fresh_python
+from conftest import NUMPY_EXECUTED, fresh_python
 
 import timelens.runner
 from timelens import (
@@ -205,6 +205,55 @@ class TestSimulate:
             f"assert timelens.cli.main({argv!r}) == 0\n"
             "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "assert not loaded, loaded\n"
+        )
+        result = fresh_python(code)
+        assert result.returncode == 0, result.stderr
+
+    def test_design_and_parsing_leave_numpy_unexecuted(self, tmp_path):
+        # design is scalar arithmetic and parsing checks scalar rules: neither
+        # reads an attribute of numpy, so numpy's own import never runs
+        designs = [str(p) for p in sorted(SCENARIO_DIR.glob("design_*.scn"))]
+        scenarios = [str(p) for p in sorted(SCENARIO_DIR.glob("*.scn"))]
+        assert len(designs) == 3 and len(scenarios) == 8
+        code = (
+            "import sys\n"
+            "from timelens.cli import main\n"
+            "from timelens.scenario import parse_scenario\n"
+            f"for path in {scenarios!r}:\n"
+            "    parse_scenario(open(path, encoding='utf-8').read())\n"
+            f"assert not {NUMPY_EXECUTED}\n"
+            f"for index, path in enumerate({designs!r}):\n"
+            f"    out = {str(tmp_path)!r} + f'/{{index}}'\n"
+            "    assert main(['design', path, '--out', out]) == 0\n"
+            f"assert not {NUMPY_EXECUTED}\n"
+        )
+        result = fresh_python(code)
+        assert result.returncode == 0, result.stderr
+
+    def test_refused_scenarios_leave_numpy_unexecuted(self, tmp_path):
+        syntax, semantic = tmp_path / "syntax.scn", tmp_path / "semantic.scn"
+        syntax.write_text("[input\nkind = gaussian\n", encoding="utf-8")
+        semantic.write_text(FAST_GAUSSIAN.replace("fwhm = 5 ps", "fwhm = 5 rad"), encoding="utf-8")
+        code = (
+            "import sys\n"
+            "from timelens.cli import main\n"
+            f"assert main(['simulate', {str(syntax)!r}]) == {EXIT_SYNTAX}\n"
+            f"assert main(['simulate', {str(semantic)!r}]) == {EXIT_SEMANTIC}\n"
+            f"assert not {NUMPY_EXECUTED}\n"
+        )
+        result = fresh_python(code)
+        assert result.returncode == 0, result.stderr
+
+    def test_simulate_executes_numpy_into_the_plain_module(self, tmp_path):
+        argv = ["simulate", str(SCENARIO_DIR / "ideal_magnifier.scn"), "--out", str(tmp_path)]
+        code = (
+            "import sys, types, timelens.envelope\n"
+            "from timelens.cli import main\n"
+            f"assert not {NUMPY_EXECUTED}\n"
+            f"assert main({argv!r}) == 0\n"
+            f"assert {NUMPY_EXECUTED}\n"
+            "assert timelens.envelope.np is sys.modules['numpy']\n"
+            "assert type(sys.modules['numpy']) is types.ModuleType\n"
         )
         result = fresh_python(code)
         assert result.returncode == 0, result.stderr

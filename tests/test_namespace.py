@@ -7,7 +7,7 @@ import importlib
 import textwrap
 
 import pytest
-from conftest import fresh_python
+from conftest import NUMPY_EXECUTED, fresh_python
 
 import timelens
 
@@ -89,6 +89,88 @@ def test_bare_import_loads_nothing_until_a_name_is_used():
         "assert all(getattr(timelens, m) is sys.modules[f'timelens.{m}'] for m in modules)\n"
         "assert timelens.envelope.BOUNDARY_TOLERANCE > 0\n"
         "assert 'numpy' in sys.modules\n"
+    )
+    result = fresh_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_first_array_calls_from_many_threads_see_the_whole_numpy():
+    # numpy executes on the first attribute read; threads that read one
+    # while it executes must wait for the whole module, not see a part
+    code = textwrap.dedent(
+        """
+        import sys, threading
+        from timelens.envelope import gaussian_pulse
+        from timelens.grid import TimeGrid
+        assert not %s
+        sys.setswitchinterval(1e-6)
+        barrier = threading.Barrier(8)
+        results, errors = {}, []
+        def first_call(index):
+            barrier.wait()
+            try:
+                pulse = gaussian_pulse(TimeGrid(1024, 0.1), 2.0)
+                results[index] = pulse.samples.tobytes()
+            except BaseException as exc:
+                errors.append(repr(exc))
+        threads = [
+            threading.Thread(target=first_call, args=(i,), daemon=True) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads), "a first call hangs"
+        assert not errors, errors
+        serial = gaussian_pulse(TimeGrid(1024, 0.1), 2.0).samples.tobytes()
+        assert results == dict.fromkeys(range(8), serial)
+        """
+        % NUMPY_EXECUTED
+    )
+    result = fresh_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_submodule_import_racing_the_first_array_call_never_hangs():
+    # a thread importing numpy.linalg holds that submodule's import lock
+    # while it reads numpy, and numpy, executing in the other thread, needs
+    # that lock: a wait the import system cannot see would hang.  As when
+    # one thread runs `import numpy` and another `import numpy.linalg`,
+    # either may fail with an import error; numpy works afterwards.
+    code = textwrap.dedent(
+        """
+        import sys, threading
+        from timelens.envelope import gaussian_pulse
+        from timelens.grid import TimeGrid
+        sys.setswitchinterval(1e-6)
+        barrier = threading.Barrier(2)
+        errors = []
+        def first_call():
+            barrier.wait()
+            try:
+                gaussian_pulse(TimeGrid(1024, 0.1), 2.0)
+            except BaseException as exc:
+                errors.append(exc)
+        def submodule_import():
+            barrier.wait()
+            try:
+                import numpy.linalg
+            except BaseException as exc:
+                errors.append(exc)
+        threads = [
+            threading.Thread(target=f, daemon=True) for f in (first_call, submodule_import)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads), "the threads deadlock"
+        # the import system's deadlock error is a RuntimeError
+        assert all(isinstance(e, (ImportError, RuntimeError)) for e in errors), errors
+        import numpy.linalg
+        assert numpy.linalg.norm([3.0, 4.0]) == 5.0
+        assert gaussian_pulse(TimeGrid(1024, 0.1), 2.0).samples.dtype == "complex128"
+        """
     )
     result = fresh_python(code)
     assert result.returncode == 0, result.stderr

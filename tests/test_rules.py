@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 
 from timelens import (
@@ -201,6 +202,24 @@ def test_owner_refuses_what_the_parser_refuses(path):
             with pytest.raises(error, match=f"^{re.escape(prefix)}"):
                 call(value)
     assert refused >= 3  # every rule refuses infinities and NaN at least
+
+
+@pytest.mark.parametrize(
+    ("value", "holds"),
+    [
+        (np.int64(1024), True),
+        (np.uint8(128), True),
+        (True, False),
+        (np.bool_(True), False),
+        (3.0, False),
+        (np.float64(1024.0), False),
+    ],
+    ids=["int64", "uint8", "bool", "numpy-bool", "float", "float64"],
+)
+def test_sample_count_rule_takes_integers_of_any_type(value, holds):
+    # numbers.Integral admits numpy's integers, as (int, np.integer) did,
+    # without reading numpy; bools are too small to pass either way
+    assert GRID_RULES["n_samples"].holds(value) == holds
 
 
 @pytest.mark.parametrize(
