@@ -19,10 +19,10 @@ down-conversion or ``i * eta(t) * exp(+i*phi_p)`` for up-conversion, where
 therefore imprints ``+t^2/(2*focal_gdd)`` of quadratic phase and an
 up-conversion lens the opposite sign.
 
-Both stages are chirps of the sample index: :func:`_dispersion_kernel` and
-:func:`_lens_factor` give their coefficients, and
-:func:`timelens.grid._multiply_blocks` evaluates and applies each one block
-by block.
+Both stages are exponentials of a polynomial phase of the sample index:
+:func:`_dispersion_kernel` and :func:`_lens_factor` give its coefficients,
+and :func:`timelens.grid._multiply_blocks` evaluates it sample by sample
+and applies it block by block.
 """
 
 from __future__ import annotations
@@ -168,9 +168,9 @@ def apply_dispersion(
     """Propagate through a dispersive element.
 
     Filters the spectrum with the kernel transmission * exp(i*(gdd/2)*w^2 +
-    i*(tod/6)*w^3) (:func:`timelens.envelope._filter`): a chirp in
-    m = w/domega times, with TOD, the cubic factor; with transmission = 1 the
-    spectral magnitude is unchanged.
+    i*(tod/6)*w^3) (:func:`timelens.envelope._filter`): one polynomial
+    phase in m = w/domega, TOD included; with transmission = 1 the spectral
+    magnitude is unchanged.
 
     Raises:
         UndersampledError: the dispersed waveform reaches the window boundary
@@ -207,19 +207,13 @@ def apply_dispersion(
 def _dispersion_kernel(element: DispersiveElement, grid: TimeGrid) -> dict:
     """The element's spectral kernel as the
     :func:`timelens.grid._multiply_blocks` kernel of m = w/domega: the
-    chirp (gdd/2)*domega^2*m^2 times, with TOD, the cubic factor."""
+    phase (gdd/2)*domega^2*m^2 + (tod/6)*domega^3*m^3."""
     domega = grid.domega
-    cubic = None
-    if element.tod != 0.0:
-
-        def cubic(lo: int, hi: int) -> np.ndarray:
-            return np.exp(1j * (element.tod / 6.0) * (np.arange(lo, hi) * domega) ** 3)
-
     return dict(
         a=0.5 * element.gdd * domega**2,
+        d=element.tod / 6.0 * domega**3,
         scale=element.transmission,
-        extra=cubic,
-        mirror=np.copy if cubic is None else None,  # even in w without TOD
+        mirror=np.copy if element.tod == 0.0 else None,  # even in w without TOD
     )
 
 
@@ -309,7 +303,7 @@ def _lens_factor(lens: TimeLens, grid: TimeGrid) -> dict:
     :func:`timelens.grid._multiply_blocks` kernel of m on ``grid``.
 
     With phi_p = alpha*t^2 + offset at t = dt*m, m = k - N/2, s*phi_p is the
-    chirp a*m^2 + c, even in m; eta is the ``extra`` factor of a pumped lens.
+    phase a*m^2 + c, even in m; eta is the ``extra`` factor of a pumped lens.
     """
     seed = lens.pump_seed_fwhm
     if lens.is_ideal:

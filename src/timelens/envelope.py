@@ -12,7 +12,7 @@ Conventions:
       sum(|a|^2) dt == sum(|A|^2) dw.  Every grid is centered on t = 0, so
       each is one FFT between sign flips.  ``_filter`` is their one caller:
       every spectral stage (dispersion, time shift) is that pair around one
-      spectrum-first multiply by its chirp kernel, block by block in the
+      spectrum-first multiply by its phase kernel, block by block in the
       forward transform's work array, which the inverse then transforms in
       place; :func:`timelens.grid._multiply_blocks` is that one kernel loop.
       Transforms of 2**17 samples or more compute the same DFT in place

@@ -25,6 +25,7 @@ from timelens import (
     gaussian_pulse,
     phase_fit_quadratic,
     phase_rms,
+    shifted,
     stretched_pump_fwhm,
     synthesize_pump,
     to_frequency,
@@ -339,12 +340,11 @@ def test_lens_kernel_matches_the_plain_formula(
     n_samples, pump_seed_fwhm, direction, offset, full_kernel, within_rounding,
     centered_grid,
 ):
-    """The lens factor, a chirp evaluated in blocks from exactly reduced
-    phases and mirrored, agrees with the plain per-sample formula it
-    replaces within that formula's own rounding; so does its pump
-    amplitude.  With an offset, the factor as the stage multiplies it into
-    a pulse centered ``offset`` ps off t = 0 agrees with the plain formula
-    times that pulse."""
+    """The lens factor, a per-sample phase evaluated in blocks and
+    mirrored, agrees with the plain whole-axis formula within that
+    formula's own rounding; so does its pump amplitude.  With an offset,
+    the factor as the stage multiplies it into a pulse centered ``offset``
+    ps off t = 0 agrees with the plain formula times that pulse."""
     grid = centered_grid(400.0, n_samples)
     if grid is None:
         return
@@ -367,34 +367,53 @@ def test_lens_kernel_matches_the_plain_formula(
     within_rounding(out, plain * pulse, phase)
 
 
-class TestExpCount:
-    """The phase kernels evaluate a complex exponential per table entry, not
-    per sample: at most n/8 values at 2**16 samples, where a per-sample
-    kernel takes n/2 + 1 (mirrored dispersion) or n (lens)."""
+class TestPhaseCount:
+    """The phase kernels evaluate one phase per sample they evaluate, as a
+    cosine and a sine, and no complex exponential: n/2 + 1 for a kernel
+    mirrored about m = 0 (dispersion without TOD, a lens, a time shift), n
+    for a TOD dispersion, at 2**16 samples."""
 
     N = 2**16
 
     @pytest.fixture
-    def exp_values(self, monkeypatch):
+    def phase_values(self, monkeypatch):
+        """Sizes of the cosines and complex exponentials evaluated."""
         counted = []
-        exp = np.exp
+        cos, exp = np.cos, np.exp
+
+        def counting_cos(x, *args, **kwargs):
+            counted.append(np.size(x))
+            return cos(x, *args, **kwargs)
 
         def counting_exp(x, *args, **kwargs):
             if np.iscomplexobj(x):
                 counted.append(np.size(x))
             return exp(x, *args, **kwargs)
 
+        monkeypatch.setattr(np, "cos", counting_cos)
         monkeypatch.setattr(np, "exp", counting_exp)
         return counted
 
-    def test_dispersion(self, exp_values):
-        env = gaussian_pulse(TimeGrid(self.N, 4000.0 / self.N), fwhm=5.0)
-        apply_dispersion(env, DispersiveElement(gdd=50.0))
-        assert 0 < sum(exp_values) <= self.N // 8
-
-    def test_pumped_lens(self, exp_values):
+    @pytest.fixture
+    def pulse(self):
         grid = TimeGrid(self.N, 4000.0 / self.N)
-        env = gaussian_pulse(grid, fwhm=5.0, carrier_wavelength_nm=710.0)
+        return gaussian_pulse(grid, fwhm=5.0, carrier_wavelength_nm=710.0)
+
+    def test_dispersion(self, pulse, phase_values):
+        apply_dispersion(pulse, DispersiveElement(gdd=50.0))
+        assert sum(phase_values) == self.N // 2 + 1
+
+    def test_pumped_lens(self, pulse, phase_values):
         lens = TimeLens(ConversionDirection.DOWN, focal_gdd=50.0, pump_seed_fwhm=2.5)
-        apply_time_lens(env, lens)
-        assert 0 < sum(exp_values) <= self.N // 8
+        apply_time_lens(pulse, lens)
+        assert sum(phase_values) == self.N // 2 + 1
+
+    def test_time_shift(self, pulse, phase_values):
+        shifted(pulse, 3.0)
+        assert sum(phase_values) == self.N // 2 + 1
+
+    def test_tod_dispersion(self, pulse, phase_values):
+        """One phase per sample for the quadratic and cubic terms together,
+        not one for each."""
+        apply_dispersion(pulse, DispersiveElement(gdd=50.0, tod=20.0))
+        assert sum(phase_values) == self.N

@@ -354,10 +354,10 @@ class TestFilterBitIdentity:
 @pytest.mark.parametrize("n_samples", [2, 4, 16, 2**12, 2**15])
 @pytest.mark.parametrize("centered", [True, False])
 class TestPlainKernels:
-    """The spectral kernels, chirps evaluated in blocks from exactly reduced
-    phases, agree with the plain per-sample formulas they replace within
-    those formulas' own rounding.  Off center, each kernel is checked times
-    the ramp of the time shift that moved the waveform there."""
+    """The spectral kernels, per-sample phases evaluated in blocks, agree
+    with the plain whole-axis formulas within those formulas' own rounding.
+    Off center, each kernel is checked times the ramp of the time shift
+    that moved the waveform there."""
 
     @staticmethod
     def _off_center_ramp(grid: TimeGrid, centered: bool, full_kernel):

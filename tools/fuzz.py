@@ -2,7 +2,9 @@
 
 Each draw takes one of the three shipped visibility scenarios and overrides
 its magnification (|M| in [2, 40], either sign), bin FWHM, bin separation,
-pump seed FWHM, largest GDD and sample count (2^11, 2^12 or 2^13).  A draw
+pump seed FWHM, largest GDD and sample count (2^11, 2^12 or 2^13); half the
+draws also set a TOD ratio in [-0.5, 0.5] ps, which puts third-order
+dispersion on the largest dispersive stage.  A draw
 that runs is run again on its twin grid, four times the samples over twice
 the window, and each reported metric is compared between the two.
 
@@ -46,6 +48,8 @@ def draw(rng: np.random.Generator) -> tuple[str, dict[str, float]]:
         "system.largest_gdd": rng.uniform(200.0, 2000.0),
         "grid.n_samples": int(2 ** rng.integers(11, 14)),
     }
+    if rng.random() < 0.5:
+        overrides["system.tod_ratio"] = rng.uniform(-0.5, 0.5)
     return name, {key: round(value, 3) for key, value in overrides.items()}
 
 
