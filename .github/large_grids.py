@@ -8,8 +8,10 @@ reads and the stage it writes, and the analyzer ports are formed only on the
 central window.  tracemalloc does not see numpy's FFT scratch, so it also
 checks that the three ops together raise the process's peak RSS, after a
 warm-up on a small grid, by less than MAX_RSS_WAVEFORMS: a single 1-D numpy
-FFT of a waveform would take two more.  Run it from anywhere with timelens
-importable, under a timeout so that a hang fails::
+FFT of a waveform would take two more.  Last, it checks that the blocked
+reductions the ops do not reach, the skewness and the intensity overlap,
+stay below MAX_WAVEFORMS on one 2^20 image too.  Run it from anywhere with
+timelens importable, under a timeout so that a hang fails::
 
     timeout 300 python .github/large_grids.py
 """
@@ -22,6 +24,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import propagate  # noqa: E402
+import timelens as tl  # noqa: E402
+from timelens.interferometry import asymmetry  # noqa: E402
 
 #: Traced peak of one op, in complex128 waveforms of N_SAMPLES; 3.1-3.3 measured.
 MAX_WAVEFORMS = 4.0
@@ -45,3 +49,19 @@ for topology in propagate.TOPOLOGIES:
 rise = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 - start) / waveform
 print(f"peak RSS rise {rise:.2f} waveforms")
 assert rise < MAX_RSS_WAVEFORMS, rise
+
+system, pulse, m, _ = propagate.setup_system("field-lens", 20.0, propagate.N_SAMPLES)
+image = tl.run_system(pulse, system).final
+ideal = tl.magnified_copy(pulse, m)
+for name, reduce in (
+    ("asymmetry", lambda: asymmetry(image)),
+    ("intensity_overlap", lambda: tl.intensity_overlap(image, ideal)),
+):
+    tracemalloc.start()
+    try:
+        value = reduce()
+        peak = tracemalloc.get_traced_memory()[1] / waveform
+    finally:
+        tracemalloc.stop()
+    print(name, value, f"peak {peak:.2f} waveforms")
+    assert peak < MAX_WAVEFORMS, (name, peak)

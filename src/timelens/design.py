@@ -38,13 +38,6 @@ DEFAULT_FAR_FIELD_MULTIPLIER = 10.0
 #: bound reaches this fraction of t_i^2.
 SMALL_DISPERSION_FRACTION = 0.1
 
-#: Design row names of the layout-sized configurations, in layout order.
-_ROW_NAMES = {
-    TopologyKind.FIELD_LENS: ("D1", "Df", "D2", "Dr"),
-    TopologyKind.TELESCOPE: ("D1", "Df1", "D2", "Df2", "D3"),
-}
-
-
 class DesignConfiguration(enum.Enum):
     FAR_FIELD = "far-field"
     TELESCOPE = "telescope"
@@ -147,10 +140,10 @@ def requirements(request: DesignRequest) -> DesignReport:
         # lens the image; every other stage needs the pump bandwidth.
         kind = TopologyKind(config.value)
         layout = _LAYOUTS[kind]
-        lens_at = [i for i, (_, lens) in enumerate(layout) if lens is not None]
+        lens_at = [i for i, (_, lens, _) in enumerate(layout) if lens is not None]
         values = _stage_values(kind, -m, t_i / dnu)
         rows = []
-        for i, (name, value) in enumerate(zip(_ROW_NAMES[kind], values)):
+        for i, ((_, _, name), value) in enumerate(zip(layout, values)):
             if i < lens_at[0]:
                 bw, bw_kind = input_bw, ">="
             elif i > lens_at[-1]:

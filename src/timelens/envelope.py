@@ -4,8 +4,8 @@ Conventions:
     * Time axis in ps; angular frequency axis in rad/ps (offset from the
       carrier, co-moving frame — absolute carrier phase and group delay are
       not tracked).
-    * Envelope samples have units ps^(-1/2) so that energy = sum(|a|^2) * dt
-      is dimensionless.
+    * The pulse constructors give unit peak amplitude, so energy =
+      sum(|a|^2) * dt carries ps: a 5 ps two-bin input has energy 2.6664 ps.
     * ``to_frequency``/``to_time`` form a unitary pair:
       A(w) = (1/sqrt(2*pi)) * integral a(t) exp(-i w t) dt and back, so
       Parseval holds exactly in the discrete approximation:
@@ -406,21 +406,26 @@ def fwhm(env: AnyEnvelope) -> float:
     return crossing(right - 1, right) - crossing(left + 1, left)
 
 
-def _block_sum(grid: TimeGrid, term) -> float:
+def _block_sum(grid: TimeGrid, term):
     """np.sum of ``term``, applied to a slice of the samples, over the whole
-    axis, bit for bit, with no full-size array: numpy sums a contiguous
-    power-of-two array pairwise, halving it down to 128 values, so the
+    last axis, bit for bit, with no full-size array: numpy sums a contiguous
+    power-of-two axis pairwise, halving it down to 128 values, so the
     block boundaries are among its split points, and the sums of the blocks
-    combine in the same binary tree."""
-    sums = [np.sum(term(span)) for span in grid._blocks()]
+    combine in the same binary tree.  The sum is returned as numpy gives
+    it: a real or complex scalar, or one per row of a stacked ``term``.
+    Every waveform sum goes through it; none goes through BLAS (``@``,
+    ``np.vdot``), whose thread pool would raise the peak RSS."""
+    sums = [np.sum(term(span), axis=-1) for span in grid._blocks()]
     while len(sums) > 1:
         sums = [sums[k] + sums[k + 1] for k in range(0, len(sums), 2)]
-    return float(sums[0])
+    return sums[0]
 
 
 def energy(env: AnyEnvelope) -> float:
-    """L2 norm: sum(|a|^2) * step (dimensionless for time-domain envelopes)."""
-    return _block_sum(env.grid, lambda s: np.abs(env.samples[s]) ** 2) * _step(env)
+    """L2 norm: sum(|a|^2) * step; ps for a time-domain envelope of
+    unit-peak samples."""
+    total = _block_sum(env.grid, lambda s: np.abs(env.samples[s]) ** 2)
+    return float(total * _step(env))
 
 
 def overlap(a: AnyEnvelope, b: AnyEnvelope) -> complex:
@@ -438,10 +443,7 @@ def overlap(a: AnyEnvelope, b: AnyEnvelope) -> complex:
     eb = energy(b)
     if ea == 0.0 or eb == 0.0:
         raise DegenerateInputError("overlap with a zero-energy envelope is undefined")
-    # summed one block at a time, so no full-size product is formed; not by
-    # np.vdot, whose BLAS thread pool would raise the peak RSS
-    blocks = a.grid._blocks()
-    inner = sum(np.sum(np.conjugate(a.samples[s]) * b.samples[s]) for s in blocks)
+    inner = _block_sum(a.grid, lambda s: np.conjugate(a.samples[s]) * b.samples[s])
     return complex(inner * _step(a) / np.sqrt(ea * eb))
 
 
@@ -456,18 +458,16 @@ def intensity_overlap(a: AnyEnvelope, b: AnyEnvelope) -> float:
             "intensity_overlap requires two envelopes on the same grid and domain"
         )
 
-    def correlation(x: AnyEnvelope, y: AnyEnvelope) -> float:
-        return _block_sum(
-            a.grid, lambda s: np.abs(x.samples[s]) ** 2 * np.abs(y.samples[s]) ** 2
-        )
+    def products(s: slice) -> np.ndarray:
+        ia, ib = np.abs(a.samples[s]) ** 2, np.abs(b.samples[s]) ** 2
+        return np.stack((ia * ia, ib * ib, ia * ib))
 
-    na = correlation(a, a)
-    nb = correlation(b, b)
+    na, nb, cross = _block_sum(a.grid, products)
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError(
             "intensity overlap with a zero-energy envelope is undefined"
         )
-    return float(correlation(a, b) / np.sqrt(na * nb))
+    return float(cross / np.sqrt(na * nb))
 
 
 #: Intensity floor (relative to peak) below which samples are excluded from

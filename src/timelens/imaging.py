@@ -142,25 +142,26 @@ class SystemTopology:
 
 
 #: Stage order of each configuration: (label, lens direction, or None for a
-#: dispersive element).  ``_stage_values`` gives each stage's value.
-_LAYOUTS: dict[TopologyKind, tuple[tuple[str, ConversionDirection | None], ...]] = {
+#: dispersive element, design row name).  ``_stage_values`` gives each
+#: stage's value.
+_LAYOUTS: dict[TopologyKind, tuple[tuple[str, ConversionDirection | None, str], ...]] = {
     TopologyKind.SINGLE_LENS: (
-        ("input_gdd", None),
-        ("main_lens", ConversionDirection.DOWN),
-        ("output_gdd", None),
+        ("input_gdd", None, "D1"),
+        ("main_lens", ConversionDirection.DOWN, "Df"),
+        ("output_gdd", None, "D2"),
     ),
     TopologyKind.FIELD_LENS: (
-        ("input_gdd", None),
-        ("main_lens", ConversionDirection.DOWN),
-        ("output_gdd", None),
-        ("field_lens", ConversionDirection.UP),
+        ("input_gdd", None, "D1"),
+        ("main_lens", ConversionDirection.DOWN, "Df"),
+        ("output_gdd", None, "D2"),
+        ("field_lens", ConversionDirection.UP, "Dr"),
     ),
     TopologyKind.TELESCOPE: (
-        ("input_gdd", None),
-        ("lens_1", ConversionDirection.DOWN),
-        ("relay_gdd", None),
-        ("lens_2", ConversionDirection.UP),
-        ("output_gdd", None),
+        ("input_gdd", None, "D1"),
+        ("lens_1", ConversionDirection.DOWN, "Df1"),
+        ("relay_gdd", None, "D2"),
+        ("lens_2", ConversionDirection.UP, "Df2"),
+        ("output_gdd", None, "D3"),
     ),
 }
 
@@ -224,11 +225,11 @@ def assemble_system(
     """
     layout = _LAYOUTS[kind]
     values = _stage_values(kind, magnification, sizing)
-    dispersive = [i for i, (_, direction) in enumerate(layout) if direction is None]
+    dispersive = [i for i, (_, direction, _) in enumerate(layout) if direction is None]
     tod_at = max(dispersive, key=lambda i: abs(values[i])) if tod_ratio else None
     carrier = input_carrier_nm
     stages: list[Element] = []
-    for i, ((label, direction), value) in enumerate(zip(layout, values)):
+    for i, ((label, direction, _), value) in enumerate(zip(layout, values)):
         if direction is None:
             tod = tod_ratio * value if i == tod_at else 0.0
             stages.append(DispersiveElement(value, tod, transmission, label))
@@ -283,7 +284,7 @@ def verify_topology(topology: SystemTopology) -> None:
     stages = topology.stages
     if len(stages) != len(layout) or not all(
         isinstance(stage, DispersiveElement if direction is None else TimeLens)
-        for stage, (_, direction) in zip(stages, layout)
+        for stage, (_, direction, _) in zip(stages, layout)
     ):
         raise DesignError(f"malformed {topology.kind.value} stage chain")
     a, b, c, d = transfer_matrix(stages)

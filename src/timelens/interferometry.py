@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .envelope import SampledEnvelope, _adopt, shifted
+from .envelope import SampledEnvelope, _adopt, _block_sum, shifted
 from .errors import POSITIVE, DegenerateInputError, WindowOverflowError, require
 
 
@@ -57,18 +57,13 @@ def asymmetry(env: SampledEnvelope) -> float:
     Raises:
         DegenerateInputError: zero-energy envelope.
     """
-    intensity = env.intensity
-    total = float(intensity.sum())
+    total, moment = _moments(env, 0.0, 0)
     if total == 0.0:
         raise DegenerateInputError("asymmetry of a zero-energy envelope is undefined")
-    t = env.times
-    weights = intensity / total
-    centroid = float(np.sum(weights * t))
-    var = float(np.sum(weights * (t - centroid) ** 2))
-    if var == 0.0:
+    second, third = _moments(env, moment / total, 2) / total
+    if second == 0.0:
         raise DegenerateInputError("asymmetry of a single-sample profile is undefined")
-    third = float(np.sum(weights * (t - centroid) ** 3))
-    return third / var**1.5
+    return float(third / second**1.5)
 
 
 @dataclass(frozen=True)
@@ -85,21 +80,29 @@ class InterferenceResult:
     metric: str  # "energy" or "peak"
 
 
+def _moments(env: SampledEnvelope, center: float, order: int) -> np.ndarray:
+    """The sums of |a(t)|^2 * (t - center)**k over the samples, for
+    k = ``order`` and ``order + 1``."""
+    grid = env.grid
+
+    def terms(s: slice) -> np.ndarray:
+        offset = grid._times(s.start, s.stop) - center
+        low = np.abs(env.samples[s]) ** 2 * offset**order
+        return np.stack((low, low * offset))
+
+    return _block_sum(grid, terms)
+
+
 def _centroid(env: SampledEnvelope) -> float:
-    """Time centroid of |a(t)|^2, summed block by block, ps.
+    """Time centroid of |a(t)|^2, ps.
 
     Raises:
         DegenerateInputError: zero-energy envelope.
     """
-    grid = env.grid
-    total = moment = 0.0
-    for span in grid._blocks():
-        intensity = np.abs(env.samples[span]) ** 2
-        total += float(intensity.sum())
-        moment += float(intensity @ grid._times(span.start, span.stop))
+    total, moment = _moments(env, 0.0, 0)
     if total == 0.0:
         raise DegenerateInputError("the centroid of a zero-energy envelope is undefined")
-    return moment / total
+    return float(moment / total)
 
 
 def _window_energy(

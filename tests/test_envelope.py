@@ -19,6 +19,7 @@ from scipy.interpolate import CubicSpline
 
 import timelens.elements as elements_module
 import timelens.envelope as envelope_module
+import timelens.interferometry as interferometry_module
 from timelens import (
     ConversionDirection,
     DegenerateInputError,
@@ -50,6 +51,7 @@ from timelens import (
     visibility_experiment,
 )
 from timelens.envelope import AnyEnvelope
+from timelens.interferometry import asymmetry
 
 LN2 = math.log(2.0)
 
@@ -422,9 +424,10 @@ class TestPlainKernels:
 
 
 class TestBlockedMagnitudes:
-    """boundary_leakage, the shift's support check, energy and
-    intensity_overlap read |a| block by block and give the full-array
-    formulas' results bit for bit."""
+    """boundary_leakage and the shift's support check read |a| block by
+    block, and every waveform sum (energy, overlap, intensity_overlap and
+    the centroid) goes through the blocked pairwise tree: each gives the
+    full-array formula's result bit for bit."""
 
     GRID = TimeGrid(2**15, 400.0 / 2**15)
 
@@ -465,10 +468,36 @@ class TestBlockedMagnitudes:
             )
 
         a, b = random(), random()
-        assert energy(a) == float(np.sum(np.abs(a.samples) ** 2) * grid.dt)
+        ea, eb = (float(np.sum(np.abs(x.samples) ** 2) * grid.dt) for x in (a, b))
+        assert energy(a) == ea and energy(b) == eb
+        inner = np.sum(np.conjugate(a.samples) * b.samples)
+        assert overlap(a, b) == complex(inner * grid.dt / np.sqrt(ea * eb))
         ia, ib = np.abs(a.samples) ** 2, np.abs(b.samples) ** 2
         whole = np.sum(ia * ib) / np.sqrt(float(np.sum(ia * ia)) * float(np.sum(ib * ib)))
         assert intensity_overlap(a, b) == float(whole)
+        sums = interferometry_module._moments(a, 0.0, 0)
+        assert _bits_equal(sums, np.array([np.sum(ia), np.sum(ia * grid.times)]))
+        assert interferometry_module._centroid(a) == float(sums[1] / sums[0])
+
+    # the sums are taken one block at a time; a full-size intensity or time
+    # array would be half a waveform.  Measured 0.16 and 0.25: intensity_overlap
+    # holds eight block-sized arrays, a quarter of a waveform at 2**17.
+    @pytest.mark.parametrize(
+        "reduction, bound",
+        [(asymmetry, 0.25), (lambda env: intensity_overlap(env, env), 0.4)],
+        ids=["asymmetry", "intensity_overlap"],
+    )
+    def test_reductions_form_no_full_size_array(self, reduction, bound):
+        grid = TimeGrid(2**17, 400.0 / 2**17)
+        pulse = time_bin_pulse(grid, bin_fwhm=5.0, separation=15.0)
+        reduction(pulse)
+        tracemalloc.start()
+        try:
+            reduction(pulse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * pulse.samples.nbytes
 
     def test_all_zero(self):
         env = SampledEnvelope(self.GRID, np.zeros(2**15))
