@@ -18,12 +18,12 @@ Conventions:
       Transforms of 2**17 samples or more compute the same DFT in place
       as a four-step FFT, without the two full-size scratch arrays of
       numpy's single call (:func:`_transform`).
-    * Envelopes own read-only samples.  The public constructors (and
-      ``SampledEnvelope.with_samples``) copy what they are given, so the
-      caller's array may change afterwards; arrays the library has just built
-      are adopted by ``_adopt`` without a copy, after the same shape and
-      finiteness checks.  Only ``_filter`` makes a spectrum with writeable
-      samples: scratch that ``to_time`` inverts in place (it copies others).
+    * Envelopes own read-only samples.  The public constructors copy what
+      they are given, so the caller's array may change afterwards; arrays
+      the library has just built are adopted by ``_adopt`` without a copy,
+      after the same shape and finiteness checks.  Only ``_filter`` makes
+      a spectrum with writeable samples: scratch that ``to_time`` inverts
+      in place (it copies others).
 """
 
 from __future__ import annotations
@@ -112,10 +112,6 @@ class SampledEnvelope(AnyEnvelope):
     @property
     def times(self) -> np.ndarray:
         return self.grid.times
-
-    def with_samples(self, samples: np.ndarray) -> "SampledEnvelope":
-        """Same grid and carrier, new sample values."""
-        return SampledEnvelope(self.grid, samples, self.carrier_wavelength_nm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,15 +307,13 @@ def gaussian_pulse(
     grid: TimeGrid,
     fwhm: float,
     center: float = 0.0,
-    amplitude: complex = 1.0,
     carrier_wavelength_nm: float | None = None,
 ) -> SampledEnvelope:
-    """Gaussian envelope amplitude * exp(-2*ln2*((t-center)/fwhm)^2).
+    """Gaussian envelope exp(-2*ln2*((t-center)/fwhm)^2).
 
     ``fwhm`` is the intensity full width at half maximum in ps.  Samples
     beyond about 23.2 FWHM of ``center``, where the formula underflows to
-    zero, are not evaluated and hold exact +0; with Re(amplitude) < 0 the
-    formula itself would give -0 there.
+    zero, are not evaluated and hold its exact +0.
 
     Raises:
         ValueError: ``fwhm`` breaks its rule in :data:`PULSE_RULES`.
@@ -332,7 +326,7 @@ def gaussian_pulse(
     samples = np.zeros(grid.n_samples, dtype=np.complex128)
     for span in _pulse_blocks(grid, center, center, fwhm, what):
         t = grid._times(span.start, span.stop)
-        samples[span] = amplitude * np.exp(-2.0 * LN2 * ((t - center) / fwhm) ** 2)
+        samples[span] = np.exp(-2.0 * LN2 * ((t - center) / fwhm) ** 2)
     return _adopt(SampledEnvelope, grid, samples, carrier_wavelength_nm)
 
 

@@ -7,10 +7,9 @@ report's ``grid`` block.  ``sweep`` renders only ``sweep.csv`` and its report,
 and its points that differ only in ``analysis.analyzer_phase`` share one
 propagation.  Text artifacts are rendered before anything touches disk.
 Waveforms are not rendered to bytes first: each ``.npy`` file is written
-from its envelope's own sample array, so no waveform is held twice (a
-2**18-sample ``visibility_telescope`` simulate peaks at 67.7 MB RSS on a
-2-core Linux host with numpy 2.4.6).  The two analyzer ports are formed
-whole only here, from the visibility experiment's delayed copy.
+from its envelope's own sample array, so no waveform is held twice.  The
+two analyzer ports are formed whole only here, from the visibility
+experiment's delayed copy.
 Floats in text artifacts are written with ``repr``, so every artifact is
 bit-identical across repeated runs of the same scenario on one numpy build
 and CPU, and reads back to the same doubles.
@@ -125,30 +124,13 @@ def build_input(scenario: Scenario, grid: TimeGrid) -> SampledEnvelope:
     )
 
 
-def _resolve_analysis(scenario: Scenario) -> tuple[bool, float]:
-    """(visibility enabled, analyzer delay in ps; 0 when disabled)."""
-    analysis = scenario.analysis
-    spec = scenario.input
-    enabled = analysis.visibility
-    if enabled is None:  # coincident bins leave nothing to interfere
-        enabled = spec.kind == "time-bin" and spec.bin_separation > 0.0
-    if not enabled:
-        return False, 0.0
-    delay = analysis.analyzer_delay
-    if delay is None:
-        delay = abs(scenario.system.magnification) * spec.bin_separation
-    return True, delay
-
-
-def plan_scenario_grid(
-    scenario: Scenario, topology: SystemTopology, analyzer_delay: float
-) -> TimeGrid:
+def plan_scenario_grid(scenario: Scenario, topology: SystemTopology) -> TimeGrid:
     spec = scenario.input
     return plan_grid(
         topology,
         input_extent=spec.extent,
         input_bandwidth=4.0 * LN2 / spec.feature_fwhm,
-        analyzer_delay=analyzer_delay,
+        analyzer_delay=scenario.analyzer_delay or 0.0,
         n_samples=scenario.grid.n_samples,
         margin=scenario.grid.margin,
         window=scenario.grid.window,
@@ -257,8 +239,7 @@ def _compute(scenario: Scenario) -> _Run:
         )
     system = scenario.system
     topology = build_topology(system)
-    vis_enabled, analyzer_delay = _resolve_analysis(scenario)
-    grid = plan_scenario_grid(scenario, topology, analyzer_delay)
+    grid = plan_scenario_grid(scenario, topology)
     source = build_input(scenario, grid)
     waveforms = (("input", source), *propagate_stages(source, topology))
     image = waveforms[-1][1]
@@ -315,18 +296,16 @@ def _compute(scenario: Scenario) -> _Run:
         ),
     }
     if topology.kind is not TopologyKind.TELESCOPE:
-        t_i = spec.fwhm if spec.kind == "gaussian" else (
-            spec.bin_separation + spec.bin_fwhm
-        )
-        ff = check_far_field(topology, t_i)
+        ff = check_far_field(topology, spec.duration)
         report["far_field"] = {
-            "input_duration_ps": float(t_i),
+            "input_duration_ps": float(spec.duration),
             "margin": ff.margin,
             "passed": ff.passed,
         }
 
     result = None
-    if vis_enabled:
+    analyzer_delay = scenario.analyzer_delay
+    if analyzer_delay is not None:
         psi = spec.relative_phase
         image_phase = psi if system.magnification > 0 else -psi
         result = visibility_experiment(
@@ -420,20 +399,21 @@ def run_sweep(
 ) -> tuple[dict, dict[str, str]]:
     """Re-run a simulation scenario over a one-parameter grid.
 
-    Each point re-parses the scenario with ``param`` (a ``section.key``
-    path) overridden, so per-point validation and derived defaults (grid,
-    analyzer delay) stay in force.  Rows are ordered by parameter value.
-    No waveform is rendered; consecutive points that differ only in
-    ``analysis.analyzer_phase`` share one propagation.
+    Each point is parsed once, with ``param`` (a ``section.key`` path)
+    overridden, before any propagates, so per-point validation and derived
+    defaults (grid, analyzer delay) stay in force.  Rows are ordered by
+    parameter value.  No waveform is rendered; consecutive points that
+    differ only in ``analysis.analyzer_phase`` share one propagation.
     """
     spec = key_spec(param)
     if spec is None or spec.kind not in ("float", "int"):
         raise ScenarioSemanticError(
             [(0, f"sweep parameter {param!r} is not a numeric scenario key")]
         )
-    # The first point's override decides the columns, so that a sweep of
+    points = [parse_scenario(text, overrides={param: value}) for value in values]
+    # The first point decides the columns, so that a sweep of
     # analysis.analyzer_phase reports the central energy it changes.
-    head = parse_scenario(text, overrides={param: values[0]} if values else None)
+    head = points[0] if points else parse_scenario(text)
     if not head.simulatable:
         raise ScenarioSemanticError(
             [(0, "sweep needs a simulation scenario ([input] and [system])")]
@@ -442,32 +422,32 @@ def run_sweep(
     param_column = param.replace(".", "_") + unit_suffix
 
     columns = [param_column, "output_fwhm_ps", "output_energy"]
-    visibility, _ = _resolve_analysis(head)
+    visibility = head.analyzer_delay is not None
     phased = visibility and head.analysis.analyzer_phase is not None
     if visibility:
         columns += ["visibility", "constructive_energy", "destructive_energy"]
         if phased:
             columns.append("central_energy")
+    for value, scenario in zip(values, points):
+        if (scenario.analyzer_delay is not None) != visibility:
+            switched = "disabled" if visibility else "enabled"
+            raise ScenarioSemanticError(
+                [(0, f"sweep point {param}={value!r} {switched} the "
+                     "visibility analysis; fix the scenario or the range")]
+            )
 
     rows: list[tuple[float, list[float]]] = []
     key = run = None
-    for value in values:
-        scenario = parse_scenario(text, overrides={param: value})
+    for value, scenario in zip(values, points):
         # Keeping only the latest run bounds memory to one trace; on a sorted
         # grid, equal keys are consecutive anyway.
         unphased = replace(scenario.analysis, analyzer_phase=None)
         point_key = replace(scenario, analysis=unphased)
         if point_key != key:
             key, run = point_key, _compute(scenario)
-        interference = run.report.get("interference")
-        if (interference is not None) != visibility:
-            switched = "disabled" if visibility else "enabled"
-            raise ScenarioSemanticError(
-                [(0, f"sweep point {param}={value!r} {switched} the "
-                     "visibility analysis; fix the scenario or the range")]
-            )
         row = [value, run.report["image"]["fwhm_ps"], run.report["image"]["energy"]]
         if visibility:
+            interference = run.report["interference"]
             row += [
                 interference["visibility"],
                 interference["constructive_energy"],
@@ -488,14 +468,12 @@ def run_sweep(
     return _with_report(report, {"sweep.csv": _csv(columns, [row for _, row in rows])})
 
 
-def write_artifacts(
-    out_dir: Path, files: dict[str, str | bytes | np.ndarray]
-) -> list[Path]:
+def write_artifacts(out_dir: Path, files: dict[str, str | np.ndarray]) -> list[Path]:
     """Write every artifact, removing all of them, and the directories this
     call made, if any write fails.
 
-    Text and bytes are written as they are; an array is saved in ``.npy``
-    format straight from its memory, the bytes :func:`waveform_npy` gives.
+    Text is written as it is; an array is saved in ``.npy`` format straight
+    from its memory, the bytes :func:`waveform_npy` gives.
     """
     made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -505,13 +483,10 @@ def write_artifacts(
             path = out_dir / name
             with path.open("wb") as handle:
                 written.append(path)
-                # text and bytes are tested first: they need no numpy
-                if isinstance(content, str):
+                if isinstance(content, str):  # text needs no numpy
                     handle.write(content.encode())
-                elif not isinstance(content, bytes) and isinstance(content, np.ndarray):
-                    np.save(handle, content, allow_pickle=False)
                 else:
-                    handle.write(content)
+                    np.save(handle, content, allow_pickle=False)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

@@ -169,6 +169,14 @@ class InputSpec:
     def feature_fwhm(self) -> float:
         return self.fwhm if self.kind == "gaussian" else self.bin_fwhm
 
+    @property
+    def duration(self) -> float:
+        """The far-field test's input duration t_i, ps: the Gaussian's FWHM,
+        or the bins' span, separation plus one bin FWHM."""
+        if self.kind == "gaussian":
+            return self.fwhm
+        return self.bin_separation + self.bin_fwhm
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -193,8 +201,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class AnalysisSpec:
-    visibility: bool | None = None  # None: on for time bins that are separated
-    analyzer_delay: float | None = None  # default |M| * bin_separation
+    visibility: bool | None = None  # None: see Scenario.analyzer_delay
+    analyzer_delay: float | None = None  # None: see Scenario.analyzer_delay
     analyzer_phase: float | None = None
     metric: str = "energy"
     phase_fit_window: float = 1.0
@@ -212,6 +220,30 @@ class Scenario:
     @property
     def simulatable(self) -> bool:
         return self.input is not None and self.system is not None
+
+    @property
+    def analyzer_delay(self) -> float | None:
+        """Analyzer delay of the visibility analysis, ps: |M| * ``bin_separation``
+        unless set.  None when the analysis is off: ``visibility = false``,
+        or unset for an input that cannot interfere (:func:`_no_interference`)."""
+        spec, analysis = self.input, self.analysis
+        if analysis.visibility is False or _no_interference(
+            spec.kind, spec.bin_separation
+        ):
+            return None
+        if analysis.analyzer_delay is None:
+            return abs(self.system.magnification) * spec.bin_separation
+        return analysis.analyzer_delay
+
+
+def _no_interference(kind: str | None, bin_separation: float | None) -> str | None:
+    """Why an input cannot interfere with its delayed copy, or None when it
+    can; a ``kind`` of None (not parsed) leaves only the separation."""
+    if kind not in (None, "time-bin"):
+        return "visibility analysis requires a time-bin input"
+    if bin_separation == 0.0:
+        return "visibility analysis requires bin_separation > 0"
+    return None
 
 
 #: The spec each section builds; its fields without a default are required.
@@ -446,11 +478,9 @@ def parse_scenario(
         problems += _check_system(raw["system"], values["system"])
     inputs = values.get("input", {})
     if values.get("analysis", {}).get("visibility"):
-        line = raw["analysis"]["visibility"][0]
-        if inputs.get("kind") not in (None, "time-bin"):
-            problems.append((line, "visibility analysis requires a time-bin input"))
-        elif inputs.get("bin_separation") == 0.0:
-            problems.append((line, "visibility analysis requires bin_separation > 0"))
+        why = _no_interference(inputs.get("kind"), inputs.get("bin_separation"))
+        if why is not None:
+            problems.append((raw["analysis"]["visibility"][0], why))
 
     has_simulation = "input" in raw or "system" in raw
     if has_simulation:

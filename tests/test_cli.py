@@ -488,17 +488,29 @@ class TestExitCodes:
         assert main([command, str(marked), "--out", str(out_b)]) == EXIT_OK
         _assert_same_files(out_a, out_b)
 
-    def test_visibility_on_coincident_bins_is_a_semantic_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            (
+                FAST_TIME_BIN.replace("bin_separation = 15 ps", "bin_separation = 0 ps"),
+                "line 15: visibility analysis requires bin_separation > 0",
+            ),
+            (FAST_GAUSSIAN, "line 14: visibility analysis requires a time-bin input"),
+        ],
+        ids=["coincident-bins", "gaussian"],
+    )
+    def test_visibility_on_an_input_that_cannot_interfere_is_a_semantic_error(
+        self, tmp_path, capsys, text, problem
+    ):
         bad = tmp_path / "bad.scn"
         bad.write_text(
-            FAST_TIME_BIN.replace("bin_separation = 15 ps", "bin_separation = 0 ps")
-            + "\n[analysis]\nvisibility = true\nanalyzer_delay = 100 ps\n",
+            text + "\n[analysis]\nvisibility = true\nanalyzer_delay = 100 ps\n",
             encoding="utf-8",
         )
         out = tmp_path / "out"
         assert main(["simulate", str(bad), "--out", str(out)]) == EXIT_SEMANTIC
         err = capsys.readouterr().err
-        assert "line 15: visibility analysis requires bin_separation > 0" in err
+        assert problem in err
         assert not out.exists()
 
     def test_semantic_error(self, tmp_path):
@@ -845,10 +857,38 @@ class TestSweep:
         report, _ = run_simulate(parse_scenario(text))
         assert "interference" not in report
 
-    @pytest.mark.parametrize("separations", [[15.0, 0.0], [0.0, 15.0]])
-    def test_points_that_disagree_on_visibility_stop_the_sweep(self, separations):
-        with pytest.raises(ScenarioSemanticError, match="the visibility analysis"):
+    @pytest.mark.parametrize("points", [0, 1, 3])
+    def test_each_point_is_parsed_once(self, monkeypatch, points):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("overrides"))
+            return parse_scenario(*args, **kwargs)
+
+        monkeypatch.setattr(timelens.runner, "parse_scenario", counted)
+        values = [5.0 + i for i in range(points)]
+        run_sweep(FAST_GAUSSIAN, "system.focal_gdd", values)
+        expected = [{"system.focal_gdd": v} for v in values] or [None]
+        assert calls == expected
+
+    @pytest.mark.parametrize(
+        "separations, switched",
+        [([15.0, 10.0, 0.0], "0.0 disabled"), ([0.0, 10.0, 15.0], "10.0 enabled")],
+        ids=["disabled", "enabled"],
+    )
+    def test_points_that_disagree_on_visibility_stop_the_sweep(
+        self, monkeypatch, separations, switched
+    ):
+        # every point is checked before the first propagation
+        propagations = []
+        monkeypatch.setattr(timelens.runner, "_compute", propagations.append)
+        with pytest.raises(ScenarioSemanticError) as err:
             run_sweep(FAST_TIME_BIN, "input.bin_separation", separations)
+        assert err.value.diagnostics == [
+            (0, f"sweep point input.bin_separation={switched} the visibility "
+                "analysis; fix the scenario or the range")
+        ]
+        assert propagations == []
 
     def test_empty_sweep_writes_only_the_header(self, fast_scenario):
         _, files = run_sweep(fast_scenario.read_text(), "system.focal_gdd", [])

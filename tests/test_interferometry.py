@@ -56,7 +56,7 @@ class TestRecombine:
         a = gaussian_pulse(small_grid, fwhm=5.0)
         b = time_bin_pulse(small_grid, bin_fwhm=4.0, separation=10.0)
         alpha, beta = 1.3 - 0.2j, 0.4 + 0.9j
-        combo = a.with_samples(alpha * a.samples + beta * b.samples)
+        combo = SampledEnvelope(a.grid, alpha * a.samples + beta * b.samples)
         lhs = recombine(combo, delay=8.0, phase=0.5)
         rhs_samples = (
             alpha * recombine(a, delay=8.0, phase=0.5).samples
@@ -125,13 +125,13 @@ class TestVisibilityExperiment:
     def test_quadratic_phase_washes_out_visibility(self, two_bin):
         # fast curvature across the pattern decorrelates the overlapped bins
         t = two_bin.times
-        blurred = two_bin.with_samples(two_bin.samples * np.exp(0.5j * t**2))
+        blurred = SampledEnvelope(two_bin.grid, two_bin.samples * np.exp(0.5j * t**2))
         result = visibility_experiment(blurred, bin_separation=15.0)
         assert result.visibility < 0.05
 
     def test_invariant_under_global_phase_and_scale(self, two_bin):
         base = visibility_experiment(two_bin, bin_separation=15.0).visibility
-        scaled = two_bin.with_samples(two_bin.samples * (0.31 * np.exp(1.1j)))
+        scaled = SampledEnvelope(two_bin.grid, two_bin.samples * (0.31 * np.exp(1.1j)))
         again = visibility_experiment(scaled, bin_separation=15.0).visibility
         assert again == pytest.approx(base, abs=1e-12)
 

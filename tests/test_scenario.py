@@ -304,6 +304,36 @@ class TestSemanticDiagnostics:
         scenario = parse_scenario(text.replace("visibility = true\n", setting))
         assert scenario.analysis.visibility is (False if setting else None)
 
+    @pytest.mark.parametrize(
+        "text, delay",
+        [
+            (MINIMAL, None),
+            (TIME_BIN.replace("visibility = true\n", ""), 20.0 * 15.0),
+            (
+                TIME_BIN.replace("visibility = true\n", "").replace(
+                    "bin_separation = 15 ps", "bin_separation = 0 ps"
+                ),
+                None,
+            ),
+            (TIME_BIN, 20.0 * 15.0),
+            (TIME_BIN.replace("visibility = true", "visibility = false"), None),
+            (TIME_BIN + "analyzer_delay = 100 ps\n", 100.0),
+            (TIME_BIN.replace("visibility = true", "analyzer_delay = 100 ps"), 100.0),
+        ],
+        ids=[
+            "gaussian", "separated-bins", "coincident-bins", "explicitly-on",
+            "explicitly-off", "explicit-delay", "explicit-delay-unset-visibility",
+        ],
+    )
+    def test_analyzer_delay_default(self, text, delay):
+        """The visibility analysis runs for separated time bins only, at
+        |M| * bin_separation unless the scenario sets the delay."""
+        assert parse_scenario(text).analyzer_delay == delay
+
+    def test_input_duration(self):
+        assert parse_scenario(MINIMAL).input.duration == 5.0
+        assert parse_scenario(TIME_BIN).input.duration == 15.0 + 5.0
+
     def test_grid_constraints(self):
         bad_n = MINIMAL + "\n[grid]\nn_samples = 1000\n"
         with pytest.raises(ScenarioSemanticError):
