@@ -186,10 +186,7 @@ def apply_dispersion(
 
     out = _filter(env, **_dispersion_kernel(element, env.grid))
     if boundary_leakage(out) > BOUNDARY_TOLERANCE:
-        what = (
-            f"{element.label}: dispersion gdd={element.gdd} ps^2, "
-            f"tod={element.tod} ps^3"
-        )
+        what = f"dispersion gdd={element.gdd} ps^2, tod={element.tod} ps^3"
         edge = _band_edge_leakage(env)
         if edge > BOUNDARY_TOLERANCE:
             raise UndersampledError(

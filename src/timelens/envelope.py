@@ -95,7 +95,7 @@ class AnyEnvelope:
                 f"samples shape {samples.shape} does not match grid "
                 f"({self.grid.n_samples},)"
             )
-        if isinstance(self, SampledEnvelope) and not _all_finite(samples):
+        if isinstance(self, SampledEnvelope) and not np.isfinite(samples).all():
             raise ValueError("samples must be finite")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
@@ -126,16 +126,6 @@ class SpectralEnvelope(AnyEnvelope):
     @property
     def omegas(self) -> np.ndarray:
         return self.grid.omegas
-
-
-def _all_finite(samples: np.ndarray) -> bool:
-    """Whether every part of the contiguous ``samples`` is finite.  A finite
-    sum of the parts proves it without a full-size mask; only a sum that is
-    not finite (a NaN or infinity, or an overflow of finite parts) is
-    checked element by element."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = samples.view(np.float64).sum()
-    return bool(np.isfinite(total) or np.isfinite(samples).all())
 
 
 def _adopt(
@@ -579,33 +569,16 @@ def _filter(env: SampledEnvelope, **kernel) -> SampledEnvelope:
     return to_time(spec)
 
 
-def _ends(env: AnyEnvelope, hit) -> tuple[int, int] | None:
-    """Indices of the first and last samples where ``hit``, applied to a
-    block of samples, is true, sought in blocks from each end; None if it is
-    true nowhere."""
-
-    def scan(spans):
-        for span in spans:
-            hits = np.flatnonzero(hit(env.samples[span]))
-            if hits.size:
-                return span.start + hits
-        return None
-
-    spans = list(env.grid._blocks())
-    head = scan(spans)
-    if head is None:
-        return None
-    return int(head[0]), int(scan(reversed(spans))[-1])
-
-
 def _support(env: SampledEnvelope) -> np.ndarray | None:
     """Times of the first and last samples above :data:`BOUNDARY_TOLERANCE`
-    of the peak magnitude; None if all zero."""
-    peak = _peak_magnitude(env)
+    of the peak magnitude; None if all zero.  |a| is taken over the whole
+    array: a shift checks its support before its work array exists."""
+    magnitude = np.abs(env.samples)
+    peak = magnitude.max()
     if peak == 0.0:
         return None
-    ends = _ends(env, lambda block: np.abs(block) > BOUNDARY_TOLERANCE * peak)
-    return np.array([env.grid._time(k) for k in ends])
+    above = np.flatnonzero(magnitude > BOUNDARY_TOLERANCE * peak)
+    return np.array([env.grid._time(k) for k in above[[0, -1]]])
 
 
 def shifted(env: SampledEnvelope, delay: float) -> SampledEnvelope:
@@ -667,7 +640,9 @@ def magnified_copy(env: SampledEnvelope, magnification: float) -> SampledEnvelop
     scale = np.sqrt(abs(magnification))
     values = np.zeros(n, dtype=np.complex128)
     # first and last nonzero input samples (an all-zero input skips nothing)
-    first, last = _ends(env, lambda block: block != 0.0) or (0, n - 1)
+    nonzero = np.flatnonzero(env.samples)
+    first, last = nonzero[[0, -1]] if nonzero.size else (0, n - 1)
+    del nonzero  # up to one index per sample: not held through the loop
     for span in grid._blocks():
         x = grid._index(grid._times(span.start, span.stop) / magnification)
         # the stencil at x reads samples floor(x) - 33 .. floor(x) + 34

@@ -392,6 +392,7 @@ def propagate_stages(
 
     A :class:`TimeLensError` from a stage is re-raised as the same type with
     the prefix ``stage N (label): ``, numbered as the stage artifacts are.
+    This prefix is the only place an error names its stage.
     """
     verify_topology(topology)
     env = input_env

@@ -94,11 +94,18 @@ class TestDispersiveElement:
         with pytest.raises(WindowOverflowError):
             apply_dispersion(env, DispersiveElement(gdd=200.0))
 
-    def test_wraparound_error_names_the_stage(self):
-        grid = TimeGrid(256, 60.0 / 256)
-        env = gaussian_pulse(grid, fwhm=5.0)
-        with pytest.raises(WindowOverflowError, match="input_gdd"):
-            apply_dispersion(env, DispersiveElement(gdd=200.0, label="input_gdd"))
+    def test_run_error_names_the_stage_once(self):
+        # the element's own message starts at its dispersion; the run alone
+        # prefixes the stage's index and label
+        env = gaussian_pulse(TimeGrid(1024, 0.5), fwhm=5.0)
+        with pytest.raises(WindowOverflowError) as info:
+            apply_dispersion(env, DispersiveElement(gdd=1050.0, label="output_gdd"))
+        assert str(info.value).startswith("dispersion gdd=1050.0 ps^2, ")
+        with pytest.raises(WindowOverflowError) as info:
+            run_system(env, field_lens_system(-20.0, 50.0))
+        message = str(info.value)
+        assert message.startswith("stage 3 (output_gdd): dispersion gdd=1050.0 ps^2, ")
+        assert message.count("output_gdd") == 1
 
     def test_third_order_term_skews_an_even_pulse(self, small_grid):
         from timelens.interferometry import asymmetry

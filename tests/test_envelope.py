@@ -425,10 +425,11 @@ class TestPlainKernels:
 
 
 class TestBlockedMagnitudes:
-    """boundary_leakage and the shift's support check read |a| block by
-    block, and every waveform sum (energy, overlap, intensity_overlap and
-    the centroid) goes through the blocked pairwise tree: each gives the
-    full-array formula's result bit for bit."""
+    """boundary_leakage reads its peak |a| block by block, and every
+    waveform sum (energy, overlap, intensity_overlap and the centroid) goes
+    through the blocked pairwise tree: each gives the full-array formula's
+    result bit for bit.  The shift's support check, which takes |a| over
+    the whole array, is checked against the same formula at block edges."""
 
     GRID = TimeGrid(2**15, 400.0 / 2**15)
 
