@@ -4,11 +4,11 @@ A two-bin waveform recombined with a delay matching its bin separation
 produces a three-peak intensity profile whose central peak interferes; the
 visibility of that interference across analyzer phase settings is the
 figure of merit for phase-preserving imaging.  The central window is the
-delay's span starting at the image's intensity centroid, and each port's
-intensity is integrated over it as the linear interpolant of its samples,
-so the visibility is continuous in the window and in the grid step.  Each
-port is formed only on the window's samples; :func:`analyzer_port` forms a
-whole one.
+delay's span starting at the image's intensity centroid, rounded to a
+multiple of dt * 2**-36, and each port's intensity is integrated over it as
+the linear interpolant of its samples, so the visibility is continuous in
+the window and in the grid step.  Each port is formed only on the window's
+samples; :func:`analyzer_port` forms a whole one.
 """
 
 from __future__ import annotations
@@ -151,11 +151,13 @@ def visibility_experiment(
     ``relative_phase`` (constructive) and ``relative_phase + pi``
     (destructive), and integrates each port's intensity over the central
     window (c, c + ``bin_separation``), where c is the centroid of the
-    image's intensity.  The window is thus centered on the centroid of the
-    two ports' summed intensity (the interference terms cancel in the sum),
-    which for a two-bin image is midway between the outer peaks.  Each
-    port's intensity is taken as the linear interpolant of its samples and
-    integrated over the window exactly, the end cells cut at its edges.
+    image's intensity rounded to a multiple of dt * 2**-36 (so a centroid
+    that is 0 in exact arithmetic reads 0).  The window is thus centered on
+    the centroid of the two ports' summed intensity (the interference terms
+    cancel in the sum), which for a two-bin image is midway between the
+    outer peaks.  Each port's intensity is taken as the linear interpolant
+    of its samples and integrated over the window exactly, the end cells
+    cut at its edges.
     Visibility is (E_max - E_min)/(E_max + E_min) of the two central-window
     energies (or, with ``metric='peak'``, of the interpolant's maxima over
     the window, ends included), so it is insensitive to which setting
@@ -176,7 +178,8 @@ def visibility_experiment(
     require(ValueError, VISIBILITY_RULES, bin_separation=bin_separation)
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {', '.join(METRICS)}, got {metric!r}")
-    start = _centroid(image)
+    quantum = image.grid.dt * 2.0**-36
+    start = round(_centroid(image) / quantum) * quantum
     try:
         delayed = shifted(image, bin_separation)
     except WindowOverflowError as exc:

@@ -1,10 +1,13 @@
 """Scenario execution: simulate, design, and sweep runs with file artifacts.
 
-A simulation is computed first and rendered second.  ``simulate`` writes a
-``report.json`` plus one ``.npy`` file per stage and analyzer port: the
-envelope's complex128 samples exactly as computed, with the times left to the
-report's ``grid`` block.  ``sweep`` renders only ``sweep.csv`` and its report,
-and its points that differ only in ``analysis.analyzer_phase`` share one
+A simulation is computed first and rendered second.  Its image is compared
+with the ideal image, which the input's own pulse constructor builds from
+:meth:`InputSpec.imaged`: exact up to a global phase and 1/sqrt(|M|), which
+the normalized overlaps ignore.  ``simulate`` writes a ``report.json`` plus
+one ``.npy`` file per stage and analyzer port: the envelope's complex128
+samples exactly as computed, with the times left to the report's ``grid``
+block.  ``sweep`` renders only ``sweep.csv`` and its report, and its
+points that differ only in ``analysis.analyzer_phase`` share one
 propagation.  Text artifacts are rendered before anything touches disk.
 Waveforms are not rendered to bytes first: each ``.npy`` file is written
 from its envelope's own sample array, so no waveform is held twice.  The
@@ -35,7 +38,6 @@ from .envelope import (
     fwhm,
     gaussian_pulse,
     intensity_overlap,
-    magnified_copy,
     overlap,
     phase_fit_quadratic,
     phase_rms,
@@ -47,6 +49,8 @@ from .errors import (
     DegenerateInputError,
     InsufficientSupportError,
     ScenarioSemanticError,
+    UndersampledError,
+    WindowOverflowError,
     require,
 )
 from .grid import TimeGrid
@@ -66,7 +70,7 @@ from .interferometry import (
     analyzer_port,
     visibility_experiment,
 )
-from .scenario import Scenario, SystemSpec, key_spec, parse_scenario
+from .scenario import InputSpec, Scenario, SystemSpec, key_spec, parse_scenario
 
 
 def _csv(columns: list[str], rows) -> str:
@@ -108,19 +112,13 @@ def build_topology(system: SystemSpec) -> SystemTopology:
     )
 
 
-def build_input(scenario: Scenario, grid: TimeGrid) -> SampledEnvelope:
-    spec = scenario.input
-    carrier = scenario.system.input_carrier_nm
+def build_input(spec: InputSpec, grid: TimeGrid, carrier: float) -> SampledEnvelope:
     if spec.kind == "gaussian":
         return gaussian_pulse(
             grid, spec.fwhm, center=spec.center, carrier_wavelength_nm=carrier
         )
     return time_bin_pulse(
-        grid,
-        spec.bin_fwhm,
-        spec.bin_separation,
-        relative_phase=spec.relative_phase,
-        carrier_wavelength_nm=carrier,
+        grid, spec.bin_fwhm, spec.bin_separation, spec.relative_phase, carrier
     )
 
 
@@ -195,10 +193,15 @@ def _dispersion_summary(topology: SystemTopology) -> dict:
 
 
 def _image_metrics(
-    image: SampledEnvelope, target: SampledEnvelope, entry: dict, phase_fit_window: float
+    image: SampledEnvelope, ideal: InputSpec, entry: dict, phase_fit_window: float
 ) -> dict:
-    """Image block of the report: ``image`` against the ideal ``target``;
-    ``entry`` is the final stage's :func:`_stage_entry`."""
+    """Image block of the report: ``image`` against the pulse of its
+    ``ideal`` spec on its grid; ``entry`` is the final stage's
+    :func:`_stage_entry`."""
+    try:
+        target = build_input(ideal, image.grid, image.carrier_wavelength_nm)
+    except (UndersampledError, WindowOverflowError) as exc:
+        raise type(exc)(f"ideal image: {exc}") from exc
     metrics = {
         "fwhm_ps": entry["fwhm_ps"],
         "energy": entry["energy"],
@@ -237,14 +240,13 @@ def _compute(scenario: Scenario) -> _Run:
         raise ScenarioSemanticError(
             [(0, "simulate needs [input] and [system] sections")]
         )
-    system = scenario.system
+    system, spec = scenario.system, scenario.input
     topology = build_topology(system)
     grid = plan_scenario_grid(scenario, topology)
-    source = build_input(scenario, grid)
+    source = build_input(spec, grid, system.input_carrier_nm)
     waveforms = (("input", source), *propagate_stages(source, topology))
     image = waveforms[-1][1]
 
-    spec = scenario.input
     input_block = {
         "kind": spec.kind,
         "carrier_nm": float(system.input_carrier_nm),
@@ -260,6 +262,7 @@ def _compute(scenario: Scenario) -> _Run:
         input_block["relative_phase_rad"] = float(spec.relative_phase)
 
     stages = [_stage_entry(label, env) for label, env in waveforms[1:]]
+    ideal = spec.imaged(system.magnification)
     report: dict = {
         "subcommand": "simulate",
         "topology": topology.kind.value,
@@ -289,10 +292,7 @@ def _compute(scenario: Scenario) -> _Run:
         "input": input_block,
         "stages": stages,
         "image": _image_metrics(
-            image,
-            magnified_copy(source, system.magnification),
-            stages[-1],
-            scenario.analysis.phase_fit_window,
+            image, ideal, stages[-1], scenario.analysis.phase_fit_window
         ),
     }
     if topology.kind is not TopologyKind.TELESCOPE:
@@ -306,18 +306,16 @@ def _compute(scenario: Scenario) -> _Run:
     result = None
     analyzer_delay = scenario.analyzer_delay
     if analyzer_delay is not None:
-        psi = spec.relative_phase
-        image_phase = psi if system.magnification > 0 else -psi
         result = visibility_experiment(
             image,
             bin_separation=analyzer_delay,
-            relative_phase=image_phase,
+            relative_phase=ideal.relative_phase,
             metric=scenario.analysis.metric,
         )
         report["interference"] = {
             "analyzer_delay_ps": float(analyzer_delay),
-            "prepared_phase_rad": float(psi),
-            "image_frame_phase_rad": float(image_phase),
+            "prepared_phase_rad": float(spec.relative_phase),
+            "image_frame_phase_rad": float(ideal.relative_phase),
             "metric": result.metric,
             "window_ps": [float(x) for x in result.window],
             "constructive_energy": float(result.constructive_energy),

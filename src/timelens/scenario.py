@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable
 
 from .design import REQUEST_RULES, DesignConfiguration, DesignRequest
@@ -177,6 +177,18 @@ class InputSpec:
             return self.fwhm
         return self.bin_separation + self.bin_fwhm
 
+    def imaged(self, magnification: float) -> InputSpec:
+        """The ideal image a0(t/M) at ``magnification`` M, up to a global phase
+        and 1/sqrt(|M|): the same pulse with widths and bin separation times
+        |M|, center times M, and bin phase negated where M < 0 reverses it."""
+        m, psi = abs(magnification), self.relative_phase
+        if self.kind == "gaussian":
+            return replace(self, fwhm=m * self.fwhm, center=magnification * self.center)
+        return replace(
+            self, bin_fwhm=m * self.bin_fwhm, bin_separation=m * self.bin_separation,
+            relative_phase=psi if magnification > 0 else -psi,
+        )
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -223,16 +235,17 @@ class Scenario:
 
     @property
     def analyzer_delay(self) -> float | None:
-        """Analyzer delay of the visibility analysis, ps: |M| * ``bin_separation``
-        unless set.  None when the analysis is off: ``visibility = false``,
-        or unset for an input that cannot interfere (:func:`_no_interference`)."""
+        """Analyzer delay of the visibility analysis, ps: the image's bin
+        separation (:meth:`InputSpec.imaged`) unless set.  None when the
+        analysis is off: ``visibility = false``, or unset for an input that
+        cannot interfere (:func:`_no_interference`)."""
         spec, analysis = self.input, self.analysis
         if analysis.visibility is False or _no_interference(
             spec.kind, spec.bin_separation
         ):
             return None
         if analysis.analyzer_delay is None:
-            return abs(self.system.magnification) * spec.bin_separation
+            return spec.imaged(self.system.magnification).bin_separation
         return analysis.analyzer_delay
 
 

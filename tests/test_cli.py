@@ -645,6 +645,86 @@ class TestSamplingLimit:
         assert report["interference"]["visibility"] > 0.997
 
 
+class TestIdealImage:
+    """The image block's target is the input's own closed form, magnified."""
+
+    METRICS = ("fidelity_to_ideal", "intensity_overlap_with_ideal")
+    SIMULATIONS = sorted(
+        p.stem for p in SCENARIO_DIR.glob("*.scn") if not p.stem.startswith("design_")
+    )
+
+    @staticmethod
+    def _image(name, **overrides):
+        text = (SCENARIO_DIR / f"{name}.scn").read_text(encoding="utf-8")
+        return run_simulate(parse_scenario(text, overrides))[0]
+
+    @pytest.mark.parametrize("name", SIMULATIONS)
+    def test_metrics_hold_at_twice_the_samples(self, name):
+        report = self._image(name)
+        grid = report["grid"]
+        fine = self._image(
+            name,
+            **{"grid.n_samples": 2 * grid["n_samples"], "grid.window": grid["window_ps"]},
+        )
+        assert fine["grid"]["window_ps"] == grid["window_ps"]
+        for metric in self.METRICS:
+            assert fine["image"][metric] == pytest.approx(
+                report["image"][metric], rel=0.0, abs=1e-13
+            )
+
+    def test_one_system_on_two_grids_reads_the_same(self):
+        # fringe_scan is visibility_field_lens on half its samples
+        coarse, fine = self._image("fringe_scan"), self._image("visibility_field_lens")
+        assert coarse["grid"]["n_samples"] < fine["grid"]["n_samples"]
+        for metric in self.METRICS:
+            assert coarse["image"][metric] == pytest.approx(
+                fine["image"][metric], rel=0.0, abs=1e-13
+            )
+
+    @pytest.mark.parametrize(
+        "pulse",
+        [
+            "kind = gaussian\nfwhm = 5 ps\ncenter = 3 ps",
+            "kind = time-bin\nbin_fwhm = 5 ps\nbin_separation = 15 ps\n"
+            "relative_phase = 1 rad",
+        ],
+        ids=["off-center-gaussian", "phased-bins"],
+    )
+    @pytest.mark.parametrize("magnification", [20.0, -20.0, -3.0])
+    @pytest.mark.parametrize(
+        ("topology", "sizing"), [("field-lens", "focal_gdd"), ("telescope", "input_gdd")]
+    )
+    def test_ideal_chains_image_onto_the_target(
+        self, topology, sizing, magnification, pulse
+    ):
+        # an off-center or phased input pins the center's sign and the bin
+        # phase's negation under time reversal
+        text = (
+            f"[system]\ntopology = {topology}\nmagnification = {magnification}\n"
+            f"{sizing} = 5 ps2\n[input]\n{pulse}\n"
+        )
+        report, _ = run_simulate(parse_scenario(text))
+        assert report["image"]["fidelity_to_ideal"] >= 1.0 - 1e-12
+        if "interference" in report:  # the analyzer is set to the image's phase
+            energies = report["interference"]
+            assert energies["constructive_energy"] > energies["destructive_energy"]
+
+    def test_target_the_grid_cannot_hold_is_refused(self, tmp_path, capsys):
+        # at M = -0.1 the image's 0.5 ps bins outrun the band the planner
+        # sized for the 5 ps input
+        text = (SCENARIO_DIR / "visibility_telescope.scn").read_text(encoding="utf-8")
+        path = tmp_path / "compressing.scn"
+        path.write_text(
+            text.replace("magnification = 20", "magnification = -0.1"), encoding="utf-8"
+        )
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == (
+            EXIT_PHYSICS
+        )
+        assert capsys.readouterr().err.startswith(
+            "error: UndersampledError: ideal image: time-bin pulse (bin_fwhm=0.5 ps"
+        )
+
+
 class TestDesign:
     def test_design_artifacts_and_values(self, tmp_path):
         out = tmp_path / "design"

@@ -26,6 +26,9 @@ def test_seeded_draws_raise_typed_errors_or_hold_the_visibility(tmp_path):
     assert report["outcomes"]["ran"] > 0
     # the visibility window is continuous in the grid, so the twin agrees
     assert report["worst"]["visibility"][0]["move"] < 1e-3
+    # the ideal image is the input's closed form on either grid, so the
+    # fidelity moves only by rounding
+    assert report["worst"]["fidelity_to_ideal"][0]["move"] < 1e-10
     # every draw's exact twin, all times doubled, ends the same way and
     # reports each value times 2**p bit for bit
     assert report["time_scale"]["mismatches"] == []

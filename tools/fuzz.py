@@ -108,22 +108,16 @@ def ps_power(path: tuple) -> int:
 
 def _leaves(value, path: tuple = ()):
     """Every ``(path, value)`` of a JSON-like tree below its dicts and its
-    lists of dicts: a list of numbers is one leaf."""
+    lists: each list entry is a leaf of its own."""
     if isinstance(value, dict):
         items = value.items()
-    elif isinstance(value, list) and any(isinstance(v, dict) for v in value):
+    elif isinstance(value, list):
         items = enumerate(value)
     else:
         yield path, value
         return
     for key, item in items:
         yield from _leaves(item, (*path, key))
-
-
-def _numbers(value) -> bool:
-    """Whether ``value`` is a float or a nonempty list of floats."""
-    values = value if isinstance(value, list) else [value]
-    return bool(values) and all(type(v) is float for v in values)
 
 
 def scale_mismatches(
@@ -134,21 +128,18 @@ def scale_mismatches(
     ``run`` scaled by ``s``: each report value that is not its value in
     ``run`` times s**p, and, when both tolerances are 0, each ``.npy`` array
     whose bits differ.  A value may be off by ``rel`` of its size, or by
-    ``small`` when its size is below 1e-4; a list of numbers (the
-    interference window) is compared as one, its size its largest entry.
-    Paths are written ``key/index/key``."""
+    ``small`` when its size is below 1e-4.  Paths are written
+    ``key/index/key``."""
     (report, files), (twin_report, twin_files) = run, twin
     leaves, twin_leaves = list(_leaves(report)), list(_leaves(twin_report))
     if [path for path, _ in leaves] != [path for path, _ in twin_leaves]:
         return ["report keys"]
     found = []
     for (path, value), (_, twin_value) in zip(leaves, twin_leaves):
-        if _numbers(value) and _numbers(twin_value):
-            want = np.multiply(value, s ** ps_power(path))
-            got = np.asarray(twin_value)
-            size = np.abs(want).max()
-            tolerance = max(rel * size, small if size < 1e-4 else 0.0)
-            same = got.shape == want.shape and bool((abs(got - want) <= tolerance).all())
+        if type(value) is float and type(twin_value) is float:
+            want = value * s ** ps_power(path)
+            tolerance = max(rel * abs(want), small if abs(want) < 1e-4 else 0.0)
+            same = abs(twin_value - want) <= tolerance
         else:
             same = twin_value == value
         if not same:
